@@ -175,6 +175,8 @@ def verify_counts(max_semilength: int,
     binomial formula, the walk count matches it too, the forward map is
     injective onto the full walk set, and both composites are identities.
     """
+    if max_semilength < 0:
+        raise ValueError(f"semilength must be >= 0, got {max_semilength}")
     rows = []
     for m in range(max_semilength + 1):
         paths = enumerate_paths(m, PARITY_QUAD, cap=cap)

@@ -21,11 +21,11 @@ from .families import BadParams, FAMILY_IDS, build
 from .grammar import Grammar, lower
 from .intsets import (BadProgression, NonPositiveValue, RestrictionQuad,
                       SetSyntaxError, parse_set)
-from .oracle import (DEFAULT_ENUMERATION_CAP, ResourceLimit, count_brute,
-                     count_dp, enumerate_paths)
+from .oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, language
 from .sequences import identify
 from .series import DEFAULT_ORDER, solve
-from .verify import DEFAULT_MAX_LEN, DEFAULT_N_MAX, verify_family
+from .verify import (DEFAULT_MAX_LEN, DEFAULT_N_MAX, count_comparison,
+                     verify_family)
 
 DEFAULT_BIJECTION_MAX = 8
 
@@ -75,7 +75,7 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 
 def _cmd_enumerate(args) -> int:
     quad = _quad_from(args)
-    paths = [p.text for p in enumerate_paths(args.n, quad, cap=args.cap)]
+    paths = language(args.n, quad, args.cap)
     payload = {"command": "enumerate", "n": str(args.n),
                "quad": _quad_json(quad), "paths": paths}
     _emit(payload, args.json, paths)
@@ -85,22 +85,17 @@ def _cmd_enumerate(args) -> int:
 def _cmd_count(args) -> int:
     quad = _quad_from(args)
     methods = ("brute", "dp") if args.method == "both" else (args.method,)
-    tables = {}
-    for m in methods:
-        table = count_brute(args.n_max, quad, args.cap) if m == "brute" \
-            else count_dp(args.n_max, quad)
-        tables[m] = table.sequence(args.n_max)
-    mismatch = next((n for n in range(args.n_max + 1)
-                     if len({tables[m][n] for m in methods}) != 1), None)
+    report = count_comparison(args.n_max, quad, methods, args.cap)
+    mismatch = report.first_mismatch()
     payload = {"command": "count", "n_max": str(args.n_max),
                "quad": _quad_json(quad), "methods": list(methods),
-               "counts": {m: [str(c) for c in tables[m]] for m in methods},
+               "counts": {m: [str(c) for c in report.counts[m]] for m in methods},
                "passed": mismatch is None,
                "witness": None if mismatch is None else {
                    "n": str(mismatch),
-                   **{m: str(tables[m][mismatch]) for m in methods}}}
+                   **{m: str(c) for m, c in zip(methods, report.row(mismatch))}}}
     lines = ["n\t" + "\t".join(methods)]
-    lines += [f"{n}\t" + "\t".join(str(tables[m][n]) for m in methods)
+    lines += [f"{n}\t" + "\t".join(str(c) for c in report.row(n))
               for n in range(args.n_max + 1)]
     if mismatch is not None:
         lines.append(f"FAIL: methods disagree at n={mismatch}")

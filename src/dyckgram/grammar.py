@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Union
 
 from .intsets import RestrictionQuad
-from .oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, enumerate_paths
+from .oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, language
 from .paths import Step
 from .series import Poly, SeriesSystem
 
@@ -222,11 +221,6 @@ def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
     return expander
 
 
-@lru_cache(maxsize=4096)
-def _oracle_words(quad: RestrictionQuad, n: int, enum_cap: int) -> tuple[str, ...]:
-    return tuple(p.text for p in enumerate_paths(n, quad, cap=enum_cap))
-
-
 def _language_expander(languages: Mapping[str, RestrictionQuad], cap: int,
                        enum_cap: int) -> _Expander:
     def resolve(name: str, length: int) -> Counter:
@@ -234,7 +228,7 @@ def _language_expander(languages: Mapping[str, RestrictionQuad], cap: int,
             raise ValueError(f"no language bound to nonterminal {name}")
         if length % 2:
             return Counter()
-        return Counter(dict.fromkeys(_oracle_words(languages[name], length // 2, enum_cap), 1))
+        return Counter(dict.fromkeys(language(length // 2, languages[name], enum_cap), 1))
 
     return _Expander(resolve, cap)
 

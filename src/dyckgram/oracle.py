@@ -2,9 +2,10 @@
 
 Two deliberately independent methods:
 
-* brute force: depth-first generation of every path of the given
-  semilength, with the definitional feature check applied to each
-  complete path;
+* brute force: one unpruned depth-first scan over every path of the
+  given semilength, with the definitional feature check applied to each
+  complete path; enumeration of the satisfying paths is the same scan,
+  collecting what it counts;
 * a dynamic program over run states (height, current run direction,
   current run length), where peak/valley and run-length checks fire at
   direction changes and the final pending down-run is checked when the
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .intsets import IntSet, RestrictionQuad
-from .paths import DyckPath, satisfies
+from .intsets import RestrictionQuad
+from .paths import DyckPath, accepts, avoid_tables
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -37,7 +38,6 @@ class ResourceLimit(RuntimeError):
 class Method(Enum):
     BRUTE = "brute"
     DP = "dp"
-    GRAMMAR = "grammar"
 
 
 @dataclass(frozen=True)
@@ -51,91 +51,31 @@ class CountTable:
         return tuple(self.entries[n] for n in range(n_max + 1))
 
 
-def _table(s: IntSet, bound: int) -> list[bool]:
-    # index 0 is never avoided: avoid-sets hold positive integers only
-    return [False] + [s.contains(v) for v in range(1, bound + 1)]
-
-
-def _tables(quad: RestrictionQuad, bound: int):
-    bound = max(bound, 1)
-    return (_table(quad.peaks, bound), _table(quad.valleys, bound),
-            _table(quad.up_runs, bound), _table(quad.down_runs, bound))
-
-
-def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> list[DyckPath]:
-    """All satisfying paths of semilength ``n`` in lexicographic order (U < D)."""
+def _check_semilength(n: int, cap: int) -> None:
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
     if n > cap:
         raise ResourceLimit(n, cap)
-    out: list[DyckPath] = []
-    buf: list[str] = []
-
-    def grow(h: int, rem: int):
-        if rem == 0:
-            path = DyckPath.from_text("".join(buf))
-            if satisfies(path, quad):
-                out.append(path)
-            return
-        if h < rem:  # room to go up and still return
-            buf.append("U")
-            grow(h + 1, rem - 1)
-            buf.pop()
-        if h > 0:
-            buf.append("D")
-            grow(h - 1, rem - 1)
-            buf.pop()
-
-    grow(0, 2 * n)
-    return out
 
 
-def _count_leaves(n: int, tables) -> int:
-    """Count satisfying paths of semilength n by exhaustive generation.
+def _scan(n: int, tables, out: list[str] | None = None) -> int:
+    """Visit every path of semilength n depth-first, U before D.
 
-    The complete-path scan below is the same feature walk as
-    paths.features, specialized to boolean membership tables (the tests
-    hold the two in lockstep against enumerate_paths + satisfies).
+    Returns the number of leaves that pass the membership walk, and
+    appends the text of each to ``out`` when one is given.
     """
-    if n == 0:
-        return 1
-    peak_t, valley_t, up_t, down_t = tables
     buf = [""] * (2 * n)
-
-    def leaf_ok() -> bool:
-        h = 0
-        run = 0
-        prev = ""
-        for s in buf:
-            if s == "U":
-                if prev == "D":
-                    if valley_t[h] or down_t[run]:
-                        return False
-                    run = 1
-                else:
-                    run += 1
-                h += 1
-            else:
-                if prev == "U":
-                    if peak_t[h] or up_t[run]:
-                        return False
-                    run = 1
-                else:
-                    run += 1
-                h -= 1
-            prev = s
-        return not down_t[run]
-
     total = 0
 
     def grow(i: int, h: int, rem: int):
         nonlocal total
         if rem == 0:
-            if leaf_ok():
+            if accepts(buf, tables):
                 total += 1
+                if out is not None:
+                    out.append("".join(buf))
             return
-        if h < rem:
+        if h < rem:  # room to go up and still return
             buf[i] = "U"
             grow(i + 1, h + 1, rem - 1)
         if h > 0:
@@ -146,12 +86,27 @@ def _count_leaves(n: int, tables) -> int:
     return total
 
 
+def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
+             cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, ...]:
+    """Text of every satisfying path of semilength ``n``, in lexicographic
+    order (U < D)."""
+    _check_semilength(n, cap)
+    out: list[str] = []
+    _scan(n, avoid_tables(quad, n), out)
+    return tuple(out)
+
+
+def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
+                    cap: int = DEFAULT_ENUMERATION_CAP) -> list[DyckPath]:
+    """All satisfying paths of semilength ``n`` in lexicographic order (U < D)."""
+    return [DyckPath.from_text(w) for w in language(n, quad, cap)]
+
+
 def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
                 cap: int = DEFAULT_ENUMERATION_CAP) -> CountTable:
-    if n_max > cap:
-        raise ResourceLimit(n_max, cap)
-    tables = _tables(quad, n_max)
-    entries = {n: _count_leaves(n, tables) for n in range(n_max + 1)}
+    _check_semilength(n_max, cap)
+    tables = avoid_tables(quad, n_max)
+    entries = {n: _scan(n, tables) for n in range(n_max + 1)}
     return CountTable(Method.BRUTE, entries)
 
 
@@ -191,6 +146,6 @@ def _count_dp(n: int, tables) -> int:
 def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
     if n_max < 0:
         raise ValueError(f"semilength must be >= 0, got {n_max}")
-    tables = _tables(quad, n_max)
+    tables = avoid_tables(quad, n_max)
     entries = {n: _count_dp(n, tables) for n in range(n_max + 1)}
     return CountTable(Method.DP, entries)

@@ -152,16 +152,54 @@ def features(path: DyckPath) -> PathFeatures:
     return PathFeatures(tuple(peaks), tuple(valleys), tuple(up_runs), tuple(down_runs))
 
 
+def avoid_tables(quad: RestrictionQuad, bound: int) -> tuple[list[bool], ...]:
+    """Membership of 0..max(bound, 1) in the peak, valley, up-run and
+    down-run avoid-sets, as four boolean lists.
+
+    Index 0 is never avoided: avoid-sets hold positive integers only, which
+    is what exempts valleys at height 0.  A bound of the semilength covers
+    every feature of a path.
+    """
+    bound = max(bound, 1)
+    return tuple([False] + [s.contains(v) for v in range(1, bound + 1)]
+                 for s in (quad.peaks, quad.valleys, quad.up_runs, quad.down_runs))
+
+
+def accepts(steps, tables) -> bool:
+    """True iff no feature of the balanced step sequence lands in its table.
+
+    ``steps`` is a string (or list) of "U"/"D"; ``tables`` comes from
+    :func:`avoid_tables`.  This is the walk of :func:`features`, checking
+    each peak, valley and run as it ends instead of recording it.
+    """
+    peak_t, valley_t, up_t, down_t = tables
+    h = 0
+    run = 0
+    prev = ""
+    for s in steps:
+        if s == "U":
+            if prev == "D":
+                if valley_t[h] or down_t[run]:
+                    return False
+                run = 1
+            else:
+                run += 1
+            h += 1
+        else:
+            if prev == "U":
+                if peak_t[h] or up_t[run]:
+                    return False
+                run = 1
+            else:
+                run += 1
+            h -= 1
+        prev = s
+    return not down_t[run]
+
+
 def satisfies(path: DyckPath, quad: RestrictionQuad) -> bool:
     """True iff none of the path's features lands in the matching avoid-set."""
-    if quad.is_empty():
-        return True
-    f = features(path)
-    # valleys at height 0 are exempt: avoid-sets hold positive integers only
-    return (all(not quad.peaks.contains(v) for v in f.peaks)
-            and all(v == 0 or not quad.valleys.contains(v) for v in f.valleys)
-            and all(not quad.up_runs.contains(v) for v in f.up_runs)
-            and all(not quad.down_runs.contains(v) for v in f.down_runs))
+    return accepts(path.text, avoid_tables(quad, path.semilength))
 
 
 def reverse_complement(path: DyckPath) -> DyckPath:

@@ -1,9 +1,9 @@
 """Reference integer sequences and prefix identification.
 
-Each sequence is computed from its own defining rule (binomials, a
-recurrence, or a solved quadratic), independently of the path oracles,
-so that agreement between a family count and its reference sequence is
-evidence rather than circularity.
+Each sequence is computed from its own defining rule (binomials or an
+integer recurrence), independently of the path oracles and of the
+series solver, so that agreement between a family count or a solved
+series and its reference sequence is evidence rather than circularity.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-from .series import DEFAULT_ORDER, Poly, SeriesSystem, TruncatedSeries, solve
+from .series import DEFAULT_ORDER, TruncatedSeries
 
 
 class SeqId(Enum):
@@ -24,17 +24,16 @@ class SeqId(Enum):
     ALL_ONES = "ALL_ONES"
 
 
-_motzkin_cache: list[int] = []
+_motzkin_cache: list[int] = [1, 1]
 _gen_catalan_cache: list[int] = [1, 1]
 
 
 def _motzkin(n: int) -> int:
-    if n >= len(_motzkin_cache):
-        order = max(DEFAULT_ORDER, n + 1)
-        m = Poly.var("M")
-        system = SeriesSystem(("M",), {"M": Poly.const(1) + Poly.z() * m + Poly.z(2) * m ** 2})
-        _motzkin_cache[:] = solve(system, order)["M"].require_counts().coeffs
-    return _motzkin_cache[n]
+    m = _motzkin_cache
+    while len(m) <= n:
+        k = len(m)  # (k+2) M_k = (2k+1) M_{k-1} + 3(k-1) M_{k-2}; the division is exact
+        m.append(((2 * k + 1) * m[k - 1] + 3 * (k - 1) * m[k - 2]) // (k + 2))
+    return m[n]
 
 
 def _gen_catalan(n: int) -> int:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from .families import FamilyInstance
 from .grammar import (Grammar, check_equation, check_unambiguous, lower,
                       words)
-from .oracle import (DEFAULT_ENUMERATION_CAP, Method, count_brute, count_dp,
-                     enumerate_paths)
+from .oracle import DEFAULT_ENUMERATION_CAP, count_brute, count_dp, language
 from .sequences import reference
 from .series import DEFAULT_ORDER, solve
 
@@ -83,6 +82,8 @@ def verify_family(instance: FamilyInstance,
                   n_max: int = DEFAULT_N_MAX,
                   order: int = DEFAULT_ORDER,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> FamilyReport:
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     checks: list[CheckOutcome] = []
     system = lower(instance.body)
 
@@ -111,8 +112,8 @@ def verify_family(instance: FamilyInstance,
             "grammar unambiguous", amb.passed,
             "" if amb.passed else f"{amb.witness!r} derived {amb.multiplicity} ways"))
         got = set(words(instance.body, instance.start, max_len).counts)
-        want = {p.text for n in range(max_len // 2 + 1)
-                for p in enumerate_paths(n, instance.quad, cap=cap)}
+        want = {w for n in range(max_len // 2 + 1)
+                for w in language(n, instance.quad, cap)}
         ok = got == want
         detail = ""
         if not ok:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dyckgram import cli
+from dyckgram import cli, verify
 from dyckgram.oracle import CountTable, Method
 
 
@@ -57,11 +57,18 @@ def test_count_mismatch_exits_1(capsys, monkeypatch):
     def fake_dp(n_max, quad):
         return CountTable(Method.DP, {n: 0 if n == 2 else 1 for n in range(n_max + 1)})
 
-    monkeypatch.setattr(cli, "count_dp", fake_dp)
+    monkeypatch.setattr(verify, "count_dp", fake_dp)
     code, payload, _ = run_json(capsys, "count", "--n-max", "3")
     assert code == 1
     assert payload["passed"] is False
     assert payload["witness"] == {"n": "2", "brute": "2", "dp": "0"}
+
+
+def test_count_negative_n_max_exits_2(capsys):
+    code, out, err = run(capsys, "count", "--method", "brute", "--n-max", "-2")
+    assert code == 2
+    assert out == ""
+    assert "semilength must be >= 0" in err
 
 
 def test_bad_set_syntax_exits_2(capsys):
@@ -125,6 +132,13 @@ def test_verify_text_lines(capsys):
     assert lines[-1] == "PASS"
 
 
+def test_verify_negative_max_len_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--family", "F3", "--max-len", "-5")
+    assert code == 2
+    assert out == ""
+    assert "max_len must be >= 0" in err
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from dataclasses import replace
     from dyckgram.families import build as real_build
@@ -164,6 +178,13 @@ def test_bijection(capsys):
     assert [r["paths"] for r in payload["rows"]] == \
         ["1", "1", "1", "2", "3", "6", "10"]
     assert all(r["round_trip"] for r in payload["rows"])
+
+
+def test_bijection_negative_semilength_exits_2(capsys):
+    code, out, err = run(capsys, "bijection", "--semilength", "-3")
+    assert code == 2
+    assert out == ""
+    assert "semilength must be >= 0" in err
 
 
 def test_json_numbers_are_strings(capsys):

@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import quads, sample_quads
+from conftest import quads, sample_quads, unrestricted_paths
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import (CountTable, Method, ResourceLimit, count_brute,
                              count_dp, enumerate_paths)
-from dyckgram.paths import satisfies
+from dyckgram.paths import features, satisfies
 
 # a fixed corpus mixing family quads with arbitrary ones
 CORPUS = [
@@ -104,4 +104,22 @@ def test_negative_semilength_rejected():
     with pytest.raises(ValueError):
         enumerate_paths(-1)
     with pytest.raises(ValueError):
+        count_brute(-1)
+    with pytest.raises(ValueError):
         count_dp(-1)
+
+
+def _satisfies_by_definition(path, quad):
+    # the rule as stated: no feature in its avoid-set, valleys at 0 exempt
+    f = features(path)
+    return not (any(quad.peaks.contains(v) for v in f.peaks)
+                or any(v > 0 and quad.valleys.contains(v) for v in f.valleys)
+                or any(quad.up_runs.contains(v) for v in f.up_runs)
+                or any(quad.down_runs.contains(v) for v in f.down_runs))
+
+
+def test_membership_rule_matches_its_definition():
+    paths = [p for n in range(9) for p in unrestricted_paths(n)]
+    for quad in CORPUS:
+        for p in paths:
+            assert satisfies(p, quad) == _satisfies_by_definition(p, quad), (p.text, str(quad))
