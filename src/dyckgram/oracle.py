@@ -9,7 +9,8 @@ Two deliberately independent methods:
 * a dynamic program over run states (height, current run direction,
   current run length), where peak/valley and run-length checks fire at
   direction changes and the final pending down-run is checked when the
-  path closes.
+  path closes.  One left-to-right sweep over 2*n_max steps reads off
+  every semilength n as the closing states at height 0 after step 2n.
 
 Counts are exact Python integers throughout.  Brute force is guarded by
 an enumeration cap on the semilength; the DP has no cap.
@@ -51,7 +52,13 @@ class CountTable:
         return tuple(self.entries[n] for n in range(n_max + 1))
 
 
+def check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+
+
 def _check_semilength(n: int, cap: int) -> None:
+    check_cap(cap)
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
     if n > cap:
@@ -110,12 +117,15 @@ def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
     return CountTable(Method.BRUTE, entries)
 
 
-def _count_dp(n: int, tables) -> int:
-    if n == 0:
-        return 1
-    peak_t, valley_t, up_t, down_t = tables
-    total_steps = 2 * n
-    # state after i steps: (height, run direction as +1/-1, run length)
+def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
+    if n_max < 0:
+        raise ValueError(f"semilength must be >= 0, got {n_max}")
+    peak_t, valley_t, up_t, down_t = avoid_tables(quad, n_max)
+    total_steps = 2 * n_max
+    entries = {0: 1}
+    # state after i steps: (height, run direction as +1/-1, run length);
+    # a state at height 0 is a complete path that may still carry on, as
+    # valleys at height 0 are never avoided
     states: dict[tuple[int, int, int], int] = {(1, 1, 1): 1}
     for i in range(1, total_steps):
         new: dict[tuple[int, int, int], int] = {}
@@ -139,13 +149,7 @@ def _count_dp(n: int, tables) -> int:
                     key = (h2, -1, 1)
                     new[key] = new.get(key, 0) + c
         states = new
-    return sum(c for (h, d, r), c in states.items()
-               if h == 0 and d == -1 and not down_t[r])
-
-
-def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
-    if n_max < 0:
-        raise ValueError(f"semilength must be >= 0, got {n_max}")
-    tables = avoid_tables(quad, n_max)
-    entries = {n: _count_dp(n, tables) for n in range(n_max + 1)}
+        if i % 2:  # i + 1 steps taken: read off semilength (i + 1) / 2
+            entries[(i + 1) // 2] = sum(c for (h, d, r), c in states.items()
+                                        if h == 0 and d == -1 and not down_t[r])
     return CountTable(Method.DP, entries)

@@ -7,16 +7,18 @@ are normalized back to int the moment they are integral.
 
 The module also defines sparse polynomials in z and named unknowns
 (:class:`Poly`) and fixed-point systems X = Phi(X) over them
-(:class:`SeriesSystem`).  Such a system is solvable by iteration from 0
+(:class:`SeriesSystem`).  Such a system has a unique fixed point
 whenever every unknown-bearing monomial carries a factor z^1 or higher:
-each round then fixes at least one further coefficient, so ``order``
-rounds reach the unique fixed point.
+coefficient n of each unknown then depends only on coefficients below n,
+so :func:`solve` computes the coefficients online, in increasing n, each
+exactly once (relaxed evaluation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
 DEFAULT_ORDER = 32
@@ -39,10 +41,6 @@ class BadConstantTerm(ValueError):
 
 
 class NotContractive(ValueError):
-    pass
-
-
-class NoConvergence(RuntimeError):
     pass
 
 
@@ -234,7 +232,9 @@ class Poly:
 
     @classmethod
     def var(cls, name: str, k: int = 1) -> "Poly":
-        return cls._from_dict({(0, ((name, k),)): 1})
+        if k < 0:
+            raise ValueError(f"exponent must be >= 0, got {k}")
+        return cls._from_dict({(0, ((name, k),) if k else ()): 1})
 
     def _dict(self) -> dict[tuple[int, _VarsKey], int]:
         return {(z, v): c for z, v, c in self.terms}
@@ -327,14 +327,38 @@ class SeriesSystem:
 
 
 def solve(system: SeriesSystem, order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
-    """Iterate X <- Phi(X) from X = 0 until the fixed point is reached."""
+    """The fixed point of X = Phi(X), one coefficient of every unknown at a time.
+
+    Coefficient n of an unknown sums c * [z^(n - zdeg)] of each monomial's
+    product of unknowns.  Every such product carries z^1 or higher, so it
+    is read below index n.  Each distinct product keeps a growing
+    coefficient list, built as (the product without one factor) x that
+    factor, one convolution term per n.
+    """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     system.validate()
-    env = {name: TruncatedSeries.zero(order) for name in system.unknowns}
-    for _ in range(order + 1):
-        nxt = {name: system.equations[name].eval(env, order) for name in system.unknowns}
-        if nxt == env:
-            return env
-        env = nxt
-    raise NoConvergence(f"no fixed point within {order + 1} rounds")
+    coeffs: dict[str, list] = {name: [] for name in system.unknowns}
+    products: dict[_VarsKey, list] = {(): [1] + [0] * (order - 1)}
+    products.update({((name, 1),): cs for name, cs in coeffs.items()})
+    recipes: list[tuple[list, list, list]] = []  # (product, rest, factor)
+
+    def product(key: _VarsKey) -> list:
+        if key not in products:
+            (name, e), *others = key
+            rest = product(tuple(others) if e == 1 else ((name, e - 1), *others))
+            products[key] = []
+            recipes.append((products[key], rest, coeffs[name]))
+        return products[key]
+
+    rhs = {name: [(zdeg, product(vars_), c)
+                  for zdeg, vars_, c in system.equations[name].terms]
+           for name in system.unknowns}
+    for n in range(order):
+        for name in system.unknowns:
+            coeffs[name].append(sum(c * prod[n - zdeg]
+                                    for zdeg, prod, c in rhs[name] if zdeg <= n))
+        if n + 1 < order:
+            for prod, rest, factor in recipes:
+                prod.append(sum(map(mul, rest, reversed(factor))))
+    return {name: TruncatedSeries(tuple(cs)) for name, cs in coeffs.items()}

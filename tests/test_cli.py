@@ -71,6 +71,21 @@ def test_count_negative_n_max_exits_2(capsys):
     assert "semilength must be >= 0" in err
 
 
+def test_count_negative_cap_exits_2(capsys):
+    code, out, err = run(capsys, "count", "--n-max", "3", "--cap", "-1",
+                         "--method", "dp")
+    assert code == 2
+    assert out == ""
+    assert "cap must be >= 0" in err
+
+
+def test_enumerate_negative_cap_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "-n", "2", "--cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert "cap must be >= 0" in err
+
+
 def test_bad_set_syntax_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["enumerate", "-n", "2", "--peaks", "5..3"])
@@ -137,6 +152,19 @@ def test_verify_negative_max_len_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "max_len must be >= 0" in err
+
+
+def test_verify_runs_past_the_brute_force_cap(capsys):
+    code, payload, _ = run_json(capsys, "verify", "--family", "F1",
+                                "--n-max", "40", "--max-len", "8")
+    assert code == 0
+    assert payload["passed"] is True
+    assert "brute" not in payload["counts"]
+    expected = ["1"] + [str(2 ** (n - 1)) for n in range(1, 41)]
+    assert payload["counts"]["dp"] == payload["counts"]["series"] == expected
+    counts = next(c for c in payload["checks"] if c["name"].startswith("counts agree"))
+    assert counts == {"name": "counts agree (dp = series)", "passed": True,
+                      "detail": "brute force skipped above cap 16"}
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

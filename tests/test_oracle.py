@@ -1,11 +1,16 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import quads, sample_quads, unrestricted_paths
+from dyckgram.families import build
+from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import (CountTable, Method, ResourceLimit, count_brute,
                              count_dp, enumerate_paths)
 from dyckgram.paths import features, satisfies
+from dyckgram.series import solve
 
 # a fixed corpus mixing family quads with arbitrary ones
 CORPUS = [
@@ -77,6 +82,23 @@ def test_enumeration_matches_counts_and_satisfaction():
         assert all(satisfies(p, quad) for p in paths)
         assert len(paths) == count_brute(7, quad).entries[7]
         assert len(paths) == count_dp(7, quad).entries[7]
+
+
+def test_one_sweep_reads_every_semilength_as_a_sweep_to_it_would():
+    # the return-to-zero height bound depends on n_max; a longer sweep
+    # keeps extra states, which must not leak into the shorter counts
+    for quad in CORPUS:
+        long = count_dp(20, quad)
+        for k in range(21):
+            assert long.sequence(k) == count_dp(k, quad).sequence(k), (str(quad), k)
+
+
+def test_dp_matches_series_beyond_brute_force_reach():
+    n = 200
+    for inst in (build("F1"), build("F2"), build("F3"), build("F6", A=1, B=3)):
+        series = solve(lower(inst.body), n + 1)[inst.start].coeffs
+        assert count_dp(n, inst.quad).sequence() == series, str(inst)
+    assert count_dp(n).sequence() == tuple(comb(2 * k, k) // (k + 1) for k in range(n + 1))
 
 
 @given(quads, st.integers(0, 6))

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dyckgram.series import (BadConstantTerm, NoConvergence, NonUnitConstant,
-                             NotContractive, OrderMismatch, Poly, SeriesSystem,
-                             TruncatedSeries, solve)
+from dyckgram.families import build
+from dyckgram.grammar import lower
+from dyckgram.series import (BadConstantTerm, NonUnitConstant, NotContractive,
+                             OrderMismatch, Poly, SeriesSystem, TruncatedSeries,
+                             solve)
 
 S = TruncatedSeries.from_coeffs
 
@@ -117,6 +119,14 @@ def test_poly_arithmetic_and_rendering():
     assert str(q) == "P^2 + 2*z*P + z^2"
 
 
+def test_poly_var_exponents():
+    assert Poly.var("X", 0) == Poly.const(1)
+    with pytest.raises(ValueError):
+        Poly.var("X", -1)
+    system = SeriesSystem(("X",), {"X": Poly.const(1) + Poly.z() * Poly.var("X", 0)})
+    assert solve(system, 4)["X"].coeffs == (1, 1, 0, 0)
+
+
 def test_poly_eval():
     p = Poly.const(2) + Poly.z(2) * Poly.var("X")
     x = S([1, 1], 5)
@@ -146,6 +156,37 @@ def test_solution_is_a_fixed_point():
     system = SeriesSystem(("P",), {"P": Poly.const(1) + Poly.z() * Poly.var("P") ** 2})
     sol = solve(system, 12)
     assert system.equations["P"].eval(sol, 12) == sol["P"]
+
+
+def _catalogue():
+    instances = [build("F1"), build("F2"), build("F3")]
+    for a in range(1, 7):
+        for b in range(1, 8):
+            for family in (("F5", "F7") if b < a else ("F6", "F8")):
+                instances.append(build(family, A=a, B=b))
+    instances += [build("F9", r=r) for r in range(1, 5)]
+    instances += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
+    instances += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
+    return instances
+
+
+def test_solution_is_a_fixed_point_of_every_catalogue_system():
+    # checked by Poly.eval's full series products, not by the online recurrence
+    for inst in _catalogue():
+        system = lower(inst.body)
+        sol = solve(system, 64)
+        for name in system.unknowns:
+            assert system.equations[name].eval(sol, 64) == sol[name], (str(inst), name)
+
+
+def test_solve_order_one_and_higher_powers():
+    system = SeriesSystem(("A", "B"), {
+        "A": Poly.const(1) + (Poly.z() * Poly.var("A") ** 3 * Poly.var("B") ** 2).scale(2),
+        "B": Poly.const(2) + Poly.z(2) * Poly.var("A") - Poly.z(3)})
+    assert {k: v.coeffs for k, v in solve(system, 1).items()} == {"A": (1,), "B": (2,)}
+    sol = solve(system, 10)
+    for name in system.unknowns:
+        assert system.equations[name].eval(sol, 10) == sol[name]
 
 
 def test_non_contractive_system_rejected():
