@@ -135,7 +135,7 @@ def _cmd_series(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     instance = _build_instance(args, parser)
     report = verify_family(instance, max_len=args.max_len, n_max=args.n_max,
-                           order=args.order)
+                           order=args.order, cap=args.cap)
     failing = [c for c in report.checks if not c.passed]
     payload = {"command": "verify", "family": instance.family,
                "params": {k: str(v) for k, v in instance.params.items()},
@@ -229,6 +229,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
                    help="count-check semilength bound")
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                   help="brute-force and enumeration cap on the semilength")
 
     p = sub.add_parser("identify", parents=[flags],
                        help="match a count prefix against the reference sequences")

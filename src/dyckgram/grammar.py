@@ -307,12 +307,17 @@ class AmbiguityReport:
 
 def check_unambiguous(grammar: Grammar, start: GExpr | str, max_len: int,
                       cap: int = DEFAULT_WORD_CAP) -> AmbiguityReport:
-    ws = words(grammar, start, max_len, cap)
+    return ambiguity(words(grammar, start, max_len, cap))
+
+
+def ambiguity(ws: WordMultiset) -> AmbiguityReport:
+    """Ambiguity verdict of an expanded word multiset; the witness is the
+    shortest (then least) word derived more than once."""
     bad = [w for w, c in ws.counts.items() if c != 1]
     if not bad:
-        return AmbiguityReport(True, max_len)
+        return AmbiguityReport(True, ws.max_len)
     w = min(bad, key=lambda x: (len(x), x))
-    return AmbiguityReport(False, max_len, w, ws.counts[w])
+    return AmbiguityReport(False, ws.max_len, w, ws.counts[w])
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,22 @@
 """Ground-truth enumeration and counting of restricted Dyck paths.
 
-Two deliberately independent methods:
+Three methods; the two counters are deliberately independent:
 
-* brute force: one unpruned depth-first scan over every path of the
-  given semilength, with the definitional feature check applied to each
-  complete path; enumeration of the satisfying paths is the same scan,
-  collecting what it counts;
+* brute force, a definitional count: every path of the given semilength
+  is built as a first half that ends at some height h, joined to the
+  reverse complement of a first half that ends at h, and each path is
+  judged by the membership walk ``paths.accepts``; nothing is pruned;
+* enumeration of the satisfying paths, a pruned depth-first generator
+  that checks each peak, valley and run as the direction changes and cuts
+  a prefix at the change that kills it;
 * a dynamic program over run states (height, current run direction,
   current run length), where peak/valley and run-length checks fire at
   direction changes and the final pending down-run is checked when the
   path closes.  One left-to-right sweep over 2*n_max steps reads off
   every semilength n as the closing states at height 0 after step 2n.
 
-Counts are exact Python integers throughout.  Brute force is guarded by
-an enumeration cap on the semilength; the DP has no cap.
+Counts are exact Python integers throughout.  Brute force and enumeration
+are guarded by an enumeration cap on the semilength; the DP has no cap.
 """
 
 from __future__ import annotations
@@ -65,31 +68,35 @@ def _check_semilength(n: int, cap: int) -> None:
         raise ResourceLimit(n, cap)
 
 
-def _scan(n: int, tables, out: list[str] | None = None) -> int:
-    """Visit every path of semilength n depth-first, U before D.
+_FLIP = str.maketrans("UD", "DU")
 
-    Returns the number of leaves that pass the membership walk, and
-    appends the text of each to ``out`` when one is given.
+
+def _halves(n: int) -> dict[int, list[str]]:
+    """Every length-n U/D word whose prefix sums stay >= 0, keyed by the
+    height it ends at."""
+    level: dict[int, list[str]] = {0: [""]}
+    for _ in range(n):
+        nxt: dict[int, list[str]] = {}
+        for h, ws in level.items():
+            nxt.setdefault(h + 1, []).extend(w + "U" for w in ws)
+            if h > 0:
+                nxt.setdefault(h - 1, []).extend(w + "D" for w in ws)
+        level = nxt
+    return level
+
+
+def _scan(n: int, tables) -> int:
+    """Number of paths of semilength n that pass the membership walk.
+
+    Unpruned: a path of 2n steps is a first half ending at height h
+    followed by the reverse complement of a first half ending at h, so
+    joining every same-h pair judges each of the C_n paths exactly once.
     """
-    buf = [""] * (2 * n)
     total = 0
-
-    def grow(i: int, h: int, rem: int):
-        nonlocal total
-        if rem == 0:
-            if accepts(buf, tables):
-                total += 1
-                if out is not None:
-                    out.append("".join(buf))
-            return
-        if h < rem:  # room to go up and still return
-            buf[i] = "U"
-            grow(i + 1, h + 1, rem - 1)
-        if h > 0:
-            buf[i] = "D"
-            grow(i + 1, h - 1, rem - 1)
-
-    grow(0, 0, 2 * n)
+    for firsts in _halves(n).values():
+        seconds = [w[::-1].translate(_FLIP) for w in firsts]
+        for a in firsts:
+            total += sum(accepts(a + b, tables) for b in seconds)
     return total
 
 
@@ -98,8 +105,34 @@ def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
     """Text of every satisfying path of semilength ``n``, in lexicographic
     order (U < D)."""
     _check_semilength(n, cap)
+    peak_t, valley_t, up_t, down_t = avoid_tables(quad, n)
+    steps = 2 * n
+    buf = [""] * steps
     out: list[str] = []
-    _scan(n, avoid_tables(quad, n), out)
+    # depth-first over (steps taken, height, run length, signed: + for an
+    # up-run, - for a down-run); an explicit stack, so no recursion limit
+    # caps n.  The empty prefix is a down-run of length 0, which no
+    # avoid-set holds.  D is pushed before U so that U pops first.
+    stack = [(0, 0, 0)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        i, h, r = pop()
+        if i:
+            buf[i - 1] = "U" if r > 0 else "D"
+        if i == steps:
+            if not down_t[-r]:
+                out.append("".join(buf))
+            continue
+        if h > 0:
+            if r < 0:
+                push((i + 1, h - 1, r - 1))
+            elif not (peak_t[h] or up_t[r]):
+                push((i + 1, h - 1, -1))
+        if h + 1 <= steps - i - 1:  # room to go up and still return
+            if r > 0:
+                push((i + 1, h + 1, r + 1))
+            elif not (valley_t[h] or down_t[-r]):
+                push((i + 1, h + 1, 1))
     return tuple(out)
 
 

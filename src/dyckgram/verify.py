@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import FamilyInstance
-from .grammar import (Grammar, check_equation, check_unambiguous, lower,
-                      words)
+from .grammar import Grammar, ambiguity, check_equation, lower, words
 from .oracle import (DEFAULT_ENUMERATION_CAP, check_cap, count_brute, count_dp,
                      language)
 from .sequences import reference
@@ -87,6 +86,8 @@ def verify_family(instance: FamilyInstance,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> FamilyReport:
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
     checks: list[CheckOutcome] = []
     system = lower(instance.body)
 
@@ -113,11 +114,12 @@ def verify_family(instance: FamilyInstance,
         "; ".join(notes)))
 
     if isinstance(instance.body, Grammar):
-        amb = check_unambiguous(instance.body, instance.start, max_len)
+        derived = words(instance.body, instance.start, max_len)
+        amb = ambiguity(derived)
         checks.append(CheckOutcome(
             "grammar unambiguous", amb.passed,
             "" if amb.passed else f"{amb.witness!r} derived {amb.multiplicity} ways"))
-        got = set(words(instance.body, instance.start, max_len).counts)
+        got = set(derived.counts)
         want = {w for n in range(max_len // 2 + 1)
                 for w in language(n, instance.quad, cap)}
         ok = got == want

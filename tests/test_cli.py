@@ -167,6 +167,32 @@ def test_verify_runs_past_the_brute_force_cap(capsys):
                       "detail": "brute force skipped above cap 16"}
 
 
+def test_verify_cap_lowers_the_brute_force_reach(capsys):
+    code, payload, _ = run_json(capsys, "verify", "--family", "F1", "--n-max", "12",
+                                "--max-len", "8", "--cap", "8")
+    assert code == 0
+    assert payload["passed"] is True
+    assert "brute" not in payload["counts"]
+    counts = next(c for c in payload["checks"] if c["name"].startswith("counts agree"))
+    assert counts["detail"] == "brute force skipped above cap 8"
+
+
+def test_verify_negative_cap_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--family", "F1", "--n-max", "3",
+                         "--max-len", "4", "--cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert "cap must be >= 0" in err
+
+
+def test_verify_order_below_1_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--family", "F1", "--order", "-3",
+                         "--n-max", "3", "--max-len", "4")
+    assert code == 2
+    assert out == ""
+    assert "order must be >= 1" in err
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from dataclasses import replace
     from dyckgram.families import build as real_build

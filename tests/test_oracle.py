@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -7,9 +8,10 @@ from conftest import quads, sample_quads, unrestricted_paths
 from dyckgram.families import build
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
+from dyckgram import oracle
 from dyckgram.oracle import (CountTable, Method, ResourceLimit, count_brute,
-                             count_dp, enumerate_paths)
-from dyckgram.paths import features, satisfies
+                             count_dp, enumerate_paths, language)
+from dyckgram.paths import accepts, avoid_tables, features, satisfies
 from dyckgram.series import solve
 
 # a fixed corpus mixing family quads with arbitrary ones
@@ -145,3 +147,53 @@ def test_membership_rule_matches_its_definition():
     for quad in CORPUS:
         for p in paths:
             assert satisfies(p, quad) == _satisfies_by_definition(p, quad), (p.text, str(quad))
+
+
+def _catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+def _balanced(word):
+    h = 0
+    for s in word:
+        h += 1 if s == "U" else -1
+        if h < 0:
+            return False
+    return h == 0
+
+
+def test_pruned_language_counts_as_brute_force_does():
+    # the generator prunes, brute force does not: two routes to one count
+    for quad in CORPUS:
+        brute = count_brute(12, quad).entries
+        for n in range(13):
+            assert len(language(n, quad)) == brute[n], (str(quad), n)
+
+
+def test_pruned_language_is_the_filtered_word_list():
+    for n in range(9):
+        dyck = ["".join(w) for w in product("UD", repeat=2 * n) if _balanced(w)]
+        for quad in CORPUS:
+            tables = avoid_tables(quad, n)
+            assert list(language(n, quad)) == [w for w in dyck if accepts(w, tables)], (
+                str(quad), n)
+
+
+def test_pruned_language_reaches_past_the_recursion_limit():
+    quad = RestrictionQuad.parse(up_runs="2..", down_runs="2..")
+    assert language(600, quad, cap=600) == ("UD" * 600,)
+
+
+def test_brute_force_judges_every_path_once(monkeypatch):
+    seen = []
+
+    def recording(steps, tables):
+        seen.append(steps)
+        return accepts(steps, tables)
+
+    monkeypatch.setattr(oracle, "accepts", recording)
+    quad = RestrictionQuad.parse(peaks="1", valleys="1", up_runs="4..", down_runs="ap(3,2)")
+    count_brute(10, quad)
+    assert len(seen) == sum(_catalan(k) for k in range(11))
+    assert len(set(seen)) == len(seen)
+    assert all(_balanced(w) for w in seen)
