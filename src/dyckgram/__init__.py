@@ -4,11 +4,11 @@ from .intsets import (IntSet, Progression, Range, RestrictionQuad, Single,
                       parse_set)
 from .paths import (DyckPath, PathFeatures, Step, features,
                     reverse_complement, satisfies)
-from .oracle import (CountTable, Method, ResourceLimit, count_brute, count_dp,
+from .oracle import (CountTable, ResourceLimit, count_brute, count_dp,
                      enumerate_paths)
 from .series import Poly, SeriesSystem, TruncatedSeries, solve
 from .grammar import (Grammar, GrammaticalEquation, check_equation,
-                      check_unambiguous, derivation_count, lower, words)
+                      check_unambiguous, lower, words)
 from .sequences import SeqId, identify, reference
 from .families import FAMILY_IDS, BadParams, FamilyInstance, build
 from .bijection import (PARITY_QUAD, Walk, path_to_walk, walk_to_path)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
 
 from .intsets import IntSet, Progression, RestrictionQuad
 from .oracle import DEFAULT_ENUMERATION_CAP, enumerate_paths
 from .paths import DyckPath, Step, satisfies
+from .sequences import SeqId, reference
 
 #: no peak and no valley at positive even height
 PARITY_QUAD = RestrictionQuad(peaks=IntSet((Progression(2, 2),)),
@@ -158,30 +158,24 @@ class BijectionReport:
                    for r in self.rows)
 
 
-def expected_count(semilength: int) -> int:
-    """Binomial count of restricted paths: C(2n-1, n) at 2n, C(2n, n) at 2n+1."""
-    if semilength == 0:
-        return 1  # the empty path, outside the mapped sets
-    if semilength % 2 == 0:
-        return comb(semilength - 1, semilength // 2)
-    return comb(semilength - 1, (semilength - 1) // 2)
-
-
 def verify_counts(max_semilength: int,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> BijectionReport:
     """Enumerate both sides for every semilength and certify the bijection.
 
     Checks, per semilength m <= max_semilength: the path count matches the
-    binomial formula, the walk count matches it too, the forward map is
-    injective onto the full walk set, and both composites are identities.
+    binomial reference ``SeqId.PARITY_BINOM``, the walk count matches it
+    too, the forward map is injective onto the full walk set, and both
+    composites are identities.
     """
     if max_semilength < 0:
         raise ValueError(f"semilength must be >= 0, got {max_semilength}")
     rows = []
     for m in range(max_semilength + 1):
         paths = enumerate_paths(m, PARITY_QUAD, cap=cap)
+        expected = reference(SeqId.PARITY_BINOM, m)
         if m == 0:
-            rows.append(BijectionRow(0, len(paths), 1, expected_count(0), True))
+            # the empty path, outside the mapped sets
+            rows.append(BijectionRow(0, len(paths), 1, expected, True))
             continue
         walks = _all_walks(m)
         images = [path_to_walk(p) for p in paths]
@@ -189,5 +183,5 @@ def verify_counts(max_semilength: int,
               and len(set(images)) == len(images)
               and all(walk_to_path(w, m) == p for p, w in zip(paths, images))
               and all(path_to_walk(walk_to_path(w)) == w for w in walks))
-        rows.append(BijectionRow(m, len(paths), len(walks), expected_count(m), ok))
+        rows.append(BijectionRow(m, len(paths), len(walks), expected, ok))
     return BijectionReport(tuple(rows))

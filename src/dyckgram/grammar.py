@@ -25,7 +25,6 @@ from .paths import Step
 from .series import Poly, SeriesSystem
 
 DEFAULT_WORD_CAP = 10_000_000
-_BALANCE_PROBE_LEN = 8
 
 
 class UnbalancedGrammar(ValueError):
@@ -136,18 +135,20 @@ class WordMultiset:
         return sum(self.counts.values())
 
 
-def _as_expr(start: GExpr | str) -> GExpr:
-    return NonTerm(start) if isinstance(start, str) else start
-
-
 class _Expander:
-    """Exact-length word multisets for expressions, memoized, budgeted."""
+    """Exact-length word multisets for expressions, memoized, budgeted.
+
+    ``resolve(name, length)`` gives a nonterminal's words of one length; it
+    is called once per (nonterminal, length), and a call that re-enters its
+    own (nonterminal, length) is unguarded recursion.
+    """
 
     def __init__(self, resolve, cap: int):
         self.resolve = resolve  # (name, length) -> Counter
         self.cap = cap
         self.generated = 0
         self._memo: dict = {}
+        self._active: set = set()
 
     def _charge(self, words: Counter) -> None:
         self.generated += sum(words.values())
@@ -164,7 +165,11 @@ class _Expander:
         elif isinstance(expr, Term):
             out = Counter({expr.step.value: 1}) if length == 1 else Counter()
         elif isinstance(expr, NonTerm):
+            if key in self._active:
+                raise ValueError(f"unguarded recursion on nonterminal {expr.name}")
+            self._active.add(key)
             out = self.resolve(expr.name, length)
+            self._active.discard(key)
         elif isinstance(expr, Power):
             out = self.exact_seq((expr.base,) * expr.exponent, length)
         else:
@@ -195,26 +200,22 @@ class _Expander:
         self._charge(out)
         return out
 
+    def up_to(self, exprs: tuple[GExpr, ...], max_len: int) -> Counter:
+        """The union of every expression's words of length 0..max_len."""
+        out: Counter = Counter()
+        for e in exprs:
+            for length in range(max_len + 1):
+                out.update(self.exact(e, length))
+        return out
+
 
 def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
-    memo: dict = {}
-    active: set = set()
-
     def resolve(name: str, length: int) -> Counter:
-        key = (name, length)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if key in active:
-            raise ValueError(f"unguarded recursion on nonterminal {name}")
         if name not in grammar.rules:
             raise ValueError(f"undefined nonterminal {name}")
-        active.add(key)
         out: Counter = Counter()
         for alt in grammar.rules[name]:
             out.update(expander.exact(alt, length))
-        active.discard(key)
-        memo[key] = out
         return out
 
     expander = _Expander(resolve, cap)
@@ -240,61 +241,9 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int,
     Multiplicity is the number of distinct derivations, so an unambiguous
     grammar yields all-1 counts.
     """
-    expander = _grammar_expander(grammar, cap)
-    expr = _as_expr(start)
-    out: Counter = Counter()
-    for length in range(max_len + 1):
-        out.update(expander.exact(expr, length))
+    expr = NonTerm(start) if isinstance(start, str) else start
+    out = _grammar_expander(grammar, cap).up_to((expr,), max_len)
     return WordMultiset(max_len, dict(out))
-
-
-def derivation_count(grammar: Grammar, start: GExpr | str, word: str) -> int:
-    """Number of distinct derivations of ``word``, by span parsing."""
-    expr = _as_expr(start)
-    memo: dict = {}
-    active: set = set()
-
-    def count(e: GExpr, i: int, j: int) -> int:
-        if isinstance(e, Epsilon):
-            return 1 if i == j else 0
-        if isinstance(e, Term):
-            return 1 if j == i + 1 and word[i] == e.step.value else 0
-        if isinstance(e, NonTerm):
-            key = (e.name, i, j)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            if key in active:
-                raise ValueError(f"unguarded recursion on nonterminal {e.name}")
-            if e.name not in grammar.rules:
-                raise ValueError(f"undefined nonterminal {e.name}")
-            active.add(key)
-            total = sum(count(alt, i, j) for alt in grammar.rules[e.name])
-            active.discard(key)
-            memo[key] = total
-            return total
-        if isinstance(e, Power):
-            return count_seq((e.base,) * e.exponent, i, j)
-        return count_seq(e.parts, i, j)
-
-    def count_seq(parts: tuple[GExpr, ...], i: int, j: int) -> int:
-        if not parts:
-            return 1 if i == j else 0
-        if len(parts) == 1:
-            return count(parts[0], i, j)
-        key = (parts, i, j)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for m in range(i, j + 1):
-            c1 = count(parts[0], i, m)
-            if c1:
-                total += c1 * count_seq(parts[1:], m, j)
-        memo[key] = total
-        return total
-
-    return count(expr, 0, len(word))
 
 
 @dataclass(frozen=True)
@@ -341,16 +290,8 @@ def check_equation(eq: GrammaticalEquation,
     alternatives on both sides must overlap equally for a PASS.
     """
     expander = _language_expander(languages, cap, enum_cap)
-
-    def side(exprs: tuple[GExpr, ...]) -> Counter:
-        out: Counter = Counter()
-        for e in exprs:
-            for length in range(max_len + 1):
-                out.update(expander.exact(e, length))
-        return out
-
-    left = side(eq.lhs)
-    right = side(eq.rhs)
+    left = expander.up_to(eq.lhs, max_len)
+    right = expander.up_to(eq.rhs, max_len)
     if left == right:
         return EquationReport(True, max_len)
     diff = {w for w in left.keys() | right.keys() if left[w] != right[w]}
@@ -385,12 +326,9 @@ def _terminal_balance(expr: GExpr) -> int:
     return 0
 
 
-def _probe_balance(grammar: Grammar) -> None:
-    for name in grammar.nonterminals:
-        ws = words(grammar, name, _BALANCE_PROBE_LEN)
-        for w in ws.counts:
-            if w.count("U") != w.count("D"):
-                raise UnbalancedGrammar(f"nonterminal {name} derives unbalanced word {w!r}")
+def _require_balanced(expr: GExpr) -> None:
+    if _terminal_balance(expr) != 0:
+        raise UnbalancedGrammar(f"expression {render(expr)!r} is not balanced")
 
 
 def equation_sides(eq: GrammaticalEquation) -> tuple[Poly, Poly]:
@@ -407,29 +345,34 @@ def equation_sides(eq: GrammaticalEquation) -> tuple[Poly, Poly]:
 def lower(body: Grammar | GrammaticalEquation) -> SeriesSystem:
     """Send a grammar or equation to a solvable fixed-point system.
 
-    For an equation the subject unknown is isolated: extra left-hand
-    monomials move to the right with flipped sign.  They all carry z
-    factors (any bare copy of the subject would make the system
-    non-contractive), so solvability is preserved.
+    Every alternative (every equation expression) must have as many U as D
+    terminals; by induction on derivations, every derived word is then
+    balanced.  For an equation the subject unknown is isolated: extra
+    left-hand monomials move to the right with flipped sign.  They all
+    carry z factors (any bare copy of the subject would make the system
+    non-contractive), so solvability is preserved.  The system is
+    validated, so an undefined nonterminal or a rule like P -> P raises
+    ValueError here.
     """
     if isinstance(body, Grammar):
-        _probe_balance(body)
         equations = {}
         for name, alts in body.rules.items():
             phi = Poly.zero()
             for alt in alts:
+                _require_balanced(alt)
                 phi = phi + _poly(alt)
             equations[name] = phi
-        return SeriesSystem(body.nonterminals, equations)
-
-    for e in body.lhs + body.rhs:
-        if _terminal_balance(e) != 0:
-            raise UnbalancedGrammar(f"expression {render(e)!r} is not balanced")
-    lhs, rhs = equation_sides(body)
-    bare = [(vars_[0][0], coeff) for zdeg, vars_, coeff in lhs.terms
-            if zdeg == 0 and len(vars_) == 1 and vars_[0][1] == 1]
-    if len(bare) != 1 or bare[0][1] != 1:
-        raise ValueError("left-hand side must contain exactly one bare unknown")
-    subject = bare[0][0]
-    phi = rhs - (lhs - Poly.var(subject))
-    return SeriesSystem((subject,), {subject: phi})
+        system = SeriesSystem(body.nonterminals, equations)
+    else:
+        for e in body.lhs + body.rhs:
+            _require_balanced(e)
+        lhs, rhs = equation_sides(body)
+        bare = [(vars_[0][0], coeff) for zdeg, vars_, coeff in lhs.terms
+                if zdeg == 0 and len(vars_) == 1 and vars_[0][1] == 1]
+        if len(bare) != 1 or bare[0][1] != 1:
+            raise ValueError("left-hand side must contain exactly one bare unknown")
+        subject = bare[0][0]
+        phi = rhs - (lhs - Poly.var(subject))
+        system = SeriesSystem((subject,), {subject: phi})
+    system.validate()
+    return system

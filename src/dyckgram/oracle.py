@@ -22,7 +22,6 @@ are guarded by an enumeration cap on the semilength; the DP has no cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .intsets import RestrictionQuad
 from .paths import DyckPath, accepts, avoid_tables
@@ -39,14 +38,8 @@ class ResourceLimit(RuntimeError):
         self.cap = cap
 
 
-class Method(Enum):
-    BRUTE = "brute"
-    DP = "dp"
-
-
 @dataclass(frozen=True)
 class CountTable:
-    method: Method
     entries: dict[int, int]
 
     def sequence(self, n_max: int | None = None) -> tuple[int, ...]:
@@ -147,7 +140,7 @@ def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
     _check_semilength(n_max, cap)
     tables = avoid_tables(quad, n_max)
     entries = {n: _scan(n, tables) for n in range(n_max + 1)}
-    return CountTable(Method.BRUTE, entries)
+    return CountTable(entries)
 
 
 def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
@@ -185,4 +178,4 @@ def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
         if i % 2:  # i + 1 steps taken: read off semilength (i + 1) / 2
             entries[(i + 1) // 2] = sum(c for (h, d, r), c in states.items()
                                         if h == 0 and d == -1 and not down_t[r])
-    return CountTable(Method.DP, entries)
+    return CountTable(entries)

@@ -88,6 +88,12 @@ def verify_family(instance: FamilyInstance,
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    # the word checks enumerate the oracle language up to semilength
+    # max_len // 2 under the same cap that bounds brute force
+    check_cap(cap)
+    if max_len // 2 > cap:
+        raise ValueError(f"--max-len {max_len} needs semilength {max_len // 2}, "
+                         f"above --cap {cap}; lower --max-len or raise --cap")
     checks: list[CheckOutcome] = []
     system = lower(instance.body)
 

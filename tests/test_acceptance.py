@@ -11,7 +11,7 @@ from math import comb
 
 from conftest import sample_quads
 
-from dyckgram.bijection import PARITY_QUAD, expected_count, verify_counts
+from dyckgram.bijection import PARITY_QUAD, verify_counts
 from dyckgram.families import (build, downrun_variant_sides, f2_closed_form)
 from dyckgram.grammar import (D, EPSILON, Grammar, NonTerm, U, lower, seq)
 from dyckgram.intsets import RestrictionQuad
@@ -95,7 +95,7 @@ def test_criterion_03_motzkin_family():
 def test_criterion_04_parity_walk_correspondence():
     t0 = time.perf_counter()
     failures = []
-    expected = tuple(expected_count(m) for m in range(13))
+    expected = tuple(reference(SeqId.PARITY_BINOM, m) for m in range(13))
     brute = count_brute(12, PARITY_QUAD).sequence(12)
     dp = count_dp(12, PARITY_QUAD).sequence(12)
     if brute != expected:

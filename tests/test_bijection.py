@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dyckgram.bijection import (PARITY_QUAD, NotInCodomain, NotInDomain, Walk,
-                                expected_count, is_parity_path, path_to_walk,
-                                verify_counts, walk_to_path)
+                                is_parity_path, path_to_walk, verify_counts,
+                                walk_to_path)
 from dyckgram.oracle import enumerate_paths
 from dyckgram.paths import DyckPath, satisfies
+from dyckgram.sequences import SeqId, reference
 
 
 def walk(*steps):
@@ -71,13 +72,9 @@ def test_inverse_image_is_in_domain():
         assert is_parity_path(p)
 
 
-def test_expected_counts():
-    assert [expected_count(m) for m in range(9)] == [1, 1, 1, 2, 3, 6, 10, 20, 35]
-
-
 def test_path_counts_match_binomials():
     for m in range(9):
-        assert len(enumerate_paths(m, PARITY_QUAD)) == expected_count(m)
+        assert len(enumerate_paths(m, PARITY_QUAD)) == reference(SeqId.PARITY_BINOM, m)
 
 
 @given(st.integers(1, 7), st.data())

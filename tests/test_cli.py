@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dyckgram import cli, verify
-from dyckgram.oracle import CountTable, Method
+from dyckgram.oracle import CountTable
 
 
 def run(capsys, *argv):
@@ -55,7 +55,7 @@ def test_count_single_method(capsys):
 def test_count_mismatch_exits_1(capsys, monkeypatch):
     # no real quad disagrees, so fake the dp side to exercise the protocol
     def fake_dp(n_max, quad):
-        return CountTable(Method.DP, {n: 0 if n == 2 else 1 for n in range(n_max + 1)})
+        return CountTable({n: 0 if n == 2 else 1 for n in range(n_max + 1)})
 
     monkeypatch.setattr(verify, "count_dp", fake_dp)
     code, payload, _ = run_json(capsys, "count", "--n-max", "3")
@@ -175,6 +175,28 @@ def test_verify_cap_lowers_the_brute_force_reach(capsys):
     assert "brute" not in payload["counts"]
     counts = next(c for c in payload["checks"] if c["name"].startswith("counts agree"))
     assert counts["detail"] == "brute force skipped above cap 8"
+
+
+def test_verify_cap_below_the_word_checks_exits_2(capsys):
+    # the default --max-len 20 enumerates words to semilength 10
+    code, out, err = run(capsys, "verify", "--family", "F1", "--n-max", "12",
+                         "--cap", "8")
+    assert code == 2
+    assert out == ""
+    assert "--max-len" in err and "--cap" in err
+
+
+def test_verify_cap_skips_brute_force_and_keeps_word_checks(capsys):
+    code, out, err = run(capsys, "verify", "--family", "F1", "--n-max", "12",
+                         "--cap", "10")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert ("PASS counts agree (dp = series) "
+            "(brute force skipped above cap 10)") in lines
+    assert "PASS grammar unambiguous" in lines
+    assert "PASS grammar words = oracle language" in lines
+    assert lines[-1] == "PASS"
 
 
 def test_verify_negative_cap_exits_2(capsys):

@@ -3,8 +3,7 @@ import pytest
 from dyckgram.grammar import (D, EPSILON, Grammar, GrammaticalEquation,
                               NonTerm, Power, U, UnbalancedGrammar,
                               check_equation, check_unambiguous,
-                              derivation_count, equation_sides, lower, render,
-                              rep, seq, words)
+                              equation_sides, lower, render, rep, seq, words)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import ResourceLimit
 from dyckgram.series import Poly, solve
@@ -64,16 +63,18 @@ def test_unguarded_recursion():
         words(Grammar({"P": (P,)}), "P", 4)
 
 
-def test_derivation_count_unambiguous():
-    assert derivation_count(CATALAN, "P", "UUDDUD") == 1
-    assert derivation_count(CATALAN, "P", "") == 1
-    assert derivation_count(CATALAN, "P", "UDD") == 0
+def test_word_multiplicity_unambiguous():
+    counts = words(CATALAN, "P", 6).counts
+    assert counts["UUDDUD"] == 1
+    assert counts[""] == 1
+    assert "UDD" not in counts
 
 
-def test_derivation_count_ambiguous():
+def test_word_multiplicity_ambiguous():
     g = Grammar({"S": (EPSILON, seq(U, NonTerm("S"), D), seq(U, D))})
-    assert derivation_count(g, "S", "UD") == 2
-    assert derivation_count(g, "S", "UUDD") == 2
+    counts = words(g, "S", 4).counts
+    assert counts["UD"] == 2
+    assert counts["UUDD"] == 2
 
 
 def test_check_unambiguous():
@@ -120,6 +121,20 @@ def test_lower_two_rule_grammar():
 def test_lower_rejects_unbalanced_grammar():
     with pytest.raises(UnbalancedGrammar):
         lower(Grammar({"P": (EPSILON, seq(U, P))}))
+    # the shortest unbalanced word, U^5 D^4, has 9 letters
+    with pytest.raises(UnbalancedGrammar):
+        lower(Grammar({"P": (EPSILON, seq(U, P, D, P),
+                             seq(rep(U, 5), rep(D, 4), P))}))
+
+
+def test_lower_rejects_undefined_nonterminal():
+    with pytest.raises(ValueError):
+        lower(Grammar({"P": (NonTerm("Q"),)}))
+
+
+def test_lower_rejects_unguarded_recursion():
+    with pytest.raises(ValueError):
+        lower(Grammar({"P": (P,)}))
 
 
 def test_equation_sides():

@@ -9,8 +9,8 @@ from dyckgram.families import build
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
 from dyckgram import oracle
-from dyckgram.oracle import (CountTable, Method, ResourceLimit, count_brute,
-                             count_dp, enumerate_paths, language)
+from dyckgram.oracle import (ResourceLimit, count_brute, count_dp,
+                             enumerate_paths, language)
 from dyckgram.paths import accepts, avoid_tables, features, satisfies
 from dyckgram.series import solve
 
@@ -54,7 +54,6 @@ def test_unrestricted_counts_are_catalan():
 
 def test_count_table_shape():
     table = count_brute(3)
-    assert table.method is Method.BRUTE
     assert table.entries == {0: 1, 1: 1, 2: 2, 3: 5}
     assert table.sequence(2) == (1, 1, 2)
 
