@@ -2,8 +2,8 @@
 
 from .intsets import (IntSet, Progression, Range, RestrictionQuad, Single,
                       parse_set)
-from .paths import (DyckPath, PathFeatures, Step, features,
-                    reverse_complement, satisfies)
+from .paths import (DyckPath, PathFeatures, features, reverse_complement,
+                    satisfies)
 from .oracle import (CountTable, ResourceLimit, count_brute, count_dp,
                      enumerate_paths)
 from .series import Poly, SeriesSystem, TruncatedSeries, solve

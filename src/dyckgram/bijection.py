@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .intsets import IntSet, Progression, RestrictionQuad
-from .oracle import DEFAULT_ENUMERATION_CAP, enumerate_paths
-from .paths import DyckPath, Step, satisfies
+from .oracle import (DEFAULT_ENUMERATION_CAP, ResourceLimit, check_cap,
+                     enumerate_paths)
+from .paths import DyckPath, satisfies
 from .sequences import SeqId, reference
 
 #: no peak and no valley at positive even height
@@ -81,20 +82,18 @@ def path_to_walk(path: DyckPath) -> Walk:
         raise NotInDomain("the empty path is counted separately, not mapped")
     if not satisfies(path, PARITY_QUAD):
         raise NotInDomain("path has a peak or valley at positive even height")
-    s = path.semilength
-    steps = path.steps
+    text = path.text
     walk: list[int] = []
     d = 0
-    for k in range(1, s):
-        a = steps[2 * k - 1]  # path step 2k, 1-indexed
-        b = steps[2 * k]      # path step 2k + 1
-        if a is Step.DOWN and b is Step.UP:
+    for k in range(1, path.semilength):
+        pair = text[2 * k - 1:2 * k + 1]  # path steps 2k and 2k + 1, 1-indexed
+        if pair == "DU":
             move = -1 if d == 0 else 1
             if d not in (0, -1):
                 raise NotInDomain(f"crossing pair at walk height {d}")
-        elif a is Step.UP and b is Step.UP:
+        elif pair == "UU":
             move = 1 if d >= 0 else -1
-        elif a is Step.DOWN and b is Step.DOWN:
+        elif pair == "DD":
             if d in (0, -1):
                 raise NotInDomain(f"inward pair at walk height {d}")
             move = -1 if d >= 1 else 1
@@ -169,6 +168,9 @@ def verify_counts(max_semilength: int,
     """
     if max_semilength < 0:
         raise ValueError(f"semilength must be >= 0, got {max_semilength}")
+    check_cap(cap)
+    if max_semilength > cap:
+        raise ResourceLimit(max_semilength, cap)
     rows = []
     for m in range(max_semilength + 1):
         paths = enumerate_paths(m, PARITY_QUAD, cap=cap)

@@ -21,7 +21,6 @@ from typing import Mapping, Union
 
 from .intsets import RestrictionQuad
 from .oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, language
-from .paths import Step
 from .series import Poly, SeriesSystem
 
 DEFAULT_WORD_CAP = 10_000_000
@@ -38,7 +37,7 @@ class Epsilon:
 
 @dataclass(frozen=True)
 class Term:
-    step: Step
+    letter: str
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,8 @@ class Power:
 GExpr = Union[Epsilon, Term, NonTerm, Concat, Power]
 
 EPSILON = Epsilon()
-U = Term(Step.UP)
-D = Term(Step.DOWN)
+U = Term("U")
+D = Term("D")
 
 
 def seq(*parts: GExpr) -> GExpr:
@@ -84,7 +83,7 @@ def _tokens(expr: GExpr) -> list[str]:
     if isinstance(expr, Epsilon):
         return []
     if isinstance(expr, Term):
-        return [expr.step.value]
+        return [expr.letter]
     if isinstance(expr, NonTerm):
         return [expr.name]
     if isinstance(expr, Concat):
@@ -163,7 +162,7 @@ class _Expander:
         if isinstance(expr, Epsilon):
             out = Counter({"": 1}) if length == 0 else Counter()
         elif isinstance(expr, Term):
-            out = Counter({expr.step.value: 1}) if length == 1 else Counter()
+            out = Counter({expr.letter: 1}) if length == 1 else Counter()
         elif isinstance(expr, NonTerm):
             if key in self._active:
                 raise ValueError(f"unguarded recursion on nonterminal {expr.name}")
@@ -305,7 +304,7 @@ def _poly(expr: GExpr) -> Poly:
     if isinstance(expr, Epsilon):
         return Poly.const(1)
     if isinstance(expr, Term):
-        return Poly.z() if expr.step is Step.UP else Poly.const(1)
+        return Poly.z() if expr.letter == "U" else Poly.const(1)
     if isinstance(expr, NonTerm):
         return Poly.var(expr.name)
     if isinstance(expr, Power):
@@ -318,7 +317,7 @@ def _poly(expr: GExpr) -> Poly:
 
 def _terminal_balance(expr: GExpr) -> int:
     if isinstance(expr, Term):
-        return 1 if expr.step is Step.UP else -1
+        return 1 if expr.letter == "U" else -1
     if isinstance(expr, Concat):
         return sum(_terminal_balance(p) for p in expr.parts)
     if isinstance(expr, Power):

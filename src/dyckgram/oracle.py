@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intsets import RestrictionQuad
-from .paths import DyckPath, accepts, avoid_tables
+from .paths import _FLIP, DyckPath, accepts, avoid_tables
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -59,9 +59,6 @@ def _check_semilength(n: int, cap: int) -> None:
         raise ValueError(f"semilength must be >= 0, got {n}")
     if n > cap:
         raise ResourceLimit(n, cap)
-
-
-_FLIP = str.maketrans("UD", "DU")
 
 
 def _halves(n: int) -> dict[int, list[str]]:

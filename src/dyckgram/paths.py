@@ -1,7 +1,8 @@
-"""Dyck paths: balanced U/D step sequences with nonnegative prefix sums.
+"""Dyck paths: U/D words that never go below height 0 and end there.
 
-Sizes are measured in semilength (half the number of steps).  The feature
-vocabulary used throughout the package:
+A path is its validated text, the string every walker in the package
+reads (:func:`accepts`, the oracle scans, the grammar expanders).  Sizes
+are semilengths (half the number of steps).  The feature vocabulary:
 
   peak      a UD factor; its height is the height just after the U
   valley    a DU factor; its height is the height just after the D
@@ -16,21 +17,11 @@ valley", and 0 never belongs to an avoid-set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from itertools import accumulate
 
 from .intsets import RestrictionQuad
 
-
-class Step(Enum):
-    UP = "U"
-    DOWN = "D"
-
-    @property
-    def delta(self) -> int:
-        return 1 if self is Step.UP else -1
-
-    def flipped(self) -> "Step":
-        return Step.DOWN if self is Step.UP else Step.UP
+_FLIP = str.maketrans("UD", "DU")
 
 
 class InvalidPath(ValueError):
@@ -53,55 +44,39 @@ class UnbalancedPath(InvalidPath):
 
 @dataclass(frozen=True)
 class DyckPath:
-    steps: tuple[Step, ...]
+    text: str
 
     def __post_init__(self):
         h = 0
-        for i, s in enumerate(self.steps, start=1):
-            h += s.delta
-            if h < 0:
-                raise NegativePrefix(i)
+        for i, c in enumerate(self.text):
+            if c == "U":
+                h += 1
+            elif c == "D":
+                h -= 1
+                if h < 0:
+                    raise NegativePrefix(i + 1)
+            else:
+                raise InvalidPath(f"unexpected character {c!r} at index {i}")
         if h != 0:
             raise UnbalancedPath(h)
 
     @classmethod
     def from_text(cls, text: str) -> "DyckPath":
-        steps = []
-        for i, c in enumerate(text):
-            if c == "U":
-                steps.append(Step.UP)
-            elif c == "D":
-                steps.append(Step.DOWN)
-            else:
-                raise InvalidPath(f"unexpected character {c!r} at index {i}")
-        return cls(tuple(steps))
-
-    @property
-    def text(self) -> str:
-        return "".join(s.value for s in self.steps)
+        return cls(text)
 
     @property
     def semilength(self) -> int:
-        return len(self.steps) // 2
+        return len(self.text) // 2
 
     def heights(self) -> tuple[int, ...]:
         """Partial sums after each step."""
-        out = []
-        h = 0
-        for s in self.steps:
-            h += s.delta
-            out.append(h)
-        return tuple(out)
+        return tuple(accumulate(1 if c == "U" else -1 for c in self.text))
 
     def __str__(self) -> str:
         return self.text
 
     def __len__(self) -> int:
-        return len(self.steps)
-
-
-def validate(steps) -> DyckPath:
-    return DyckPath(tuple(steps))
+        return len(self.text)
 
 
 @dataclass(frozen=True)
@@ -126,10 +101,10 @@ def features(path: DyckPath) -> PathFeatures:
     down_runs: list[int] = []
     h = 0
     run = 0
-    prev = None
-    for s in path.steps:
-        if s is Step.UP:
-            if prev is Step.DOWN:
+    prev = ""
+    for s in path.text:
+        if s == "U":
+            if prev == "D":
                 valleys.append(h)
                 down_runs.append(run)
                 run = 1
@@ -137,7 +112,7 @@ def features(path: DyckPath) -> PathFeatures:
                 run += 1
             h += 1
         else:
-            if prev is Step.UP:
+            if prev == "U":
                 peaks.append(h)
                 up_runs.append(run)
                 run = 1
@@ -145,10 +120,8 @@ def features(path: DyckPath) -> PathFeatures:
                 run += 1
             h -= 1
         prev = s
-    if prev is Step.DOWN:
+    if prev == "D":
         down_runs.append(run)
-    elif prev is Step.UP:  # unreachable for a balanced path
-        up_runs.append(run)
     return PathFeatures(tuple(peaks), tuple(valleys), tuple(up_runs), tuple(down_runs))
 
 
@@ -209,4 +182,4 @@ def reverse_complement(path: DyckPath) -> DyckPath:
     and valley heights are preserved while up-runs and down-runs trade
     places.
     """
-    return DyckPath(tuple(s.flipped() for s in reversed(path.steps)))
+    return DyckPath(path.text[::-1].translate(_FLIP))

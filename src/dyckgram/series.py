@@ -86,10 +86,6 @@ class TruncatedSeries:
         return cls.from_coeffs([c], order)
 
     @classmethod
-    def z(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls.monomial(1, 1, order)
-
-    @classmethod
     def monomial(cls, coeff, power: int, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         if power >= order:
             return cls.zero(order)
@@ -109,9 +105,6 @@ class TruncatedSeries:
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
         return TruncatedSeries(tuple(_norm(a - b) for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)

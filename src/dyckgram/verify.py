@@ -94,6 +94,8 @@ def verify_family(instance: FamilyInstance,
     if max_len // 2 > cap:
         raise ValueError(f"--max-len {max_len} needs semilength {max_len // 2}, "
                          f"above --cap {cap}; lower --max-len or raise --cap")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     checks: list[CheckOutcome] = []
     system = lower(instance.body)
 

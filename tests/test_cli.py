@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dyckgram import cli, verify
+from dyckgram import bijection, cli, verify
 from dyckgram.oracle import CountTable
 
 
@@ -215,6 +215,17 @@ def test_verify_order_below_1_exits_2(capsys):
     assert "order must be >= 1" in err
 
 
+def test_verify_negative_n_max_exits_2_before_lowering(capsys, monkeypatch):
+    def no_lower(body):
+        raise AssertionError("lower called for a negative n_max")
+
+    monkeypatch.setattr(verify, "lower", no_lower)
+    code, out, err = run(capsys, "verify", "--family", "F1", "--n-max", "-1")
+    assert code == 2
+    assert out == ""
+    assert "n_max must be >= 0, got -1" in err
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from dataclasses import replace
     from dyckgram.families import build as real_build
@@ -261,6 +272,17 @@ def test_bijection_negative_semilength_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "semilength must be >= 0" in err
+
+
+def test_bijection_above_cap_exits_2_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerate_paths called above the cap")
+
+    monkeypatch.setattr(bijection, "enumerate_paths", no_enumeration)
+    code, out, err = run(capsys, "bijection", "--semilength", "5", "--cap", "3")
+    assert code == 2
+    assert out == ""
+    assert "requested semilength 5 exceeds cap 3" in err
 
 
 def test_json_numbers_are_strings(capsys):

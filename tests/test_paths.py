@@ -3,9 +3,9 @@ from hypothesis import given
 
 from conftest import dyck_paths, quads, unrestricted_paths
 from dyckgram.intsets import RestrictionQuad
-from dyckgram.paths import (DyckPath, NegativePrefix, PathFeatures, Step,
+from dyckgram.paths import (DyckPath, NegativePrefix, PathFeatures,
                             UnbalancedPath, InvalidPath, features,
-                            reverse_complement, satisfies, validate)
+                            reverse_complement, satisfies)
 
 
 def P(text: str) -> DyckPath:
@@ -16,12 +16,16 @@ def test_valid_construction():
     assert P("").semilength == 0
     assert P("UUDD").semilength == 2
     assert str(P("UDUD")) == "UDUD"
-    assert validate([Step.UP, Step.DOWN]) == P("UD")
+    assert DyckPath("UD") == P("UD")
+    assert P("UUDD").text == "UUDD"
 
 
 def test_negative_prefix_position_is_one_indexed():
     with pytest.raises(NegativePrefix) as e:
         P("UDDU")
+    assert e.value.position == 3
+    with pytest.raises(NegativePrefix) as e:
+        DyckPath("UDDU")
     assert e.value.position == 3
     with pytest.raises(NegativePrefix) as e:
         P("D")
@@ -40,6 +44,8 @@ def test_unbalanced_final_height():
 def test_rejects_other_letters():
     with pytest.raises(InvalidPath):
         P("UX")
+    with pytest.raises(InvalidPath, match=r"^unexpected character 'X' at index 1$"):
+        DyckPath("UX")
 
 
 def test_heights():
