@@ -16,6 +16,7 @@ decided per query, directly from the defining atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 
 class SetSyntaxError(ValueError):
@@ -46,6 +47,9 @@ class Single:
     def contains(self, v: int) -> bool:
         return v == self.value
 
+    def horizon(self) -> tuple[int, int]:
+        return self.value, 1
+
     def __str__(self) -> str:
         return str(self.value)
 
@@ -57,6 +61,9 @@ class Range:
 
     def contains(self, v: int) -> bool:
         return self.lo <= v <= self.hi
+
+    def horizon(self) -> tuple[int, int]:
+        return self.hi, 1
 
     def __str__(self) -> str:
         return f"{self.lo}..{self.hi}"
@@ -71,6 +78,9 @@ class Progression:
 
     def contains(self, v: int) -> bool:
         return v >= self.base and (v - self.base) % self.step == 0
+
+    def horizon(self) -> tuple[int, int]:
+        return self.base, self.step
 
     def __str__(self) -> str:
         if self.step == 1:
@@ -96,6 +106,13 @@ class IntSet:
         if v < 1:
             raise ValueError(f"membership is defined for positive integers, got {v}")
         return any(a.contains(v) for a in self.atoms)
+
+    def horizon(self) -> tuple[int, int]:
+        """(threshold T, period p): above T, membership of v depends only
+        on v mod p.  T is the largest single value, range end or
+        progression base (0 when empty); p is the lcm of the steps."""
+        bounds = [a.horizon() for a in self.atoms]
+        return max((t for t, _ in bounds), default=0), lcm(*(p for _, p in bounds))
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.atoms)

@@ -9,11 +9,14 @@ Three methods; the two counters are deliberately independent:
 * enumeration of the satisfying paths, a pruned depth-first generator
   that checks each peak, valley and run as the direction changes and cuts
   a prefix at the change that kills it;
-* a dynamic program over run states (height, current run direction,
-  current run length), where peak/valley and run-length checks fire at
-  direction changes and the final pending down-run is checked when the
-  path closes.  One left-to-right sweep over 2*n_max steps reads off
-  every semilength n as the closing states at height 0 after step 2n.
+* a dynamic program over run states (height, run direction, run class),
+  where peak/valley and run-length checks fire at direction changes and
+  the final pending down-run is checked when the path closes.  A run's
+  class is its length up to the horizon (T, p) of its avoid-set and its
+  residue mod p above it, so the states per height stay bounded however
+  long the runs grow (the transfer-matrix view).  One left-to-right
+  sweep over 2*n_max steps reads off every semilength n as the closing
+  states at height 0 after step 2n.
 
 Counts are exact Python integers throughout.  Brute force and enumeration
 are guarded by an enumeration cap on the semilength; the DP has no cap.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intsets import RestrictionQuad
+from .intsets import IntSet, RestrictionQuad
 from .paths import _FLIP, DyckPath, accepts, avoid_tables
 
 DEFAULT_ENUMERATION_CAP = 16
@@ -140,13 +143,34 @@ def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
     return CountTable(entries)
 
 
+def _run_successors(s: IntSet, n_max: int) -> list[int]:
+    """The class after each run class of avoid-set ``s``.
+
+    With (T, p) = s.horizon(), run length r has class r up to T + p and
+    T + 1 + (r - T - 1) % p above it, so membership of r is membership of
+    its class, and the class after T + p is T + 1.  No run is longer than
+    the semilength, so the classes stop at min(T + p, n_max); when that
+    cuts the table short, its last entry is never followed.
+    """
+    t, p = s.horizon()
+    top = min(t + p, max(n_max, 1))
+    nxt = list(range(1, top + 2))
+    if top == t + p:
+        nxt[top] = t + 1
+    return nxt
+
+
 def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
     if n_max < 0:
         raise ValueError(f"semilength must be >= 0, got {n_max}")
+    # a run class c <= n_max is itself a run length, so the run tables
+    # index classes as they index lengths
     peak_t, valley_t, up_t, down_t = avoid_tables(quad, n_max)
+    up_nxt = _run_successors(quad.up_runs, n_max)
+    down_nxt = _run_successors(quad.down_runs, n_max)
     total_steps = 2 * n_max
     entries = {0: 1}
-    # state after i steps: (height, run direction as +1/-1, run length);
+    # state after i steps: (height, run direction as +1/-1, run class);
     # a state at height 0 is a complete path that may still carry on, as
     # valleys at height 0 are never avoided
     states: dict[tuple[int, int, int], int] = {(1, 1, 1): 1}
@@ -157,7 +181,7 @@ def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
             h2 = h + 1
             if h2 <= total_steps - i - 1:  # must still be able to return to 0
                 if d == 1:
-                    key = (h2, 1, r + 1)
+                    key = (h2, 1, up_nxt[r])
                     new[key] = new.get(key, 0) + c
                 elif not (down_t[r] or valley_t[h]):
                     key = (h2, 1, 1)
@@ -166,7 +190,7 @@ def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
             if h > 0:
                 h2 = h - 1
                 if d == -1:
-                    key = (h2, -1, r + 1)
+                    key = (h2, -1, down_nxt[r])
                     new[key] = new.get(key, 0) + c
                 elif not (up_t[r] or peak_t[h]):
                     key = (h2, -1, 1)

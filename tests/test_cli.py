@@ -52,6 +52,14 @@ def test_count_single_method(capsys):
     assert payload["witness"] is None
 
 
+def test_count_dp_with_a_huge_run_range(capsys):
+    # the DP sizes its run tables by the semilength, not by the set
+    code, payload, _ = run_json(capsys, "count", "--n-max", "3", "--method", "dp",
+                                "--upruns", "1..1000000000")
+    assert code == 0
+    assert payload["counts"]["dp"] == ["1", "0", "0", "0"]
+
+
 def test_count_mismatch_exits_1(capsys, monkeypatch):
     # no real quad disagrees, so fake the dp side to exercise the protocol
     def fake_dp(n_max, quad):

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given
 
+from conftest import int_sets, sample_quads
 from dyckgram.intsets import (BadProgression, IntSet, NonPositiveValue,
                               Progression, Range, RestrictionQuad, SetSyntaxError,
                               Single, parse_set)
@@ -113,3 +115,34 @@ def test_quad_swapped_runs():
     s = q.swapped_runs()
     assert s.up_runs == q.down_runs and s.down_runs == q.up_runs
     assert s.peaks == q.peaks and s.valleys == q.valleys
+
+
+def _class_of(v: int, threshold: int, period: int) -> int:
+    if v <= threshold + period:
+        return v
+    return threshold + 1 + (v - threshold - 1) % period
+
+
+def _assert_classes_keep_membership(s: IntSet) -> None:
+    t, p = s.horizon()
+    for v in range(1, 301):
+        assert s.contains(v) == s.contains(_class_of(v, t, p)), (str(s), v)
+
+
+def test_horizon_examples():
+    assert IntSet.empty().horizon() == (0, 1)
+    assert parse_set("ap(4,2),3..5").horizon() == (5, 4)
+    assert parse_set("7,ap(2,1),ap(3,1)").horizon() == (7, 6)
+    assert parse_set("2..9").horizon() == (9, 1)
+
+
+def test_horizon_classes_keep_membership_on_corpora():
+    from test_oracle import CORPUS
+    for quad in CORPUS + sample_quads(40, seed=5077):
+        for s in (quad.peaks, quad.valleys, quad.up_runs, quad.down_runs):
+            _assert_classes_keep_membership(s)
+
+
+@given(int_sets)
+def test_horizon_classes_keep_membership(s):
+    _assert_classes_keep_membership(s)

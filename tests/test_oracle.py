@@ -95,11 +95,52 @@ def test_one_sweep_reads_every_semilength_as_a_sweep_to_it_would():
 
 
 def test_dp_matches_series_beyond_brute_force_reach():
-    n = 200
+    n = 400
     for inst in (build("F1"), build("F2"), build("F3"), build("F6", A=1, B=3)):
         series = solve(lower(inst.body), n + 1)[inst.start].coeffs
         assert count_dp(n, inst.quad).sequence() == series, str(inst)
     assert count_dp(n).sequence() == tuple(comb(2 * k, k) // (k + 1) for k in range(n + 1))
+
+
+def _verify_pool():
+    # F1-F3 and the instances of acceptance criteria 05 and 06
+    out = [build("F1"), build("F2"), build("F3")]
+    for a in range(1, 5):
+        out += [build(f, A=a, B=b) for b in range(1, a) for f in ("F5", "F7")]
+        out += [build(f, A=a, B=b) for b in range(a, 7) for f in ("F6", "F8")]
+    out += [build("F9", r=r) for r in range(1, 5)]
+    out += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
+    out += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
+    return out
+
+
+def test_dp_matches_series_where_run_classes_wrap():
+    # at n = 60 every run class of these quads wraps round its period many
+    # times; at the brute-force depths most never leave the identity range
+    pool = _verify_pool()
+    assert len(pool) == 81
+    for inst in pool:
+        series = solve(lower(inst.body), 61)[inst.start].coeffs
+        assert count_dp(60, inst.quad).sequence() == series, str(inst)
+
+
+def test_dp_run_tables_stay_within_the_semilength(monkeypatch):
+    # a huge range or step must not size a table: no run outgrows n
+    n = 8
+    sizes = []
+    successors = oracle._run_successors
+
+    def recording(s, n_max):
+        nxt = successors(s, n_max)
+        sizes.append(len(nxt))
+        return nxt
+
+    monkeypatch.setattr(oracle, "_run_successors", recording)
+    for quad in (RestrictionQuad.parse(up_runs="1..1000000000"),
+                 RestrictionQuad.parse(down_runs="ap(1000000000,1)")):
+        sizes.clear()
+        assert count_dp(n, quad).entries == count_brute(n, quad).entries, str(quad)
+        assert sizes and max(sizes) <= n + 1, str(quad)
 
 
 @given(quads, st.integers(0, 6))
