@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .bijection import verify_counts
 from .families import BadParams, FAMILY_IDS, build
@@ -180,6 +181,7 @@ def _cmd_bijection(args) -> int:
     return 0 if report.passed else 1
 
 
+@lru_cache(maxsize=1)  # built on first use, then reused by every main() call
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyckgram",

@@ -15,7 +15,6 @@ concatenation product, so z tracks the semilength of balanced words.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -79,20 +78,31 @@ def rep(expr: GExpr, k: int) -> GExpr:
     return Power(expr, k)
 
 
-def _tokens(expr: GExpr) -> list[str]:
-    if isinstance(expr, Epsilon):
-        return []
-    if isinstance(expr, Term):
-        return [expr.letter]
-    if isinstance(expr, NonTerm):
-        return [expr.name]
-    if isinstance(expr, Concat):
-        return [t for p in expr.parts for t in _tokens(p)]
-    return _tokens(expr.base) * expr.exponent
+def _flatten(expr: GExpr) -> tuple:
+    """Token tuple of an expression: each maximal run of terminals is one
+    literal string and each nonterminal a 1-tuple (name,); epsilon drops
+    out and powers unroll."""
+    out: list = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Term):
+            if out and type(out[-1]) is str:
+                out[-1] += e.letter
+            else:
+                out.append(e.letter)
+        elif isinstance(e, NonTerm):
+            out.append((e.name,))
+        elif isinstance(e, Concat):
+            stack.extend(reversed(e.parts))
+        elif isinstance(e, Power):
+            stack.extend([e.base] * e.exponent)
+    return tuple(out)
 
 
 def render(expr: GExpr) -> str:
-    return " ".join(_tokens(expr)) or "eps"
+    return " ".join(" ".join(t) if type(t) is str else t[0]
+                    for t in _flatten(expr)) or "eps"
 
 
 @dataclass(frozen=True)
@@ -135,86 +145,89 @@ class WordMultiset:
 
 
 class _Expander:
-    """Exact-length word multisets for expressions, memoized, budgeted.
+    """Exact-length word multisets of ``_flatten`` token tuples, memoized
+    and budgeted.
 
-    ``resolve(name, length)`` gives a nonterminal's words of one length; it
-    is called once per (nonterminal, length), and a call that re-enters its
-    own (nonterminal, length) is unguarded recursion.
+    A literal at the head prefixes the rest's words; a nonterminal at the
+    head is split over its possible lengths and absorbs the literal after
+    it.  ``resolve(name, length)`` gives a nonterminal's words of one
+    length; it is called once per (nonterminal, length), and a call that
+    re-enters its own (nonterminal, length) is unguarded recursion.
+    Returned dicts are shared with the memo and must not be mutated.
+
+    ``generated``, the figure ``cap`` bounds, is the total multiplicity of
+    every multiset built: one per (nonterminal, length) and one per (token
+    suffix, length) other than a lone nonterminal.
     """
 
     def __init__(self, resolve, cap: int):
-        self.resolve = resolve  # (name, length) -> Counter
+        self.resolve = resolve  # (name, length) -> dict
         self.cap = cap
         self.generated = 0
-        self._memo: dict = {}
+        self._memo: dict = {}   # (tokens, length) -> dict
+        self._words: dict = {}  # (name, length) -> dict
         self._active: set = set()
 
-    def _charge(self, words: Counter) -> None:
+    def _charge(self, words: dict) -> None:
         self.generated += sum(words.values())
         if self.generated > self.cap:
             raise ResourceLimit(self.generated, self.cap, what="generated words")
 
-    def exact(self, expr: GExpr, length: int) -> Counter:
-        key = (expr, length)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(expr, Epsilon):
-            out = Counter({"": 1}) if length == 0 else Counter()
-        elif isinstance(expr, Term):
-            out = Counter({expr.letter: 1}) if length == 1 else Counter()
-        elif isinstance(expr, NonTerm):
+    def nonterminal(self, name: str, length: int) -> dict:
+        key = (name, length)
+        out = self._words.get(key)
+        if out is None:
             if key in self._active:
-                raise ValueError(f"unguarded recursion on nonterminal {expr.name}")
+                raise ValueError(f"unguarded recursion on nonterminal {name}")
             self._active.add(key)
-            out = self.resolve(expr.name, length)
+            out = self._words[key] = self.resolve(name, length)
             self._active.discard(key)
-        elif isinstance(expr, Power):
-            out = self.exact_seq((expr.base,) * expr.exponent, length)
+            self._charge(out)
+        return out
+
+    def expand(self, tokens: tuple, length: int) -> dict:
+        if not tokens:
+            return {"": 1} if length == 0 else {}
+        head, rest = tokens[0], tokens[1:]
+        if not rest and type(head) is tuple:
+            return self.nonterminal(head[0], length)
+        key = (tokens, length)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
+        if type(head) is str:
+            tail = self.expand(rest, length - len(head)) if length >= len(head) else {}
+            out = {head + w: c for w, c in tail.items()}
         else:
-            out = self.exact_seq(expr.parts, length)
-        self._memo[key] = out
-        self._charge(out)
-        return out
-
-    def exact_seq(self, parts: tuple[GExpr, ...], length: int) -> Counter:
-        if not parts:
-            return Counter({"": 1}) if length == 0 else Counter()
-        if len(parts) == 1:
-            return self.exact(parts[0], length)
-        key = (parts, length)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out: Counter = Counter()
-        for l1 in range(length + 1):
-            left = self.exact(parts[0], l1)
-            if not left:
-                continue
-            right = self.exact_seq(parts[1:], length - l1)
-            for w2, c2 in right.items():
+            lit = ""
+            if rest and type(rest[0]) is str:
+                lit, rest = rest[0], rest[1:]
+            out = {}
+            for l1 in range(length - len(lit) + 1):
+                left = self.nonterminal(head[0], l1)
+                right = self.expand(rest, length - len(lit) - l1) if left else None
+                if not right:
+                    continue
                 for w1, c1 in left.items():
-                    out[w1 + w2] += c1 * c2
+                    w1 += lit
+                    for w2, c2 in right.items():
+                        w = w1 + w2
+                        out[w] = out.get(w, 0) + c1 * c2
         self._memo[key] = out
         self._charge(out)
-        return out
-
-    def up_to(self, exprs: tuple[GExpr, ...], max_len: int) -> Counter:
-        """The union of every expression's words of length 0..max_len."""
-        out: Counter = Counter()
-        for e in exprs:
-            for length in range(max_len + 1):
-                out.update(self.exact(e, length))
         return out
 
 
 def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
-    def resolve(name: str, length: int) -> Counter:
-        if name not in grammar.rules:
+    rules = {name: tuple(map(_flatten, alts)) for name, alts in grammar.rules.items()}
+
+    def resolve(name: str, length: int) -> dict:
+        if name not in rules:
             raise ValueError(f"undefined nonterminal {name}")
-        out: Counter = Counter()
-        for alt in grammar.rules[name]:
-            out.update(expander.exact(alt, length))
+        out: dict = {}
+        for tokens in rules[name]:
+            for w, c in expander.expand(tokens, length).items():
+                out[w] = out.get(w, 0) + c
         return out
 
     expander = _Expander(resolve, cap)
@@ -223,12 +236,12 @@ def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
 
 def _language_expander(languages: Mapping[str, RestrictionQuad], cap: int,
                        enum_cap: int) -> _Expander:
-    def resolve(name: str, length: int) -> Counter:
+    def resolve(name: str, length: int) -> dict:
         if name not in languages:
             raise ValueError(f"no language bound to nonterminal {name}")
         if length % 2:
-            return Counter()
-        return Counter(dict.fromkeys(language(length // 2, languages[name], enum_cap), 1))
+            return {}
+        return dict.fromkeys(language(length // 2, languages[name], enum_cap), 1)
 
     return _Expander(resolve, cap)
 
@@ -240,9 +253,14 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int,
     Multiplicity is the number of distinct derivations, so an unambiguous
     grammar yields all-1 counts.
     """
-    expr = NonTerm(start) if isinstance(start, str) else start
-    out = _grammar_expander(grammar, cap).up_to((expr,), max_len)
-    return WordMultiset(max_len, dict(out))
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    tokens = _flatten(NonTerm(start) if isinstance(start, str) else start)
+    expander = _grammar_expander(grammar, cap)
+    out: dict = {}
+    for length in range(max_len + 1):
+        out.update(expander.expand(tokens, length))
+    return WordMultiset(max_len, out)
 
 
 @dataclass(frozen=True)
@@ -288,14 +306,23 @@ def check_equation(eq: GrammaticalEquation,
     concatenation contribute multiplicities as usual, so overlapping
     alternatives on both sides must overlap equally for a PASS.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     expander = _language_expander(languages, cap, enum_cap)
-    left = expander.up_to(eq.lhs, max_len)
-    right = expander.up_to(eq.rhs, max_len)
-    if left == right:
+    sides = (tuple(map(_flatten, eq.lhs)), tuple(map(_flatten, eq.rhs)))
+    diff: dict = {}  # lhs minus rhs multiplicity
+    for sign, side in zip((1, -1), sides):
+        for tokens in side:
+            for length in range(max_len + 1):
+                for w, c in expander.expand(tokens, length).items():
+                    diff[w] = diff.get(w, 0) + sign * c
+    bad = [w for w, c in diff.items() if c]
+    if not bad:
         return EquationReport(True, max_len)
-    diff = {w for w in left.keys() | right.keys() if left[w] != right[w]}
-    w = min(diff, key=lambda x: (len(x), x))
-    return EquationReport(False, max_len, w, left[w], right[w])
+    w = min(bad, key=lambda x: (len(x), x))
+    lhs, rhs = (sum(expander.expand(t, len(w)).get(w, 0) for t in side)
+                for side in sides)
+    return EquationReport(False, max_len, w, lhs, rhs)
 
 
 # --- lowering to series systems -----------------------------------------
@@ -315,18 +342,8 @@ def _poly(expr: GExpr) -> Poly:
     return out
 
 
-def _terminal_balance(expr: GExpr) -> int:
-    if isinstance(expr, Term):
-        return 1 if expr.letter == "U" else -1
-    if isinstance(expr, Concat):
-        return sum(_terminal_balance(p) for p in expr.parts)
-    if isinstance(expr, Power):
-        return expr.exponent * _terminal_balance(expr.base)
-    return 0
-
-
 def _require_balanced(expr: GExpr) -> None:
-    if _terminal_balance(expr) != 0:
+    if sum(t.count("U") - t.count("D") for t in _flatten(expr) if type(t) is str):
         raise UnbalancedGrammar(f"expression {render(expr)!r} is not balanced")
 
 

@@ -7,6 +7,7 @@ from functools import lru_cache
 
 from hypothesis import settings, strategies as st
 
+from dyckgram.families import build
 from dyckgram.intsets import IntSet, Progression, Range, RestrictionQuad, Single
 from dyckgram.oracle import enumerate_paths
 
@@ -56,3 +57,15 @@ def sample_quads(count: int, seed: int) -> list[RestrictionQuad]:
 
     return [RestrictionQuad(int_set(), int_set(), int_set(), int_set())
             for _ in range(count)]
+
+
+def verify_pool():
+    """F1-F3 and the instances of acceptance criteria 05 and 06 (81 in all)."""
+    out = [build("F1"), build("F2"), build("F3")]
+    for a in range(1, 5):
+        out += [build(f, A=a, B=b) for b in range(1, a) for f in ("F5", "F7")]
+        out += [build(f, A=a, B=b) for b in range(a, 7) for f in ("F6", "F8")]
+    out += [build("F9", r=r) for r in range(1, 5)]
+    out += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
+    out += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
+    return out

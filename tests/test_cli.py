@@ -298,3 +298,30 @@ def test_json_numbers_are_strings(capsys):
     for seq in payload["counts"].values():
         assert all(isinstance(c, str) for c in seq)
     assert payload["n_max"] == "3"
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused_unchanged(capsys):
+    valid = ("verify", "--family", "F6", "--param", "A=1,B=3",
+             "--max-len", "10", "--n-max", "5", "--json")
+    usage_errors = (("series", "--family", "F5", "--param", "A=1,B=2"),
+                    ("count", "--peaks", "5..3"))
+    firsts = {}
+    for argv in (valid,) + usage_errors:
+        cli._make_parser.cache_clear()
+        firsts[argv] = _outcome(capsys, argv)
+    assert firsts[valid][0] == 0
+    assert [firsts[a][0] for a in usage_errors] == [2, 2]
+    cli._make_parser.cache_clear()
+    parser = cli._make_parser()
+    for argv in usage_errors + (valid, valid) + usage_errors:
+        assert _outcome(capsys, argv) == firsts[argv]
+    assert cli._make_parser() is parser

@@ -1,11 +1,17 @@
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
-from dyckgram.grammar import (D, EPSILON, Grammar, GrammaticalEquation,
-                              NonTerm, Power, U, UnbalancedGrammar,
-                              check_equation, check_unambiguous,
-                              equation_sides, lower, render, rep, seq, words)
+from conftest import verify_pool
+from dyckgram.families import build
+from dyckgram.grammar import (D, EPSILON, Concat, Epsilon, EquationReport,
+                              Grammar, GrammaticalEquation, NonTerm, Power,
+                              Term, U, UnbalancedGrammar, check_equation,
+                              check_unambiguous, equation_sides, lower,
+                              render, rep, seq, words)
 from dyckgram.intsets import RestrictionQuad
-from dyckgram.oracle import ResourceLimit
+from dyckgram.oracle import ResourceLimit, language
 from dyckgram.series import Poly, solve
 
 P = NonTerm("P")
@@ -53,6 +59,24 @@ def test_words_cap():
         words(CATALAN, "P", 24, cap=1000)
 
 
+def test_check_equation_cap():
+    inst = build("F6", A=2, B=4)
+    assert check_equation(inst.body, {"P": inst.quad}, 20).passed
+    with pytest.raises(ResourceLimit):
+        check_equation(inst.body, {"P": inst.quad}, 20, cap=1000)
+
+
+def test_negative_max_len_is_rejected():
+    # at max_len = -1 nothing is expanded, so a false equation would pass
+    false_eq = GrammaticalEquation((P,), (EPSILON,), ("P",))
+    with pytest.raises(ValueError, match="max_len"):
+        words(CATALAN, "P", -1)
+    with pytest.raises(ValueError, match="max_len"):
+        check_unambiguous(CATALAN, "P", -1)
+    with pytest.raises(ValueError, match="max_len"):
+        check_equation(false_eq, {"P": UNRESTRICTED}, -1)
+
+
 def test_undefined_nonterminal():
     with pytest.raises(ValueError, match="undefined"):
         words(Grammar({"P": (NonTerm("Q"),)}), "P", 4)
@@ -75,6 +99,17 @@ def test_word_multiplicity_ambiguous():
     counts = words(g, "S", 4).counts
     assert counts["UD"] == 2
     assert counts["UUDD"] == 2
+
+
+def test_concatenation_multiplicity():
+    # a word split several ways across one concatenation counts each split
+    S = NonTerm("S")
+    g = Grammar({"T": (seq(S, S, S),), "S": (EPSILON, seq(U, D))})
+    assert words(g, "T", 8).counts == {"": 1, "UD": 3, "UDUD": 3, "UDUDUD": 1}
+    eq = GrammaticalEquation(lhs=(seq(P, P),), rhs=(P,), nonterminals=("P",))
+    report = check_equation(eq, {"P": UNRESTRICTED}, max_len=6)
+    assert (report.witness, report.lhs_multiplicity, report.rhs_multiplicity) == \
+        ("UD", 2, 1)
 
 
 def test_check_unambiguous():
@@ -172,3 +207,98 @@ def test_lower_equation_needs_one_bare_unknown():
                               nonterminals=("P",))
     with pytest.raises(ValueError, match="bare unknown"):
         lower(eq2)
+
+
+# --- differential check against a reference expander ---------------------
+
+REFERENCE_MAX_LEN = 12
+
+
+def _reference(expr, length, nonterminal):
+    """Words of one length, read straight off the expression tree with
+    Counter products; only nonterminals are looked up, nothing is memoized."""
+    if isinstance(expr, Epsilon):
+        return Counter({"": 1}) if length == 0 else Counter()
+    if isinstance(expr, Term):
+        return Counter({expr.letter: 1}) if length == 1 else Counter()
+    if isinstance(expr, NonTerm):
+        return nonterminal(expr.name, length)
+    parts = expr.parts if isinstance(expr, Concat) else (expr.base,) * expr.exponent
+    if not parts:
+        return Counter({"": 1}) if length == 0 else Counter()
+    out = Counter()
+    for l1 in range(length + 1):
+        left = _reference(parts[0], l1, nonterminal)
+        if not left:
+            continue
+        right = _reference(seq(*parts[1:]), length - l1, nonterminal)
+        for w1, c1 in left.items():
+            for w2, c2 in right.items():
+                out[w1 + w2] += c1 * c2
+    return out
+
+
+def _reference_union(exprs, nonterminal, max_len=REFERENCE_MAX_LEN):
+    out = Counter()
+    for e in exprs:
+        for length in range(max_len + 1):
+            out.update(_reference(e, length, nonterminal))
+    return out
+
+
+def _reference_report(lhs, rhs, max_len=REFERENCE_MAX_LEN):
+    """The equation verdict as a multiset comparison of the two unions."""
+    if lhs == rhs:
+        return EquationReport(True, max_len)
+    w = min((w for w in lhs | rhs if lhs[w] != rhs[w]), key=lambda x: (len(x), x))
+    return EquationReport(False, max_len, w, lhs[w], rhs[w])
+
+
+POOL = verify_pool()
+
+
+@pytest.mark.parametrize("inst", [i for i in POOL if isinstance(i.body, Grammar)],
+                         ids=str)
+def test_words_match_reference_expander(inst):
+    rules = inst.body.rules
+
+    @lru_cache(maxsize=None)
+    def nonterminal(name, length):
+        return sum((_reference(alt, length, nonterminal) for alt in rules[name]),
+                   Counter())
+
+    expect = _reference_union((NonTerm(inst.start),), nonterminal)
+    assert words(inst.body, inst.start, REFERENCE_MAX_LEN).counts == dict(expect)
+
+
+@pytest.mark.parametrize("inst", [i for i in POOL if not isinstance(i.body, Grammar)],
+                         ids=str)
+def test_equation_reports_match_reference_expander(inst):
+    eq = inst.body
+    languages = {inst.start: inst.quad}
+
+    @lru_cache(maxsize=None)
+    def nonterminal(name, length):
+        if length % 2:
+            return Counter()
+        return Counter(dict.fromkeys(language(length // 2, languages[name]), 1))
+
+    each = {e: _reference_union((e,), nonterminal) for e in eq.lhs + eq.rhs}
+
+    def side(exprs):
+        return sum((each[e] for e in exprs), Counter())
+
+    # the equation itself, each rhs alternative dropped, each lhs one doubled
+    cases = [(eq.lhs, eq.rhs)]
+    cases += [(eq.lhs, eq.rhs[:i] + eq.rhs[i + 1:]) for i in range(len(eq.rhs))]
+    cases += [(eq.lhs + (e,), eq.rhs) for e in eq.lhs]
+    reports = []
+    for lhs, rhs in cases:
+        got = check_equation(GrammaticalEquation(lhs, rhs, eq.nonterminals),
+                             languages, REFERENCE_MAX_LEN)
+        assert got == _reference_report(side(lhs), side(rhs)), (lhs, rhs)
+        reports.append(got)
+    assert reports[0].passed
+    # doubling the bare P derives the empty word twice on the left
+    doubled = reports[1 + len(eq.rhs)]
+    assert (doubled.witness, doubled.lhs_multiplicity) == ("", 2)

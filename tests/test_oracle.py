@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import quads, sample_quads, unrestricted_paths
+from conftest import quads, sample_quads, unrestricted_paths, verify_pool
 from dyckgram.families import build
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
@@ -102,22 +102,10 @@ def test_dp_matches_series_beyond_brute_force_reach():
     assert count_dp(n).sequence() == tuple(comb(2 * k, k) // (k + 1) for k in range(n + 1))
 
 
-def _verify_pool():
-    # F1-F3 and the instances of acceptance criteria 05 and 06
-    out = [build("F1"), build("F2"), build("F3")]
-    for a in range(1, 5):
-        out += [build(f, A=a, B=b) for b in range(1, a) for f in ("F5", "F7")]
-        out += [build(f, A=a, B=b) for b in range(a, 7) for f in ("F6", "F8")]
-    out += [build("F9", r=r) for r in range(1, 5)]
-    out += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
-    out += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
-    return out
-
-
 def test_dp_matches_series_where_run_classes_wrap():
     # at n = 60 every run class of these quads wraps round its period many
     # times; at the brute-force depths most never leave the identity range
-    pool = _verify_pool()
+    pool = verify_pool()
     assert len(pool) == 81
     for inst in pool:
         series = solve(lower(inst.body), 61)[inst.start].coeffs
