@@ -1,0 +1,65 @@
+"""Time brute-force counting (``oracle.count_brute``) alone on three sets.
+
+    PYTHONPATH=src python3 scripts/brute_layer.py
+
+The sets: 24 seeded census-style quads (every avoid-set holds one or two
+atoms, as in the benchmark's ``census`` workload) at n <= 12, the quads
+of the 81 verify-pool instances (``word_layer.pool``: F1-F3 and
+acceptance criteria 05 and 06) at n <= 10, and the unrestricted quad at
+n <= 14.  dyckgram is imported from PYTHONPATH, so pointing it at
+another checkout's ``src`` times that checkout with the same script.  Prints one JSON object: for
+each set, the best of three wall times in seconds and a digest of every
+count sequence, so that two checkouts can be compared for equal counts as
+well as for speed.
+"""
+
+import hashlib
+import json
+import platform
+import random
+import time
+
+from dyckgram.intsets import RestrictionQuad
+from dyckgram.oracle import count_brute
+from word_layer import pool
+
+REPEATS = 3
+CENSUS_SEED = 9129
+
+
+def census_quads(count: int = 24, seed: int = CENSUS_SEED):
+    rng = random.Random(seed)
+
+    def atom():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return str(rng.randint(1, 8))
+        if kind == 1:
+            lo = rng.randint(1, 6)
+            return f"{lo}..{lo + rng.randint(0, 5)}"
+        return f"ap({rng.randint(1, 4)},{rng.randint(1, 6)})"
+
+    return [RestrictionQuad.parse(**{k: ",".join(atom() for _ in range(rng.randint(1, 2)))
+                                     for k in ("peaks", "valleys", "up_runs", "down_runs")})
+            for _ in range(count)]
+
+
+def main() -> None:
+    sets = (("census", census_quads(), 12), ("pool", [inst.quad for inst in pool()], 10),
+            ("unrestricted", [RestrictionQuad()], 14))
+    rows = []
+    for name, quads, n_max in sets:
+        best = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            results = [(str(q), count_brute(n_max, q).sequence()) for q in quads]
+            best = min(best, time.perf_counter() - t0)
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        rows.append({"set": name, "quads": len(quads), "n_max": n_max,
+                     "best_s": round(best, 3), "counts_sha256": digest[:16]})
+    print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
+                      "rows": rows}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

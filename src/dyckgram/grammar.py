@@ -155,9 +155,10 @@ class _Expander:
     re-enters its own (nonterminal, length) is unguarded recursion.
     Returned dicts are shared with the memo and must not be mutated.
 
-    ``generated``, the figure ``cap`` bounds, is the total multiplicity of
-    every multiset built: one per (nonterminal, length) and one per (token
-    suffix, length) other than a lone nonterminal.
+    ``generated``, the figure ``cap`` bounds, counts the distinct words of
+    every multiset built (one per (nonterminal, length) and one per (token
+    suffix, length) other than a lone nonterminal): the memo's size, and
+    the work done to within a factor of the length.
     """
 
     def __init__(self, resolve, cap: int):
@@ -169,7 +170,7 @@ class _Expander:
         self._active: set = set()
 
     def _charge(self, words: dict) -> None:
-        self.generated += sum(words.values())
+        self.generated += len(words)
         if self.generated > self.cap:
             raise ResourceLimit(self.generated, self.cap, what="generated words")
 

@@ -3,9 +3,9 @@
 Three methods; the two counters are deliberately independent:
 
 * brute force, a definitional count: every path of the given semilength
-  is built as a first half that ends at some height h, joined to the
-  reverse complement of a first half that ends at h, and each path is
-  judged by the membership walk ``paths.accepts``; nothing is pruned;
+  is a first half ending at some height h joined to the reverse
+  complement of a first half ending at h; each path gets one verdict from
+  the walk of ``paths.accepts``, and a shared first half is walked once;
 * enumeration of the satisfying paths, a pruned depth-first generator
   that checks each peak, valley and run as the direction changes and cuts
   a prefix at the change that kills it;
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intsets import IntSet, RestrictionQuad
-from .paths import _FLIP, DyckPath, accepts, avoid_tables
+from .paths import _FLIP, DyckPath, accepts, avoid_tables, walk
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -81,15 +81,18 @@ def _halves(n: int) -> dict[int, list[str]]:
 def _scan(n: int, tables) -> int:
     """Number of paths of semilength n that pass the membership walk.
 
-    Unpruned: a path of 2n steps is a first half ending at height h
-    followed by the reverse complement of a first half ending at h, so
-    joining every same-h pair judges each of the C_n paths exactly once.
+    Joining every first half that ends at height h to every second half
+    that leaves from h gives each of the C_n paths once.  Each first half
+    is walked once; a surviving walk is resumed on every second half of
+    its height, and one that dies rejects all of its joins.
     """
     total = 0
     for firsts in _halves(n).values():
         seconds = [w[::-1].translate(_FLIP) for w in firsts]
         for a in firsts:
-            total += sum(accepts(a + b, tables) for b in seconds)
+            state = walk(a, tables)
+            if state is not None:
+                total += sum(accepts(b, tables, state) for b in seconds)
     return total
 
 

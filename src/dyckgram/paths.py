@@ -138,22 +138,19 @@ def avoid_tables(quad: RestrictionQuad, bound: int) -> tuple[list[bool], ...]:
                  for s in (quad.peaks, quad.valleys, quad.up_runs, quad.down_runs))
 
 
-def accepts(steps, tables) -> bool:
-    """True iff no feature of the balanced step sequence lands in its table.
-
-    ``steps`` is a string (or list) of "U"/"D"; ``tables`` comes from
-    :func:`avoid_tables`.  This is the walk of :func:`features`, checking
-    each peak, valley and run as it ends instead of recording it.
+def walk(steps, tables, state=(0, 0, "")):
+    """The walker's ``(height, run length, last step)`` after the "U"/"D"
+    ``steps`` from ``state``, or None once a peak, valley or completed run
+    lands in its table: the walk of :func:`features`, checking each feature
+    as it ends.  A left fold, so walking ``a + b`` resumes ``a``'s walk on ``b``.
     """
     peak_t, valley_t, up_t, down_t = tables
-    h = 0
-    run = 0
-    prev = ""
+    h, run, prev = state
     for s in steps:
         if s == "U":
             if prev == "D":
                 if valley_t[h] or down_t[run]:
-                    return False
+                    return None
                 run = 1
             else:
                 run += 1
@@ -161,13 +158,22 @@ def accepts(steps, tables) -> bool:
         else:
             if prev == "U":
                 if peak_t[h] or up_t[run]:
-                    return False
+                    return None
                 run = 1
             else:
                 run += 1
             h -= 1
         prev = s
-    return not down_t[run]
+    return h, run, prev
+
+
+def accepts(steps, tables, state=(0, 0, "")) -> bool:
+    """True iff no feature of the balanced step sequence lands in its table:
+    :func:`walk` from ``state`` (by default the empty prefix), then the
+    check of the closing down-run.  ``tables`` comes from :func:`avoid_tables`.
+    """
+    end = walk(steps, tables, state)
+    return end is not None and not tables[3][end[1]]
 
 
 def satisfies(path: DyckPath, quad: RestrictionQuad) -> bool:

@@ -59,6 +59,17 @@ def test_words_cap():
         words(CATALAN, "P", 24, cap=1000)
 
 
+def test_word_budget_counts_distinct_words():
+    # with eps doubled, F7(4,3) derives its 115k words of length <= 24 in
+    # over 10^7 ways: the budget bounds the multisets held, not their sum
+    body = build("F7", A=4, B=3).body
+    doubled = Grammar({**body.rules, "P": body.rules["P"] + (EPSILON,)})
+    report = check_unambiguous(doubled, "P", 24)
+    assert (report.passed, report.witness, report.multiplicity) == (False, "", 2)
+    with pytest.raises(ResourceLimit):
+        words(build("F1").body, "P", 30, cap=1000)
+
+
 def test_check_equation_cap():
     inst = build("F6", A=2, B=4)
     assert check_equation(inst.body, {"P": inst.quad}, 20).passed

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -11,7 +12,7 @@ from dyckgram.intsets import RestrictionQuad
 from dyckgram import oracle
 from dyckgram.oracle import (ResourceLimit, count_brute, count_dp,
                              enumerate_paths, language)
-from dyckgram.paths import accepts, avoid_tables, features, satisfies
+from dyckgram.paths import accepts, avoid_tables, features, satisfies, walk
 from dyckgram.series import solve
 
 # a fixed corpus mixing family quads with arbitrary ones
@@ -181,13 +182,25 @@ def _catalan(n):
     return comb(2 * n, n) // (n + 1)
 
 
-def _balanced(word):
-    h = 0
+def _end_height(word, h=0):
+    """Height after ``word`` from height h, or None if it dips below 0."""
     for s in word:
         h += 1 if s == "U" else -1
         if h < 0:
-            return False
-    return h == 0
+            return None
+    return h
+
+
+def _ud_words(length, start=0):
+    """Every U/D word of the given length that stays >= 0 from ``start``,
+    by filtering the full product (independent of ``oracle._halves``)."""
+    return [w for w in map("".join, product("UD", repeat=length))
+            if _end_height(w, start) is not None]
+
+
+@lru_cache(maxsize=None)
+def _dyck_words(n):
+    return [w for w in _ud_words(2 * n) if _end_height(w) == 0]
 
 
 def test_pruned_language_counts_as_brute_force_does():
@@ -200,11 +213,42 @@ def test_pruned_language_counts_as_brute_force_does():
 
 def test_pruned_language_is_the_filtered_word_list():
     for n in range(9):
-        dyck = ["".join(w) for w in product("UD", repeat=2 * n) if _balanced(w)]
         for quad in CORPUS:
             tables = avoid_tables(quad, n)
-            assert list(language(n, quad)) == [w for w in dyck if accepts(w, tables)], (
-                str(quad), n)
+            kept = [w for w in _dyck_words(n) if accepts(w, tables)]
+            assert list(language(n, quad)) == kept, (str(quad), n)
+
+
+def test_brute_force_counts_the_filtered_word_list():
+    # the midpoint split and its halves against an independent generator
+    for quad in CORPUS:
+        brute = count_brute(8, quad).entries
+        tables = avoid_tables(quad, 8)
+        for n in range(9):
+            kept = sum(accepts(w, tables) for w in _dyck_words(n))
+            assert brute[n] == kept, (str(quad), n)
+
+
+def _check_fold(quad, n_max=8):
+    tables = avoid_tables(quad, n_max)
+    for n in range(n_max + 1):
+        for p in _dyck_words(n):
+            whole = accepts(p, tables)
+            for i in range(len(p) + 1):
+                state = walk(p[:i], tables)
+                resumed = state is not None and accepts(p[i:], tables, state)
+                assert resumed == whole, (str(quad), p, i)
+
+
+def test_walk_resumes_at_every_split_point():
+    for quad in CORPUS:
+        _check_fold(quad)
+
+
+@given(quads)
+@settings(max_examples=25)
+def test_walk_resumes_at_every_split_point_on_drawn_quads(quad):
+    _check_fold(quad)
 
 
 def test_pruned_language_reaches_past_the_recursion_limit():
@@ -212,16 +256,44 @@ def test_pruned_language_reaches_past_the_recursion_limit():
     assert language(600, quad, cap=600) == ("UD" * 600,)
 
 
-def test_brute_force_judges_every_path_once(monkeypatch):
-    seen = []
+def test_brute_force_walks_each_first_half_once_and_resumes_it(monkeypatch):
+    # each walk of a first half is followed by the resumed walks of its
+    # second halves, so the log groups every resume under its first half
+    log = []
 
-    def recording(steps, tables):
-        seen.append(steps)
-        return accepts(steps, tables)
+    def recording_walk(steps, tables):
+        state = walk(steps, tables)
+        log.append((steps, state, []))
+        return state
 
-    monkeypatch.setattr(oracle, "accepts", recording)
+    def recording_accepts(steps, tables, state):
+        verdict = accepts(steps, tables, state)
+        log[-1][2].append((steps, state, verdict))
+        return verdict
+
+    monkeypatch.setattr(oracle, "walk", recording_walk)
+    monkeypatch.setattr(oracle, "accepts", recording_accepts)
     quad = RestrictionQuad.parse(peaks="1", valleys="1", up_runs="4..", down_runs="ap(3,2)")
-    count_brute(10, quad)
-    assert len(seen) == sum(_catalan(k) for k in range(11))
-    assert len(set(seen)) == len(seen)
-    assert all(_balanced(w) for w in seen)
+    n_max = 10
+    table = count_brute(n_max, quad)
+    tables = avoid_tables(quad, n_max)
+    # every first half is walked exactly once
+    assert sorted(a for a, _, _ in log) == sorted(
+        w for n in range(n_max + 1) for w in _ud_words(n))
+    resumed = behind_dead = kept = 0
+    for a, state, resumes in log:
+        h = _end_height(a)
+        seconds = [b for b in _ud_words(len(a), h) if _end_height(b, h) == 0]
+        if state is None:
+            assert not resumes, a
+            behind_dead += len(seconds)
+            assert not any(accepts(a + b, tables) for b in seconds), a
+        else:
+            # once on every second half of its height, from its own state
+            assert sorted(b for b, _, _ in resumes) == sorted(seconds), a
+            assert all(s == state for _, s, _ in resumes), a
+            resumed += len(resumes)
+            kept += sum(v for _, _, v in resumes)
+    assert behind_dead > 0 and resumed > 0
+    assert resumed + behind_dead == sum(_catalan(k) for k in range(n_max + 1))
+    assert kept == sum(table.entries.values())
