@@ -6,9 +6,9 @@ Three methods; the two counters are deliberately independent:
   is a first half ending at some height h joined to the reverse
   complement of a first half ending at h; each path gets one verdict from
   the walk of ``paths.accepts``, and a shared first half is walked once;
-* enumeration of the satisfying paths, a pruned depth-first generator
-  that checks each peak, valley and run as the direction changes and cuts
-  a prefix at the change that kills it;
+* enumeration of the satisfying paths, a midpoint join on the same
+  walker: pruned first halves, each joined to the second halves of its
+  walker state, which are listed once per distinct state;
 * a dynamic program over run states (height, run direction, run class),
   where peak/valley and run-length checks fire at direction changes and
   the final pending down-run is checked when the path closes.  A run's
@@ -99,37 +99,45 @@ def _scan(n: int, tables) -> int:
 def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
              cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, ...]:
     """Text of every satisfying path of semilength ``n``, in lexicographic
-    order (U < D)."""
+    order (U < D).
+
+    A midpoint join on the walker of ``paths.walk``.  The first halves
+    (n steps) grow one step at a time, U before D, each step a walk from
+    the prefix's state; a prefix is cut once its walk dies, its height
+    goes below 0 or it has no room left to return to 0.  Each distinct
+    walker state at the midpoint gets its list of second halves once: a
+    forward pass walks the states reachable from the midpoint, pruned the
+    same way, and a backward pass builds each state's suffixes, keeping
+    the endings whose closing down-run passes ``paths.accepts``.  Each
+    first half joined, in order, to its state's suffixes is already in
+    lexicographic order.
+    """
     _check_semilength(n, cap)
-    peak_t, valley_t, up_t, down_t = avoid_tables(quad, n)
+    tables = avoid_tables(quad, n)
     steps = 2 * n
-    buf = [""] * steps
-    out: list[str] = []
-    # depth-first over (steps taken, height, run length, signed: + for an
-    # up-run, - for a down-run); an explicit stack, so no recursion limit
-    # caps n.  The empty prefix is a down-run of length 0, which no
-    # avoid-set holds.  D is pushed before U so that U pops first.
-    stack = [(0, 0, 0)]
-    push, pop = stack.append, stack.pop
-    while stack:
-        i, h, r = pop()
-        if i:
-            buf[i - 1] = "U" if r > 0 else "D"
-        if i == steps:
-            if not down_t[-r]:
-                out.append("".join(buf))
-            continue
-        if h > 0:
-            if r < 0:
-                push((i + 1, h - 1, r - 1))
-            elif not (peak_t[h] or up_t[r]):
-                push((i + 1, h - 1, -1))
-        if h + 1 <= steps - i - 1:  # room to go up and still return
-            if r > 0:
-                push((i + 1, h + 1, r + 1))
-            elif not (valley_t[h] or down_t[-r]):
-                push((i + 1, h + 1, 1))
-    return tuple(out)
+
+    def step(i, state, s):
+        # the walk's state after taking s as step i + 1, or None if it is cut
+        nxt = walk(s, tables, state)
+        return nxt if nxt is not None and 0 <= nxt[0] <= steps - i - 1 else None
+
+    firsts = [("", (0, 0, ""))]
+    for i in range(n):
+        firsts = [(w + s, nxt) for w, state in firsts for s in "UD"
+                  if (nxt := step(i, state, s))]
+    # forward: the up and down successor of every reachable state per step
+    moves: list[dict] = []
+    states = {state for _, state in firsts}
+    for i in range(n, steps):
+        moves.append({state: (step(i, state, "U"), step(i, state, "D")) for state in states})
+        states = {nxt for pair in moves[-1].values() for nxt in pair if nxt}
+    # backward: the accepted suffixes from each state, U before D
+    tails = {state: [""] for state in states if accepts("", tables, state)}
+    for level in reversed(moves):
+        tails = {state: ["U" + t for t in tails.get(up, ())]
+                 + ["D" + t for t in tails.get(down, ())]
+                 for state, (up, down) in level.items()}
+    return tuple(a + b for a, state in firsts for b in tails[state])
 
 
 def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,

@@ -219,6 +219,40 @@ def test_pruned_language_is_the_filtered_word_list():
             assert list(language(n, quad)) == kept, (str(quad), n)
 
 
+@given(quads)
+@settings(max_examples=25)
+def test_pruned_language_is_the_filtered_word_list_on_drawn_quads(quad):
+    for n in range(9):
+        tables = avoid_tables(quad, n)
+        got = list(language(n, quad))
+        assert got == [w for w in _dyck_words(n) if accepts(w, tables)], (str(quad), n)
+        assert len(set(got)) == len(got), (str(quad), n)
+
+
+def test_pruned_language_prunes_both_halves(monkeypatch):
+    # one path per semilength, against exponentially many unpruned first
+    # halves and second halves: only live states may be walked, so the
+    # walks stay within a small polynomial in n
+    calls = limit = 0
+
+    def counting(verdict):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= limit, f"more than {limit} walks at n = {n}"
+            return verdict(*args)
+        return counted
+
+    monkeypatch.setattr(oracle, "walk", counting(walk))
+    monkeypatch.setattr(oracle, "accepts", counting(accepts))
+    inst = build("F6", A=1, B=2)
+    for n in (60, 200):
+        calls, limit = 0, 2 * n * n
+        got = language(n, inst.quad, cap=n)
+        assert len(got) == count_dp(n, inst.quad).entries[n] == 1, n
+        assert calls > 0
+
+
 def test_brute_force_counts_the_filtered_word_list():
     # the midpoint split and its halves against an independent generator
     for quad in CORPUS:
