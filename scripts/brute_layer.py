@@ -10,7 +10,9 @@ n <= 14.  dyckgram is imported from PYTHONPATH, so pointing it at
 another checkout's ``src`` times that checkout with the same script.  Prints one JSON object: for
 each set, the best of three wall times in seconds and a digest of every
 count sequence, so that two checkouts can be compared for equal counts as
-well as for speed.
+well as for speed.  After the timed repeats, one untimed pass per set
+wraps ``dyckgram.oracle.walk`` and ``accepts`` and reports the work done:
+the calls brute force made to each and the letters they were given.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import platform
 import random
 import time
 
+from dyckgram import oracle
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import count_brute
 from word_layer import pool
@@ -44,6 +47,29 @@ def census_quads(count: int = 24, seed: int = CENSUS_SEED):
             for _ in range(count)]
 
 
+def brute_work(quads, n_max: int) -> dict:
+    """Calls to oracle.walk and oracle.accepts, and the letters they walked,
+    over one count_brute pass on every quad."""
+    work = {"walk_calls": 0, "accepts_calls": 0, "letters": 0}
+
+    def counting(key, fn):
+        def counted(steps, *rest):
+            work[key] += 1
+            work["letters"] += len(steps)
+            return fn(steps, *rest)
+        return counted
+
+    saved = oracle.walk, oracle.accepts
+    oracle.walk = counting("walk_calls", saved[0])
+    oracle.accepts = counting("accepts_calls", saved[1])
+    try:
+        for q in quads:
+            count_brute(n_max, q)
+    finally:
+        oracle.walk, oracle.accepts = saved
+    return work
+
+
 def main() -> None:
     sets = (("census", census_quads(), 12), ("pool", [inst.quad for inst in pool()], 10),
             ("unrestricted", [RestrictionQuad()], 14))
@@ -56,7 +82,8 @@ def main() -> None:
             best = min(best, time.perf_counter() - t0)
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
         rows.append({"set": name, "quads": len(quads), "n_max": n_max,
-                     "best_s": round(best, 3), "counts_sha256": digest[:16]})
+                     "best_s": round(best, 3), "counts_sha256": digest[:16],
+                     "work": brute_work(quads, n_max)})
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
                       "rows": rows}, indent=1))
 

@@ -5,7 +5,9 @@ Three methods; the two counters are deliberately independent:
 * brute force, a definitional count: every path of the given semilength
   is a first half ending at some height h joined to the reverse
   complement of a first half ending at h; each path gets one verdict from
-  the walk of ``paths.accepts``, and a shared first half is walked once;
+  the walk of ``paths.accepts``, split at the seam after the second
+  half's first run: each first half is walked once, each second half's
+  tail judged once, and each join walks only its seam;
 * enumeration of the satisfying paths, a midpoint join on the same
   walker: pruned first halves, each joined to the second halves of its
   walker state, which are listed once per distinct state;
@@ -82,17 +84,27 @@ def _scan(n: int, tables) -> int:
     """Number of paths of semilength n that pass the membership walk.
 
     Joining every first half that ends at height h to every second half
-    that leaves from h gives each of the C_n paths once.  Each first half
-    is walked once; a surviving walk is resumed on every second half of
-    its height, and one that dies rejects all of its joins.
+    that leaves from h gives each of the C_n paths once.  A second half b
+    whose first run of m letters is followed by a letter y leaves any live
+    walk at (h', 1, y), h' being h plus the rise of its seam b[:m+1], so
+    its tail b[m+1:] is judged once, from there.  Each first half is
+    walked once; a live walk is resumed on the seam of every second half
+    whose tail passed, and on the single-run D^n whole.
     """
     total = 0
-    for firsts in _halves(n).values():
-        seconds = [w[::-1].translate(_FLIP) for w in firsts]
+    for h, firsts in _halves(n).items():
+        seams, whole = [], []
+        for b in (w[::-1].translate(_FLIP) for w in firsts):
+            cut = len(b) - len(b.lstrip(b[:1])) + 1  # the seam: b's first run and one letter more
+            if cut > len(b):
+                whole.append(b)
+            elif accepts(b[cut:], tables, (h + 2 * b[:cut].count("U") - cut, 1, b[cut - 1])):
+                seams.append(b[:cut])
         for a in firsts:
             state = walk(a, tables)
             if state is not None:
-                total += sum(accepts(b, tables, state) for b in seconds)
+                total += sum(1 for s in seams if walk(s, tables, state))
+                total += sum(accepts(b, tables, state) for b in whole)
     return total
 
 

@@ -24,23 +24,20 @@ class SeqId(Enum):
     ALL_ONES = "ALL_ONES"
 
 
-_motzkin_cache: list[int] = [1, 1]
-_gen_catalan_cache: list[int] = [1, 1]
-
-
 def _motzkin(n: int) -> int:
-    m = _motzkin_cache
-    while len(m) <= n:
-        k = len(m)  # (k+2) M_k = (2k+1) M_{k-1} + 3(k-1) M_{k-2}; the division is exact
+    m = [1, 1]
+    for k in range(2, n + 1):  # (k+2) M_k = (2k+1) M_{k-1} + 3(k-1) M_{k-2}; the division is exact
         m.append(((2 * k + 1) * m[k - 1] + 3 * (k - 1) * m[k - 2]) // (k + 2))
     return m[n]
 
 
 def _gen_catalan(n: int) -> int:
-    g = _gen_catalan_cache
-    while len(g) <= n:
-        m = len(g)  # computing G_m with the convolution over G_1..G_{m-2}
-        g.append(g[m - 1] + sum(g[k] * g[m - 2 - k] for k in range(1, m - 1)))
+    # G_m = G_{m-1} + sum G_k G_{m-2-k} (k = 1..m-2) as a linear recurrence, exact for k >= 4:
+    # (k+2) G_k = (2k+1) G_{k-1} + (k-1) G_{k-2} + (2k-5) G_{k-3} - (k-4) G_{k-4}
+    g = [1, 1, 1, 2]
+    for k in range(4, n + 1):
+        g.append(((2 * k + 1) * g[k - 1] + (k - 1) * g[k - 2] + (2 * k - 5) * g[k - 3]
+                  - (k - 4) * g[k - 4]) // (k + 2))
     return g[n]
 
 

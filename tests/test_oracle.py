@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import comb
 
 import pytest
@@ -263,6 +263,17 @@ def test_brute_force_counts_the_filtered_word_list():
             assert brute[n] == kept, (str(quad), n)
 
 
+@given(quads)
+@settings(max_examples=25)
+def test_brute_force_counts_the_filtered_word_list_on_drawn_quads(quad):
+    # drawn quads reach seam cases CORPUS may miss: second halves that
+    # start with U, empty tails, the single-run D^n
+    brute = count_brute(8, quad).entries
+    tables = avoid_tables(quad, 8)
+    for n in range(9):
+        assert brute[n] == sum(accepts(w, tables) for w in _dyck_words(n)), (str(quad), n)
+
+
 def _check_fold(quad, n_max=8):
     tables = avoid_tables(quad, n_max)
     for n in range(n_max + 1):
@@ -290,44 +301,81 @@ def test_pruned_language_reaches_past_the_recursion_limit():
     assert language(600, quad, cap=600) == ("UD" * 600,)
 
 
-def test_brute_force_walks_each_first_half_once_and_resumes_it(monkeypatch):
-    # each walk of a first half is followed by the resumed walks of its
-    # second halves, so the log groups every resume under its first half
-    log = []
+def _first_run(word):
+    """Length of the first run of ``word``, 0 for the empty word."""
+    return next((len(list(run)) for _, run in groupby(word)), 0)
 
-    def recording_walk(steps, tables):
-        state = walk(steps, tables)
-        log.append((steps, state, []))
-        return state
+
+def test_brute_force_walks_each_first_half_once_and_each_seam_once_per_pair(monkeypatch):
+    # the calls of each _scan(n, ...) in order; a walk with no start state
+    # is a first half's, and the seam walks and whole-second-half verdicts
+    # of its pairs follow it before the next one
+    scan, scans = oracle._scan, {}
+
+    def recording_scan(n, tables):
+        scans[n] = []
+        return scan(n, tables)
+
+    def recording_walk(steps, tables, *state):
+        end = walk(steps, tables, *state)
+        scans[max(scans)].append(("walk", steps, state[0] if state else None, end))
+        return end
 
     def recording_accepts(steps, tables, state):
         verdict = accepts(steps, tables, state)
-        log[-1][2].append((steps, state, verdict))
+        scans[max(scans)].append(("accepts", steps, state, verdict))
         return verdict
 
+    monkeypatch.setattr(oracle, "_scan", recording_scan)
     monkeypatch.setattr(oracle, "walk", recording_walk)
     monkeypatch.setattr(oracle, "accepts", recording_accepts)
     quad = RestrictionQuad.parse(peaks="1", valleys="1", up_runs="4..", down_runs="ap(3,2)")
     n_max = 10
     table = count_brute(n_max, quad)
     tables = avoid_tables(quad, n_max)
-    # every first half is walked exactly once
-    assert sorted(a for a, _, _ in log) == sorted(
-        w for n in range(n_max + 1) for w in _ud_words(n))
-    resumed = behind_dead = kept = 0
-    for a, state, resumes in log:
-        h = _end_height(a)
-        seconds = [b for b in _ud_words(len(a), h) if _end_height(b, h) == 0]
-        if state is None:
-            assert not resumes, a
-            behind_dead += len(seconds)
-            assert not any(accepts(a + b, tables) for b in seconds), a
-        else:
-            # once on every second half of its height, from its own state
-            assert sorted(b for b, _, _ in resumes) == sorted(seconds), a
-            assert all(s == state for _, s, _ in resumes), a
-            resumed += len(resumes)
-            kept += sum(v for _, _, v in resumes)
-    assert behind_dead > 0 and resumed > 0
-    assert resumed + behind_dead == sum(_catalan(k) for k in range(n_max + 1))
+    assert sorted(scans) == list(range(n_max + 1))
+    kept = seam_walks = behind_dead = live_pairs = 0
+    tail_verdicts = set()
+    for n, calls in scans.items():
+        tails, groups = [], []
+        for kind, steps, start, out in calls:
+            if kind == "walk" and start is None:
+                groups.append((steps, out, []))
+            elif kind == "accepts" and len(steps) < n:  # shorter than any second half
+                tails.append((steps, start, out))
+            else:
+                groups[-1][2].append((kind, steps, start, out))
+        # every first half is walked exactly once
+        assert sorted(a for a, _, _ in groups) == sorted(_ud_words(n)), n
+        seconds = {h: [b for b in _ud_words(n, h) if _end_height(b, h) == 0]
+                   for h in range(n + 1)}
+        # each second half with two runs or more has its tail b[m+1:] judged
+        # exactly once, from (h', 1, y) after its seam b[:m+1]
+        assert sorted((t, s) for t, s, _ in tails) == sorted(
+            (b[m + 1:], (_end_height(b[:m + 1], h), 1, b[m]))
+            for h, bs in seconds.items() for b in bs if (m := _first_run(b)) < n), n
+        passed = {(t, s): v for t, s, v in tails}
+        tail_verdicts |= set(passed.values())
+        for a, state, joins in groups:
+            h = _end_height(a)
+            if state is None:
+                # no pair behind a dead first half is walked at all
+                assert not joins, a
+                behind_dead += len(seconds[h])
+                assert not any(accepts(a + b, tables) for b in seconds[h]), a
+                continue
+            seams = sorted(b[:m + 1] for b in seconds[h] if (m := _first_run(b)) < n
+                           and passed[b[m + 1:], (_end_height(b[:m + 1], h), 1, b[m])])
+            whole = [b for b in seconds[h] if _first_run(b) == n]
+            # one seam walk of m + 1 letters per surviving pair, from this
+            # first half's own state; the single-run D^n is judged whole
+            assert sorted(s for kind, s, _, _ in joins if kind == "walk") == seams, a
+            assert [s for kind, s, _, _ in joins if kind == "accepts"] == whole, a
+            assert all(start == state for _, _, start, _ in joins), a
+            seam_walks += len(seams)
+            live_pairs += len(seconds[h])
+            kept += sum(out is not None if kind == "walk" else out
+                        for kind, _, _, out in joins)
+    assert behind_dead > 0 and seam_walks > 0 and tail_verdicts == {False, True}
+    assert behind_dead + live_pairs == sum(_catalan(k) for k in range(n_max + 1))
     assert kept == sum(table.entries.values())

@@ -1,5 +1,6 @@
 import pytest
 
+from dyckgram import sequences
 from dyckgram.sequences import (SeqId, gen_catalan_closed_form, identify,
                                 reference)
 
@@ -23,11 +24,23 @@ def test_negative_index_rejected():
 
 
 def test_gen_catalan_recurrence_inline():
-    # G_m = G_{m-1} + sum G_k G_{m-2-k}, independently of the module cache
+    # G_m = G_{m-1} + sum G_k G_{m-2-k}, independently of the module's recurrence
     g = [1, 1]
     for m in range(2, 20):
         g.append(g[m - 1] + sum(g[k] * g[m - 2 - k] for k in range(1, m - 1)))
     assert g == prefix(SeqId.GEN_CATALAN, 20)
+
+
+def test_gen_catalan_linear_recurrence_matches_the_convolution_to_200():
+    g = [1, 1]
+    for m in range(2, 201):
+        g.append(g[m - 1] + sum(g[k] * g[m - 2 - k] for k in range(1, m - 1)))
+    assert [reference(SeqId.GEN_CATALAN, n) for n in range(201)] == g
+
+
+def test_sequences_keeps_no_list_valued_module_state():
+    # each term is computed per call; no module-level list grows with use
+    assert not [name for name, value in vars(sequences).items() if isinstance(value, list)]
 
 
 def test_gen_catalan_closed_form_matches_recurrence():
