@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .intsets import IntSet, Progression, RestrictionQuad
-from .oracle import (DEFAULT_ENUMERATION_CAP, ResourceLimit, check_cap,
-                     enumerate_paths)
+from .oracle import DEFAULT_ENUMERATION_CAP, check_semilength, enumerate_paths
 from .paths import DyckPath, satisfies
 from .sequences import SeqId, reference
 
@@ -166,11 +165,7 @@ def verify_counts(max_semilength: int,
     too, the forward map is injective onto the full walk set, and both
     composites are identities.
     """
-    if max_semilength < 0:
-        raise ValueError(f"semilength must be >= 0, got {max_semilength}")
-    check_cap(cap)
-    if max_semilength > cap:
-        raise ResourceLimit(max_semilength, cap)
+    check_semilength(max_semilength, cap)
     rows = []
     for m in range(max_semilength + 1):
         paths = enumerate_paths(m, PARITY_QUAD, cap=cap)

@@ -46,7 +46,10 @@ def _params_arg(text: str) -> dict[str, int]:
         name, sep, value = piece.partition("=")
         if not sep or not value.lstrip("-").isdigit():
             raise argparse.ArgumentTypeError(f"bad parameter {piece!r}, want NAME=INT")
-        out[name.strip()] = int(value)
+        name = name.strip()
+        if name in out:
+            raise argparse.ArgumentTypeError(f"parameter {name!r} given twice")
+        out[name] = int(value)
     return out
 
 
@@ -136,7 +139,7 @@ def _cmd_series(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     instance = _build_instance(args, parser)
     report = verify_family(instance, max_len=args.max_len, n_max=args.n_max,
-                           order=args.order, cap=args.cap)
+                           cap=args.cap)
     failing = [c for c in report.checks if not c.passed]
     payload = {"command": "verify", "family": instance.family,
                "params": {k: str(v) for k, v in instance.params.items()},
@@ -230,7 +233,6 @@ def _make_parser() -> argparse.ArgumentParser:
                    help="word-check length bound")
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
                    help="count-check semilength bound")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="brute-force and enumeration cap on the semilength")
 

@@ -144,7 +144,7 @@ def _f6(A: int, B: int) -> FamilyInstance:
     lhs = (_P, seq(rep(U, B), rep(seq(D, _P), B)))
     rhs = tuple(seq(rep(U, k), rep(seq(D, _P), k)) for k in range(A))
     rhs = rhs + (seq(rep(U, A), rep(seq(_P, D), A), _P),)
-    eq = GrammaticalEquation(lhs, rhs, ("P",))
+    eq = GrammaticalEquation(lhs, rhs)
     stated = Poly.zero()
     for k in range(A):
         stated = stated + _zP(k, k)
@@ -187,7 +187,7 @@ def _f8(A: int, B: int) -> FamilyInstance:
     for k in range(1, A):
         rhs = rhs + (seq(rep(seq(U, _P), k - 1), U, rep(D, k), _P),)
     rhs = rhs + (seq(rep(seq(U, _P), A), rep(D, A), _P),)
-    eq = GrammaticalEquation(lhs, rhs, ("P",))
+    eq = GrammaticalEquation(lhs, rhs)
     stated = Poly.const(1)
     for k in range(1, A):
         stated = stated + _zP(k, k)
@@ -202,7 +202,7 @@ def _f9(r: int) -> FamilyInstance:
         raise BadParams("F9", {"r": r}, "r >= 1")
     lhs = (_P, seq(U, D, _P))
     rhs = (EPSILON, seq(rep(U, r + 1), rep(D, r + 1), _P), seq(U, _P, D, _P))
-    eq = GrammaticalEquation(lhs, rhs, ("P",))
+    eq = GrammaticalEquation(lhs, rhs)
     stated = (Poly.const(1) + _zP(r + 1, 1) + _zP(1, 2)) - _zP(1, 1)
     short = IntSet((Range(1, r),))
     quad = RestrictionQuad(up_runs=short, down_runs=short)
@@ -219,7 +219,7 @@ def _f10(m: int, n: int) -> FamilyInstance:
     else:
         long_alt = seq(rep(seq(U, _P), n - m), rep(U, m + 1), rep(D, n + 1), _P)
     rhs = (EPSILON, seq(U, _P, D, _P), long_alt)
-    eq = GrammaticalEquation(lhs, rhs, ("P",))
+    eq = GrammaticalEquation(lhs, rhs)
     quad = RestrictionQuad(up_runs=IntSet((Range(1, m),)),
                            down_runs=IntSet((Range(1, n),)))
     return FamilyInstance("F10", {"m": m, "n": n}, quad, eq)
@@ -231,7 +231,7 @@ def _f11(r: int, k: int) -> FamilyInstance:
     lhs = (_P, seq(U, D, _P), seq(rep(U, r + 1), rep(D, k), rep(seq(D, _P), r + 1 - k)))
     rhs = (EPSILON, seq(U, _P, D, _P), seq(rep(U, r + 1), rep(D, r + 1), _P),
            seq(rep(U, r + 1), rep(seq(D, _P), r + 1)))
-    eq = GrammaticalEquation(lhs, rhs, ("P",))
+    eq = GrammaticalEquation(lhs, rhs)
     down = IntSet((Range(k + 1, r),)) if k < r else IntSet.empty()
     quad = RestrictionQuad(up_runs=IntSet((Range(1, r),)), down_runs=down)
     return FamilyInstance("F11", {"r": r, "k": k}, quad, eq)

@@ -9,8 +9,10 @@ nonterminal is interpreted not through rewrite rules but as the language
 of an externally supplied restriction quad.
 
 Lowering sends a grammar (or equation) to a polynomial fixed-point
-system: U contributes a factor z, D contributes 1, union becomes sum and
-concatenation product, so z tracks the semilength of balanced words.
+system.  Each expression is one monomial, read off its flattened tokens:
+z to the number of its U letters times its nonterminals (D contributes
+1), and a union is the sum of its monomials, so z tracks the semilength
+of balanced words.
 """
 
 from __future__ import annotations
@@ -109,10 +111,6 @@ def render(expr: GExpr) -> str:
 class Grammar:
     rules: dict[str, tuple[GExpr, ...]]
 
-    @property
-    def nonterminals(self) -> tuple[str, ...]:
-        return tuple(self.rules)
-
     def to_text(self) -> str:
         lines = []
         for name, alts in self.rules.items():
@@ -127,7 +125,6 @@ class GrammaticalEquation:
 
     lhs: tuple[GExpr, ...]
     rhs: tuple[GExpr, ...]
-    nonterminals: tuple[str, ...]
 
     def to_text(self) -> str:
         def side(exprs):
@@ -328,35 +325,32 @@ def check_equation(eq: GrammaticalEquation,
 
 # --- lowering to series systems -----------------------------------------
 
-def _poly(expr: GExpr) -> Poly:
-    if isinstance(expr, Epsilon):
-        return Poly.const(1)
-    if isinstance(expr, Term):
-        return Poly.z() if expr.letter == "U" else Poly.const(1)
-    if isinstance(expr, NonTerm):
-        return Poly.var(expr.name)
-    if isinstance(expr, Power):
-        return _poly(expr.base) ** expr.exponent
-    out = Poly.const(1)
-    for p in expr.parts:
-        out = out * _poly(p)
-    return out
-
-
-def _require_balanced(expr: GExpr) -> None:
-    if sum(t.count("U") - t.count("D") for t in _flatten(expr) if type(t) is str):
-        raise UnbalancedGrammar(f"expression {render(expr)!r} is not balanced")
+def _monomials(exprs: tuple[GExpr, ...]) -> Poly:
+    """Sum of the expressions' monomials, read off their tokens: z^(U
+    letters) times the nonterminals.  Raises UnbalancedGrammar unless each
+    expression has as many U as D letters."""
+    counts: dict = {}
+    for expr in exprs:
+        zdeg = rise = 0
+        names: dict[str, int] = {}
+        for t in _flatten(expr):
+            if type(t) is str:
+                ups = t.count("U")
+                zdeg += ups
+                rise += 2 * ups - len(t)
+            else:
+                names[t[0]] = names.get(t[0], 0) + 1
+        if rise:
+            raise UnbalancedGrammar(f"expression {render(expr)!r} is not balanced")
+        key = (zdeg, tuple(sorted(names.items())))
+        counts[key] = counts.get(key, 0) + 1
+    return Poly(tuple(sorted((z, v, c) for (z, v), c in counts.items())))
 
 
 def equation_sides(eq: GrammaticalEquation) -> tuple[Poly, Poly]:
-    """Both sides as polynomials, before any rearrangement."""
-    lhs = Poly.zero()
-    for e in eq.lhs:
-        lhs = lhs + _poly(e)
-    rhs = Poly.zero()
-    for e in eq.rhs:
-        rhs = rhs + _poly(e)
-    return lhs, rhs
+    """Both sides as polynomials, before any rearrangement.  An unbalanced
+    expression raises UnbalancedGrammar."""
+    return _monomials(eq.lhs), _monomials(eq.rhs)
 
 
 def lower(body: Grammar | GrammaticalEquation) -> SeriesSystem:
@@ -372,17 +366,9 @@ def lower(body: Grammar | GrammaticalEquation) -> SeriesSystem:
     ValueError here.
     """
     if isinstance(body, Grammar):
-        equations = {}
-        for name, alts in body.rules.items():
-            phi = Poly.zero()
-            for alt in alts:
-                _require_balanced(alt)
-                phi = phi + _poly(alt)
-            equations[name] = phi
-        system = SeriesSystem(body.nonterminals, equations)
+        equations = {name: _monomials(alts) for name, alts in body.rules.items()}
+        system = SeriesSystem(tuple(body.rules), equations)
     else:
-        for e in body.lhs + body.rhs:
-            _require_balanced(e)
         lhs, rhs = equation_sides(body)
         bare = [(vars_[0][0], coeff) for zdeg, vars_, coeff in lhs.terms
                 if zdeg == 0 and len(vars_) == 1 and vars_[0][1] == 1]

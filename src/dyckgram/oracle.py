@@ -58,7 +58,7 @@ def check_cap(cap: int) -> None:
         raise ValueError(f"cap must be >= 0, got {cap}")
 
 
-def _check_semilength(n: int, cap: int) -> None:
+def check_semilength(n: int, cap: int) -> None:
     check_cap(cap)
     if n < 0:
         raise ValueError(f"semilength must be >= 0, got {n}")
@@ -124,7 +124,7 @@ def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
     first half joined, in order, to its state's suffixes is already in
     lexicographic order.
     """
-    _check_semilength(n, cap)
+    check_semilength(n, cap)
     tables = avoid_tables(quad, n)
     steps = 2 * n
 
@@ -160,7 +160,7 @@ def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
 
 def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
                 cap: int = DEFAULT_ENUMERATION_CAP) -> CountTable:
-    _check_semilength(n_max, cap)
+    check_semilength(n_max, cap)
     tables = avoid_tables(quad, n_max)
     entries = {n: _scan(n, tables) for n in range(n_max + 1)}
     return CountTable(entries)

@@ -17,7 +17,7 @@ from .grammar import Grammar, ambiguity, check_equation, lower, words
 from .oracle import (DEFAULT_ENUMERATION_CAP, check_cap, count_brute, count_dp,
                      language)
 from .sequences import reference
-from .series import DEFAULT_ORDER, solve
+from .series import solve
 
 DEFAULT_MAX_LEN = 20
 DEFAULT_N_MAX = 10
@@ -82,12 +82,9 @@ def count_comparison(n_max, quad, methods=("brute", "dp"),
 def verify_family(instance: FamilyInstance,
                   max_len: int = DEFAULT_MAX_LEN,
                   n_max: int = DEFAULT_N_MAX,
-                  order: int = DEFAULT_ORDER,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> FamilyReport:
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     # the word checks enumerate the oracle language up to semilength
     # max_len // 2 under the same cap that bounds brute force
     check_cap(cap)
@@ -104,8 +101,7 @@ def verify_family(instance: FamilyInstance,
         checks.append(CheckOutcome("lowering matches stated system", ok,
                                    "" if ok else f"derived {system}"))
 
-    order = max(order, n_max + 1)
-    solution = solve(system, order)[instance.start].require_counts()
+    solution = solve(system, n_max + 1)[instance.start].require_counts()
     gf_counts = tuple(solution.coefficient(n) for n in range(n_max + 1))
 
     # beyond the brute-force cap the DP and the series still check each other

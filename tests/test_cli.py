@@ -131,6 +131,17 @@ def test_series_bad_params_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_repeated_param_name_exits_2(capsys):
+    # a repeated name must not let its last value win silently
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--family", "F5", "--param", "A=2,B=1,A=3",
+                  "--n-max", "3", "--max-len", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter 'A' given twice" in captured.err
+
+
 def test_verify_family_passes(capsys):
     code, payload, _ = run_json(capsys, "verify", "--family", "F9",
                                 "--param", "r=1", "--max-len", "12",
@@ -215,9 +226,8 @@ def test_verify_negative_cap_exits_2(capsys):
     assert "cap must be >= 0" in err
 
 
-def test_verify_order_below_1_exits_2(capsys):
-    code, out, err = run(capsys, "verify", "--family", "F1", "--order", "-3",
-                         "--n-max", "3", "--max-len", "4")
+def test_series_order_below_1_exits_2(capsys):
+    code, out, err = run(capsys, "series", "--family", "F3", "--order", "0")
     assert code == 2
     assert out == ""
     assert "order must be >= 1" in err

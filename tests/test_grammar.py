@@ -1,5 +1,7 @@
 from collections import Counter
 from functools import lru_cache
+from itertools import islice, product
+from time import perf_counter
 
 import pytest
 
@@ -12,7 +14,7 @@ from dyckgram.grammar import (D, EPSILON, Concat, Epsilon, EquationReport,
                               render, rep, seq, words)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import ResourceLimit, language
-from dyckgram.series import Poly, solve
+from dyckgram.series import Poly, SeriesSystem, solve
 
 P = NonTerm("P")
 
@@ -79,7 +81,7 @@ def test_check_equation_cap():
 
 def test_negative_max_len_is_rejected():
     # at max_len = -1 nothing is expanded, so a false equation would pass
-    false_eq = GrammaticalEquation((P,), (EPSILON,), ("P",))
+    false_eq = GrammaticalEquation((P,), (EPSILON,))
     with pytest.raises(ValueError, match="max_len"):
         words(CATALAN, "P", -1)
     with pytest.raises(ValueError, match="max_len"):
@@ -117,7 +119,7 @@ def test_concatenation_multiplicity():
     S = NonTerm("S")
     g = Grammar({"T": (seq(S, S, S),), "S": (EPSILON, seq(U, D))})
     assert words(g, "T", 8).counts == {"": 1, "UD": 3, "UDUD": 3, "UDUDUD": 1}
-    eq = GrammaticalEquation(lhs=(seq(P, P),), rhs=(P,), nonterminals=("P",))
+    eq = GrammaticalEquation(lhs=(seq(P, P),), rhs=(P,))
     report = check_equation(eq, {"P": UNRESTRICTED}, max_len=6)
     assert (report.witness, report.lhs_multiplicity, report.rhs_multiplicity) == \
         ("UD", 2, 1)
@@ -133,14 +135,13 @@ def test_check_unambiguous():
 
 
 def test_check_equation_passes():
-    eq = GrammaticalEquation(lhs=(P,), rhs=(EPSILON, seq(U, P, D, P)),
-                             nonterminals=("P",))
+    eq = GrammaticalEquation(lhs=(P,), rhs=(EPSILON, seq(U, P, D, P)))
     report = check_equation(eq, {"P": UNRESTRICTED}, max_len=12)
     assert report.passed
 
 
 def test_check_equation_finds_witness():
-    eq = GrammaticalEquation(lhs=(P,), rhs=(EPSILON,), nonterminals=("P",))
+    eq = GrammaticalEquation(lhs=(P,), rhs=(EPSILON,))
     report = check_equation(eq, {"P": UNRESTRICTED}, max_len=6)
     assert not report.passed
     assert report.witness == "UD"
@@ -148,8 +149,7 @@ def test_check_equation_finds_witness():
 
 
 def test_equation_to_text():
-    eq = GrammaticalEquation(lhs=(P, seq(U, D, P)), rhs=(EPSILON,),
-                             nonterminals=("P",))
+    eq = GrammaticalEquation(lhs=(P, seq(U, D, P)), rhs=(EPSILON,))
     assert eq.to_text() == "P | U D P  =  eps"
 
 
@@ -185,8 +185,7 @@ def test_lower_rejects_unguarded_recursion():
 
 def test_equation_sides():
     eq = GrammaticalEquation(lhs=(P, seq(U, D, P)),
-                             rhs=(EPSILON, seq(U, P, D, P)),
-                             nonterminals=("P",))
+                             rhs=(EPSILON, seq(U, P, D, P)))
     lhs, rhs = equation_sides(eq)
     assert str(lhs) == "P + z*P"
     assert str(rhs) == "1 + z*P^2"
@@ -196,8 +195,7 @@ def test_lower_equation_isolates_subject():
     # P + z P = 1 + z^2 P + z P^2 counts runs avoiding length 1
     eq = GrammaticalEquation(
         lhs=(P, seq(U, D, P)),
-        rhs=(EPSILON, seq(U, rep(seq(U, D), 0), U, D, D, P), seq(U, P, D, P)),
-        nonterminals=("P",))
+        rhs=(EPSILON, seq(U, rep(seq(U, D), 0), U, D, D, P), seq(U, P, D, P)))
     system = lower(eq)
     assert system.unknowns == ("P",)
     assert str(system.equations["P"]) == "1 - z*P + z*P^2 + z^2*P"
@@ -205,17 +203,16 @@ def test_lower_equation_isolates_subject():
 
 
 def test_lower_equation_rejects_unbalanced_expression():
-    eq = GrammaticalEquation(lhs=(P,), rhs=(seq(U, P),), nonterminals=("P",))
+    eq = GrammaticalEquation(lhs=(P,), rhs=(seq(U, P),))
     with pytest.raises(UnbalancedGrammar):
         lower(eq)
 
 
 def test_lower_equation_needs_one_bare_unknown():
-    eq = GrammaticalEquation(lhs=(P, P), rhs=(EPSILON,), nonterminals=("P",))
+    eq = GrammaticalEquation(lhs=(P, P), rhs=(EPSILON,))
     with pytest.raises(ValueError, match="bare unknown"):
         lower(eq)
-    eq2 = GrammaticalEquation(lhs=(seq(U, D, P),), rhs=(EPSILON,),
-                              nonterminals=("P",))
+    eq2 = GrammaticalEquation(lhs=(seq(U, D, P),), rhs=(EPSILON,))
     with pytest.raises(ValueError, match="bare unknown"):
         lower(eq2)
 
@@ -305,7 +302,7 @@ def test_equation_reports_match_reference_expander(inst):
     cases += [(eq.lhs + (e,), eq.rhs) for e in eq.lhs]
     reports = []
     for lhs, rhs in cases:
-        got = check_equation(GrammaticalEquation(lhs, rhs, eq.nonterminals),
+        got = check_equation(GrammaticalEquation(lhs, rhs),
                              languages, REFERENCE_MAX_LEN)
         assert got == _reference_report(side(lhs), side(rhs)), (lhs, rhs)
         reports.append(got)
@@ -313,3 +310,97 @@ def test_equation_reports_match_reference_expander(inst):
     # doubling the bare P derives the empty word twice on the left
     doubled = reports[1 + len(eq.rhs)]
     assert (doubled.witness, doubled.lhs_multiplicity) == ("", 2)
+
+
+# --- differential check of lowering against the expression tree ----------
+
+Q = NonTerm("Q")
+R = NonTerm("R")
+
+
+def _tree_poly(expr):
+    """An expression's polynomial and its U-minus-D letter count, read
+    straight off the tree with Poly products and powers."""
+    if isinstance(expr, Epsilon):
+        return Poly.const(1), 0
+    if isinstance(expr, Term):
+        return (Poly.z(), 1) if expr.letter == "U" else (Poly.const(1), -1)
+    if isinstance(expr, NonTerm):
+        return Poly.var(expr.name), 0
+    if isinstance(expr, Power):
+        poly, rise = _tree_poly(expr.base)
+        return poly ** expr.exponent, rise * expr.exponent
+    out, rise = Poly.const(1), 0
+    for part in expr.parts:
+        poly, r = _tree_poly(part)
+        out, rise = out * poly, rise + r
+    return out, rise
+
+
+def _tree_sum(exprs):
+    total = Poly.zero()
+    for e in exprs:
+        poly, rise = _tree_poly(e)
+        if rise:
+            raise UnbalancedGrammar(f"expression {render(e)!r} is not balanced")
+        total = total + poly
+    return total
+
+
+def _tree_lower(body, subject="P"):
+    if isinstance(body, Grammar):
+        return SeriesSystem(tuple(body.rules),
+                            {name: _tree_sum(alts) for name, alts in body.rules.items()})
+    phi = _tree_sum(body.rhs) - (_tree_sum(body.lhs) - Poly.var(subject))
+    return SeriesSystem((subject,), {subject: phi})
+
+
+EDGE_BODIES = {
+    "zero power": Grammar({"P": (EPSILON, seq(U, rep(Q, 0), P, D, P))}),
+    "nested power": Grammar({"P": (EPSILON, rep(seq(U, P, D), 3), seq(U, D, P))}),
+    "squared nonterminal": Grammar({"P": (EPSILON, seq(U, D, rep(P, 2)), seq(U, P, D, P))}),
+    "repeated alternative": Grammar({"P": (EPSILON, seq(U, P, D, P), seq(U, P, D, P))}),
+    "epsilon-only rule": Grammar({"P": (EPSILON, seq(U, Q, D, P)), "Q": (EPSILON,)}),
+    "equation with powers": GrammaticalEquation(
+        lhs=(P, seq(U, D, P)),
+        rhs=(EPSILON, rep(seq(U, P, D), 3), seq(rep(U, 0), U, rep(P, 2), D))),
+}
+LOWERING_CASES = {**{str(i): (i.body, i.start) for i in POOL},
+                  **{name: (body, "P") for name, body in EDGE_BODIES.items()}}
+
+
+@pytest.mark.parametrize("case", LOWERING_CASES)
+def test_lowering_matches_the_expression_tree(case):
+    body, start = LOWERING_CASES[case]
+    system, expect = lower(body), _tree_lower(body, start)
+    assert system == expect
+    assert str(system) == str(expect)
+    if not isinstance(body, Grammar):
+        assert equation_sides(body) == (_tree_sum(body.lhs), _tree_sum(body.rhs))
+
+
+@pytest.mark.parametrize("body", [
+    Grammar({"P": (EPSILON, seq(U, P, D, P), seq(rep(seq(U, P), 2), D, P))}),
+    GrammaticalEquation(lhs=(P, seq(U, D, P)), rhs=(EPSILON, seq(rep(U, 3), D, D, P))),
+], ids=("grammar", "equation"))
+def test_unbalanced_expression_message_matches_the_expression_tree(body):
+    with pytest.raises(UnbalancedGrammar) as expect:
+        _tree_lower(body)
+    with pytest.raises(UnbalancedGrammar) as got:
+        lower(body)
+    assert str(got.value) == str(expect.value)
+    assert "not balanced" in str(got.value)
+
+
+def test_lowering_is_linear_in_alternatives():
+    # 16,000 distinct monomials z P^a Q^b R^c in one rule: summing them
+    # one Poly at a time, re-sorting every term so far, is quadratic
+    alts = tuple(seq(U, rep(P, a), D, rep(Q, b), rep(R, c))
+                 for a, b, c in islice(product(range(26), repeat=3), 16_000))
+    g = Grammar({"P": alts, "Q": (EPSILON,), "R": (EPSILON,)})
+    t0 = perf_counter()
+    system = lower(g)
+    elapsed = perf_counter() - t0
+    assert len(system.equations["P"].terms) == 16_000
+    assert {c for _, _, c in system.equations["P"].terms} == {1}
+    assert elapsed < 5, f"lowering 16,000 alternatives took {elapsed:.1f} s"
