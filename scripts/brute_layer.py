@@ -4,8 +4,8 @@
 
 The sets: 24 seeded census-style quads (every avoid-set holds one or two
 atoms, as in the benchmark's ``census`` workload) at n <= 12, the quads
-of the 81 verify-pool instances (``word_layer.pool``: F1-F3 and
-acceptance criteria 05 and 06) at n <= 10, and the unrestricted quad at
+of the 81 verify-pool instances (``tests/conftest.verify_pool()``: F1-F3
+and acceptance criteria 05 and 06) at n <= 10, and the unrestricted quad at
 n <= 14.  dyckgram is imported from PYTHONPATH, so pointing it at
 another checkout's ``src`` times that checkout with the same script.  Prints one JSON object: for
 each set, the best of three wall times in seconds and a digest of every
@@ -19,12 +19,15 @@ import hashlib
 import json
 import platform
 import random
+import sys
 import time
+from pathlib import Path
 
-from dyckgram import oracle
-from dyckgram.intsets import RestrictionQuad
-from dyckgram.oracle import count_brute
-from word_layer import pool
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import verify_pool  # noqa: E402
+from dyckgram import oracle  # noqa: E402
+from dyckgram.intsets import RestrictionQuad  # noqa: E402
+from dyckgram.oracle import count_brute  # noqa: E402
 
 REPEATS = 3
 CENSUS_SEED = 9129
@@ -71,7 +74,7 @@ def brute_work(quads, n_max: int) -> dict:
 
 
 def main() -> None:
-    sets = (("census", census_quads(), 12), ("pool", [inst.quad for inst in pool()], 10),
+    sets = (("census", census_quads(), 12), ("pool", [inst.quad for inst in verify_pool()], 10),
             ("unrestricted", [RestrictionQuad()], 14))
     rows = []
     for name, quads, n_max in sets:

@@ -1,4 +1,6 @@
-"""Time the run-state DP (``oracle.count_dp``) alone at n = 200 and 400.
+"""Time the run-state DP (``oracle.count_dp``) alone: on the 8 instances
+of the benchmark's ``deep`` workload at n = 64, and on three quads at
+n = 200 and 400.
 
     PYTHONPATH=src python3 scripts/dp_layer.py
 
@@ -14,9 +16,14 @@ import json
 import platform
 import time
 
-from dyckgram.oracle import count_dp
+from dyckgram.families import build
 from dyckgram.intsets import RestrictionQuad
+from dyckgram.oracle import count_dp
 
+DEEP = (build("F1"), build("F2"), build("F3"), build("F5", A=4, B=2),
+        build("F6", A=2, B=4), build("F7", A=4, B=2), build("F8", A=3, B=5),
+        build("F9", r=1))
+DEEP_N = 64
 QUADS = (RestrictionQuad.parse(),
          RestrictionQuad.parse(up_runs="ap(4,2)"),
          RestrictionQuad.parse(peaks="ap(2,3)", down_runs="ap(3,5)"))
@@ -24,18 +31,20 @@ SEMILENGTHS = (200, 400)
 REPEATS = 3
 
 
+def _row(quad: RestrictionQuad, n: int) -> dict:
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        counts = count_dp(n, quad).sequence()
+        best = min(best, time.perf_counter() - t0)
+    digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
+    return {"quad": str(quad), "n": n, "best_s": round(best, 4),
+            "counts_sha256": digest[:16]}
+
+
 def main() -> None:
-    rows = []
-    for quad in QUADS:
-        for n in SEMILENGTHS:
-            best = float("inf")
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                counts = count_dp(n, quad).sequence()
-                best = min(best, time.perf_counter() - t0)
-            digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
-            rows.append({"quad": str(quad), "n": n, "best_s": round(best, 4),
-                         "counts_sha256": digest[:16]})
+    rows = [{"instance": str(inst), **_row(inst.quad, DEEP_N)} for inst in DEEP]
+    rows += [_row(quad, n) for quad in QUADS for n in SEMILENGTHS]
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
                       "rows": rows}, indent=1))
 

@@ -3,9 +3,9 @@ synthetic one-rule grammars with 1,000, 4,000 and 16,000 alternatives.
 
     PYTHONPATH=src python3 scripts/lower_layer.py
 
-The pool is F1-F3 plus the 48 run-progression instances of acceptance
-criterion 05 and the 30 short-run instances of criterion 06: 15 grammars
-and 66 equations.  Alternative i of a synthetic rule is U P^a D Q^b R^c,
+The pool is ``tests/conftest.verify_pool()``: F1-F3 plus the 48
+run-progression instances of acceptance criterion 05 and the 30 short-run
+instances of criterion 06, 15 grammars and 66 equations.  Alternative i of a synthetic rule is U P^a D Q^b R^c,
 (a, b, c) being the i-th triple of range(26)^3, so every alternative is a
 distinct monomial z P^a Q^b R^c.  dyckgram is imported from PYTHONPATH,
 so pointing it at another checkout's ``src`` times that checkout with the
@@ -17,25 +17,17 @@ can be compared for equal systems as well as for speed.
 import hashlib
 import json
 import platform
+import sys
 import time
 from itertools import islice, product
+from pathlib import Path
 
-from dyckgram.families import build
-from dyckgram.grammar import EPSILON, D, Grammar, NonTerm, U, lower, rep, seq
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import verify_pool  # noqa: E402
+from dyckgram.grammar import EPSILON, D, Grammar, NonTerm, U, lower, rep, seq  # noqa: E402
 
 REPEATS = 3
 SYNTHETIC_SIZES = (1_000, 4_000, 16_000)
-
-
-def pool():
-    out = [build("F1"), build("F2"), build("F3")]
-    for a in range(1, 5):
-        out += [build(f, A=a, B=b) for b in range(1, a) for f in ("F5", "F7")]
-        out += [build(f, A=a, B=b) for b in range(a, 7) for f in ("F6", "F8")]
-    out += [build("F9", r=r) for r in range(1, 5)]
-    out += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
-    out += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
-    return out
 
 
 def synthetic(size: int) -> Grammar:
@@ -46,7 +38,7 @@ def synthetic(size: int) -> Grammar:
 
 
 def main() -> None:
-    sets = [("pool", [inst.body for inst in pool()])]
+    sets = [("pool", [inst.body for inst in verify_pool()])]
     sets += [(f"one rule, {size} alternatives", [synthetic(size)])
              for size in SYNTHETIC_SIZES]
     rows = []

@@ -3,9 +3,9 @@ over the 81 verify-pool instances at max_len = 20.
 
     PYTHONPATH=src python3 scripts/word_layer.py
 
-The pool is F1-F3 plus the 48 run-progression instances of acceptance
-criterion 05 and the 30 short-run instances of criterion 06: 15 grammars
-and 66 equations.  dyckgram is imported from PYTHONPATH, so pointing it
+The pool is ``tests/conftest.verify_pool()``: F1-F3 plus the 48
+run-progression instances of acceptance criterion 05 and the 30 short-run
+instances of criterion 06, 15 grammars and 66 equations.  dyckgram is imported from PYTHONPATH, so pointing it
 at another checkout's ``src`` times that checkout with the same script.
 Prints one JSON object: for each entry point, the best of three wall
 times over its instances and a digest of every word multiset or equation
@@ -16,24 +16,16 @@ as for speed.
 import hashlib
 import json
 import platform
+import sys
 import time
+from pathlib import Path
 
-from dyckgram.families import build
-from dyckgram.grammar import Grammar, check_equation, words
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import verify_pool  # noqa: E402
+from dyckgram.grammar import Grammar, check_equation, words  # noqa: E402
 
 MAX_LEN = 20
 REPEATS = 3
-
-
-def pool():
-    out = [build("F1"), build("F2"), build("F3")]
-    for a in range(1, 5):
-        out += [build(f, A=a, B=b) for b in range(1, a) for f in ("F5", "F7")]
-        out += [build(f, A=a, B=b) for b in range(a, 7) for f in ("F6", "F8")]
-    out += [build("F9", r=r) for r in range(1, 5)]
-    out += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
-    out += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
-    return out
 
 
 def _words(inst):
@@ -47,7 +39,7 @@ def _equation(inst):
 
 
 def main() -> None:
-    instances = pool()
+    instances = verify_pool()
     grammars = [i for i in instances if isinstance(i.body, Grammar)]
     equations = [i for i in instances if not isinstance(i.body, Grammar)]
     rows = []

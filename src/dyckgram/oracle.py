@@ -16,9 +16,15 @@ Three methods; the two counters are deliberately independent:
   the final pending down-run is checked when the path closes.  A run's
   class is its length up to the horizon (T, p) of its avoid-set and its
   residue mod p above it, so the states per height stay bounded however
-  long the runs grow (the transfer-matrix view).  One left-to-right
-  sweep over 2*n_max steps reads off every semilength n as the closing
-  states at height 0 after step 2n.
+  long the runs grow (the transfer-matrix view).  Each (run direction,
+  run class) is one Python int whose W-bit slot h counts the prefixes
+  at height h, W = 2*n_max + 1: a slot counts distinct prefixes of at
+  most 2*n_max - 1 steps, so it never carries into the next.  A step is
+  a few shifts and masks per class: a run that goes on shifts its int
+  up or down one slot, and a peak or valley masks off the avoided
+  heights of the runs it ends.  One left-to-right sweep over 2*n_max
+  steps reads off every semilength n as slot 0 of the closing down-runs
+  after step 2n.
 
 Counts are exact Python integers throughout.  Brute force and enumeration
 are guarded by an enumeration cap on the semilength; the DP has no cap.
@@ -192,34 +198,40 @@ def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
     up_nxt = _run_successors(quad.up_runs, n_max)
     down_nxt = _run_successors(quad.down_runs, n_max)
     total_steps = 2 * n_max
+    # ups[r] / downs[r]: W-bit slot h counts the prefixes at height h in an
+    # up / down run of class r; a slot never carries (module docstring)
+    w = 2 * n_max + 1
+    slot = (1 << w) - 1
+    not_peak = sum(slot << w * h for h in range(n_max + 1) if not peak_t[h])
+    not_valley = sum(slot << w * h for h in range(n_max + 1) if not valley_t[h])
     entries = {0: 1}
-    # state after i steps: (height, run direction as +1/-1, run class);
-    # a state at height 0 is a complete path that may still carry on, as
-    # valleys at height 0 are never avoided
-    states: dict[tuple[int, int, int], int] = {(1, 1, 1): 1}
+    ups, downs = [0] * len(up_nxt), [0] * len(down_nxt)
+    ups[1] = 1 << w  # one step: height 1, an up-run of class 1
+    # a down slot at height 0 is a complete path that may still carry on,
+    # as valleys at height 0 are never avoided
     for i in range(1, total_steps):
-        new: dict[tuple[int, int, int], int] = {}
-        for (h, d, r), c in states.items():
-            # step up
-            h2 = h + 1
-            if h2 <= total_steps - i - 1:  # must still be able to return to 0
-                if d == 1:
-                    key = (h2, 1, up_nxt[r])
-                    new[key] = new.get(key, 0) + c
-                elif not (down_t[r] or valley_t[h]):
-                    key = (h2, 1, 1)
-                    new[key] = new.get(key, 0) + c
-            # step down
-            if h > 0:
-                h2 = h - 1
-                if d == -1:
-                    key = (h2, -1, down_nxt[r])
-                    new[key] = new.get(key, 0) + c
-                elif not (up_t[r] or peak_t[h]):
-                    key = (h2, -1, 1)
-                    new[key] = new.get(key, 0) + c
-        states = new
+        # step i + 1 may end no higher than it can still return to 0 from
+        room = (1 << w * (min(total_steps - i - 1, n_max) + 1)) - 1
+        new_ups, new_downs = [0] * len(ups), [0] * len(downs)
+        peaks = valleys = 0  # the runs whose class may end at this step
+        # a run that cannot go on is skipped before its successor is looked
+        # up, so a cut-short successor list is never read past its end
+        for r, v in enumerate(ups):
+            if v:
+                if u := (v << w) & room:  # the up-run goes on
+                    new_ups[up_nxt[r]] += u
+                if not up_t[r]:
+                    peaks += v
+        for r, v in enumerate(downs):
+            if v:
+                if d := v >> w:  # the down-run goes on; height 0 drops out
+                    new_downs[down_nxt[r]] += d
+                if not down_t[r]:
+                    valleys += v
+        new_downs[1] += (peaks & not_peak) >> w
+        new_ups[1] += ((valleys & not_valley) << w) & room
+        ups, downs = new_ups, new_downs
         if i % 2:  # i + 1 steps taken: read off semilength (i + 1) / 2
-            entries[(i + 1) // 2] = sum(c for (h, d, r), c in states.items()
-                                        if h == 0 and d == -1 and not down_t[r])
+            entries[(i + 1) // 2] = sum(v & slot for r, v in enumerate(downs)
+                                        if not down_t[r])
     return CountTable(entries)

@@ -132,6 +132,68 @@ def test_dp_run_tables_stay_within_the_semilength(monkeypatch):
         assert sizes and max(sizes) <= n + 1, str(quad)
 
 
+# --- differential check against a per-state reference DP ------------------
+
+def _reference_dp(n_max, quad=RestrictionQuad()):
+    """The run-state DP one state at a time: a dict keyed by (height, run
+    direction as +1/-1, run class), updated entry by entry on every step."""
+    peak_t, valley_t, up_t, down_t = avoid_tables(quad, n_max)
+    up_nxt = oracle._run_successors(quad.up_runs, n_max)
+    down_nxt = oracle._run_successors(quad.down_runs, n_max)
+    total_steps = 2 * n_max
+    entries = {0: 1}
+    states = {(1, 1, 1): 1}
+    for i in range(1, total_steps):
+        new = {}
+        for (h, d, r), c in states.items():
+            # step up, if it can still return to 0
+            if h + 1 <= total_steps - i - 1:
+                if d == 1:
+                    key = (h + 1, 1, up_nxt[r])
+                    new[key] = new.get(key, 0) + c
+                elif not (down_t[r] or valley_t[h]):
+                    key = (h + 1, 1, 1)
+                    new[key] = new.get(key, 0) + c
+            # step down
+            if h > 0:
+                if d == -1:
+                    key = (h - 1, -1, down_nxt[r])
+                    new[key] = new.get(key, 0) + c
+                elif not (up_t[r] or peak_t[h]):
+                    key = (h - 1, -1, 1)
+                    new[key] = new.get(key, 0) + c
+        states = new
+        if i % 2:
+            entries[(i + 1) // 2] = sum(c for (h, d, r), c in states.items()
+                                        if h == 0 and d == -1 and not down_t[r])
+    return entries
+
+
+def test_dp_matches_the_per_state_reference():
+    corpus = ([inst.quad for inst in verify_pool()] + CORPUS
+              + sample_quads(20, 9129) + sample_quads(60, 77))
+    for quad in corpus:
+        for n in (0, 1, 2, 7, 20, 64):
+            assert count_dp(n, quad).entries == _reference_dp(n, quad), (str(quad), n)
+
+
+@given(quads, st.integers(0, 12))
+def test_dp_matches_the_per_state_reference_on_drawn_quads(quad, n):
+    assert count_dp(n, quad).entries == _reference_dp(n, quad)
+
+
+def test_dp_edge_cases():
+    assert count_dp(0).entries == {0: 1}
+    assert count_dp(1).entries == {0: 1, 1: 1}
+    # every peak height or every up-run length avoided: only the empty path
+    no_peaks = RestrictionQuad.parse(peaks="1..")
+    assert count_dp(9, no_peaks).sequence() == (1,) + (0,) * 9
+    huge = RestrictionQuad.parse(up_runs="1..1000000000")
+    assert count_dp(3, huge).sequence() == (1, 0, 0, 0)
+    for quad in (no_peaks, huge):
+        assert count_dp(3, quad).entries == _reference_dp(3, quad), str(quad)
+
+
 @given(quads, st.integers(0, 6))
 @settings(max_examples=40)
 def test_counting_respects_mirror_symmetry(quad, n):
