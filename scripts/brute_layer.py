@@ -73,20 +73,22 @@ def brute_work(quads, n_max: int) -> dict:
     return work
 
 
+def _row(name: str, quads, n_max: int) -> dict:
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        results = [(str(q), count_brute(n_max, q)) for q in quads]
+        best = min(best, time.perf_counter() - t0)
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    return {"set": name, "quads": len(quads), "n_max": n_max,
+            "best_s": round(best, 3), "counts_sha256": digest[:16],
+            "work": brute_work(quads, n_max)}
+
+
 def main() -> None:
     sets = (("census", census_quads(), 12), ("pool", [inst.quad for inst in verify_pool()], 10),
             ("unrestricted", [RestrictionQuad()], 14))
-    rows = []
-    for name, quads, n_max in sets:
-        best = float("inf")
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            results = [(str(q), count_brute(n_max, q).sequence()) for q in quads]
-            best = min(best, time.perf_counter() - t0)
-        digest = hashlib.sha256(repr(results).encode()).hexdigest()
-        rows.append({"set": name, "quads": len(quads), "n_max": n_max,
-                     "best_s": round(best, 3), "counts_sha256": digest[:16],
-                     "work": brute_work(quads, n_max)})
+    rows = [_row(name, quads, n_max) for name, quads, n_max in sets]
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
                       "rows": rows}, indent=1))
 

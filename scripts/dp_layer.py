@@ -35,7 +35,7 @@ def _row(quad: RestrictionQuad, n: int) -> dict:
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        counts = count_dp(n, quad).sequence()
+        counts = count_dp(n, quad)
         best = min(best, time.perf_counter() - t0)
     digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
     return {"quad": str(quad), "n": n, "best_s": round(best, 4),

@@ -26,7 +26,7 @@ even indices (walk steps counted from 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .intsets import IntSet, Progression, RestrictionQuad
 from .oracle import DEFAULT_ENUMERATION_CAP, check_semilength, enumerate_paths
@@ -57,12 +57,7 @@ class Walk:
             raise ValueError("walk steps must be +1 or -1")
 
     def heights(self) -> tuple[int, ...]:
-        out = []
-        h = 0
-        for s in self.steps:
-            h += s
-            out.append(h)
-        return tuple(out)
+        return tuple(accumulate(self.steps))
 
     def end(self) -> int:
         return sum(self.steps)

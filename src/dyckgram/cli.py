@@ -44,7 +44,8 @@ def _params_arg(text: str) -> dict[str, int]:
     out = {}
     for piece in text.split(","):
         name, sep, value = piece.partition("=")
-        if not sep or not value.lstrip("-").isdigit():
+        digits = value.removeprefix("-")
+        if not sep or not (digits.isascii() and digits.isdigit()):
             raise argparse.ArgumentTypeError(f"bad parameter {piece!r}, want NAME=INT")
         name = name.strip()
         if name in out:
@@ -146,8 +147,8 @@ def _cmd_verify(args, parser) -> int:
                "max_len": str(args.max_len), "n_max": str(args.n_max),
                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                           for c in report.checks],
-               "counts": {m: [str(c) for c in report.counts.counts[m]]
-                          for m in report.counts.methods},
+               "counts": {m: [str(c) for c in cs]
+                          for m, cs in report.counts.counts.items()},
                "passed": report.passed,
                "witness": None if report.passed else {
                    "check": failing[0].name if failing else "counts",

@@ -72,6 +72,19 @@ def _zP(zdeg: int, pexp: int) -> Poly:
     return Poly.z(zdeg) * (Poly.var("P") ** pexp)
 
 
+def _run_progression_system(A: int, B: int) -> SeriesSystem:
+    """P = sum_{k<A} z^k P^k + z^A P^(A+1) - z^B P^B, stated for F5-F8.
+
+    With B < A the subtracted term cancels the k = B summand, which is
+    F5's and F7's sum over k != B; with B >= A it is F6's and F8's
+    subtraction.  The k = 0 summand is the constant 1.
+    """
+    phi = Poly.zero()
+    for k in range(A):
+        phi = phi + _zP(k, k)
+    return SeriesSystem(("P",), {"P": phi + _zP(A, A + 1) - _zP(B, B)})
+
+
 def _f1() -> FamilyInstance:
     Q = NonTerm("Q")
     g = Grammar({
@@ -128,14 +141,9 @@ def _f5(A: int, B: int) -> FamilyInstance:
             alts.append(seq(rep(U, k), rep(seq(D, _P), k)))
     alts.append(seq(rep(U, A), rep(seq(_P, D), A), _P))
     g = Grammar({"P": tuple(alts)})
-    stated = Poly.zero()
-    for k in range(A):
-        if k != B:
-            stated = stated + _zP(k, k)
-    stated = stated + _zP(A, A + 1)
     quad = RestrictionQuad(up_runs=IntSet((Progression(A, B),)))
     return FamilyInstance("F5", {"A": A, "B": B}, quad, g,
-                          stated_system=SeriesSystem(("P",), {"P": stated}))
+                          stated_system=_run_progression_system(A, B))
 
 
 def _f6(A: int, B: int) -> FamilyInstance:
@@ -145,10 +153,6 @@ def _f6(A: int, B: int) -> FamilyInstance:
     rhs = tuple(seq(rep(U, k), rep(seq(D, _P), k)) for k in range(A))
     rhs = rhs + (seq(rep(U, A), rep(seq(_P, D), A), _P),)
     eq = GrammaticalEquation(lhs, rhs)
-    stated = Poly.zero()
-    for k in range(A):
-        stated = stated + _zP(k, k)
-    stated = stated + _zP(A, A + 1) - _zP(B, B)
     quad = RestrictionQuad(up_runs=IntSet((Progression(A, B),)))
     ref = None
     if A == 1 and B == 3:
@@ -156,7 +160,7 @@ def _f6(A: int, B: int) -> FamilyInstance:
     elif A == 1 and B == 2:
         ref = (SeqId.ALL_ONES, 0)
     return FamilyInstance("F6", {"A": A, "B": B}, quad, eq,
-                          stated_system=SeriesSystem(("P",), {"P": stated}),
+                          stated_system=_run_progression_system(A, B),
                           count_reference=ref)
 
 
@@ -169,14 +173,9 @@ def _f7(A: int, B: int) -> FamilyInstance:
             alts.append(seq(rep(seq(U, _P), k - 1), U, rep(D, k), _P))
     alts.append(seq(rep(seq(U, _P), A), rep(D, A), _P))
     g = Grammar({"P": tuple(alts)})
-    stated = Poly.const(1)
-    for k in range(1, A):
-        if k != B:
-            stated = stated + _zP(k, k)
-    stated = stated + _zP(A, A + 1)
     quad = RestrictionQuad(down_runs=IntSet((Progression(A, B),)))
     return FamilyInstance("F7", {"A": A, "B": B}, quad, g,
-                          stated_system=SeriesSystem(("P",), {"P": stated}))
+                          stated_system=_run_progression_system(A, B))
 
 
 def _f8(A: int, B: int) -> FamilyInstance:
@@ -188,13 +187,9 @@ def _f8(A: int, B: int) -> FamilyInstance:
         rhs = rhs + (seq(rep(seq(U, _P), k - 1), U, rep(D, k), _P),)
     rhs = rhs + (seq(rep(seq(U, _P), A), rep(D, A), _P),)
     eq = GrammaticalEquation(lhs, rhs)
-    stated = Poly.const(1)
-    for k in range(1, A):
-        stated = stated + _zP(k, k)
-    stated = stated + _zP(A, A + 1) - _zP(B, B)
     quad = RestrictionQuad(down_runs=IntSet((Progression(A, B),)))
     return FamilyInstance("F8", {"A": A, "B": B}, quad, eq,
-                          stated_system=SeriesSystem(("P",), {"P": stated}))
+                          stated_system=_run_progression_system(A, B))
 
 
 def _f9(r: int) -> FamilyInstance:
@@ -285,19 +280,8 @@ def downrun_variant_sides(instance: FamilyInstance) -> tuple[Poly, Poly]:
     """
     if instance.family not in ("F7", "F8"):
         raise ValueError(f"no k=0 variant for family {instance.family}")
-    A = instance.params["A"]
-    B = instance.params["B"]
-    if instance.family == "F7":
-        lhs = _pvar()
-        rhs = Poly.const(1)
-        for k in range(A):
-            if k != B:
-                rhs = rhs + _zP(k, k)
-        rhs = rhs + _zP(A, A + 1)
-        return lhs, rhs
-    lhs = _pvar() + _zP(B, B)
-    rhs = Poly.const(1)
-    for k in range(A):
-        rhs = rhs + _zP(k, k)
-    rhs = rhs + _zP(A, A + 1)
-    return lhs, rhs
+    A, B = instance.params["A"], instance.params["B"]
+    phi = _run_progression_system(A, B).equations["P"]
+    # F8's phi subtracts z^B P^B; the variant adds it back on both sides
+    back = _zP(B, B) if B >= A else Poly.zero()
+    return _pvar() + back, Poly.const(1) + phi + back

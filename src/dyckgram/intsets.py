@@ -120,7 +120,7 @@ class IntSet:
 
 def _scan_int(text: str, i: int) -> tuple[int, int]:
     start = i
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and "0" <= text[i] <= "9":  # ASCII digits only
         i += 1
     if i == start:
         raise SetSyntaxError(start, "expected an integer")
@@ -156,7 +156,7 @@ def _parse_atom(text: str, i: int) -> tuple[Atom, int]:
     if text.startswith("..", j):
         j += 2
         k = _skip_ws(text, j)
-        if k < len(text) and text[k].isdigit():
+        if k < len(text) and "0" <= text[k] <= "9":
             hi, j = _scan_int(text, k)
             if hi < 1:
                 raise NonPositiveValue(hi)

@@ -26,13 +26,13 @@ Three methods; the two counters are deliberately independent:
   steps reads off every semilength n as slot 0 of the closing down-runs
   after step 2n.
 
-Counts are exact Python integers throughout.  Brute force and enumeration
-are guarded by an enumeration cap on the semilength; the DP has no cap.
+Both counters return a tuple whose entry n is the count at semilength n,
+for n = 0 .. n_max.  Counts are exact Python integers throughout.  Brute
+force and enumeration are guarded by an enumeration cap on the
+semilength; the DP has no cap.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .intsets import IntSet, RestrictionQuad
 from .paths import _FLIP, DyckPath, accepts, avoid_tables, walk
@@ -47,16 +47,6 @@ class ResourceLimit(RuntimeError):
         super().__init__(f"requested {what} {requested} exceeds cap {cap}")
         self.requested = requested
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class CountTable:
-    entries: dict[int, int]
-
-    def sequence(self, n_max: int | None = None) -> tuple[int, ...]:
-        if n_max is None:
-            n_max = max(self.entries)
-        return tuple(self.entries[n] for n in range(n_max + 1))
 
 
 def check_cap(cap: int) -> None:
@@ -165,11 +155,10 @@ def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
 
 
 def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
-                cap: int = DEFAULT_ENUMERATION_CAP) -> CountTable:
+                cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
     check_semilength(n_max, cap)
     tables = avoid_tables(quad, n_max)
-    entries = {n: _scan(n, tables) for n in range(n_max + 1)}
-    return CountTable(entries)
+    return tuple(_scan(n, tables) for n in range(n_max + 1))
 
 
 def _run_successors(s: IntSet, n_max: int) -> list[int]:
@@ -189,7 +178,7 @@ def _run_successors(s: IntSet, n_max: int) -> list[int]:
     return nxt
 
 
-def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
+def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> tuple[int, ...]:
     if n_max < 0:
         raise ValueError(f"semilength must be >= 0, got {n_max}")
     # a run class c <= n_max is itself a run length, so the run tables
@@ -204,7 +193,7 @@ def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
     slot = (1 << w) - 1
     not_peak = sum(slot << w * h for h in range(n_max + 1) if not peak_t[h])
     not_valley = sum(slot << w * h for h in range(n_max + 1) if not valley_t[h])
-    entries = {0: 1}
+    counts = [1]
     ups, downs = [0] * len(up_nxt), [0] * len(down_nxt)
     ups[1] = 1 << w  # one step: height 1, an up-run of class 1
     # a down slot at height 0 is a complete path that may still carry on,
@@ -232,6 +221,5 @@ def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> CountTable:
         new_ups[1] += ((valleys & not_valley) << w) & room
         ups, downs = new_ups, new_downs
         if i % 2:  # i + 1 steps taken: read off semilength (i + 1) / 2
-            entries[(i + 1) // 2] = sum(v & slot for r, v in enumerate(downs)
-                                        if not down_t[r])
-    return CountTable(entries)
+            counts.append(sum(v & slot for r, v in enumerate(downs) if not down_t[r]))
+    return tuple(counts)

@@ -25,30 +25,17 @@ DEFAULT_N_MAX = 10
 
 @dataclass(frozen=True)
 class CountReport:
-    """Per-semilength counts from several methods, compared pointwise."""
+    """Per-semilength counts from several methods, compared pointwise; the
+    method order is the key order of ``counts``."""
 
-    methods: tuple[str, ...]
     counts: dict[str, tuple[int, ...]]
 
-    @property
-    def n_max(self) -> int:
-        return len(next(iter(self.counts.values()))) - 1
-
     def row(self, n: int) -> tuple[int, ...]:
-        return tuple(self.counts[m][n] for m in self.methods)
-
-    def verdicts(self) -> tuple[bool, ...]:
-        return tuple(len(set(self.row(n))) == 1 for n in range(self.n_max + 1))
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts())
+        return tuple(c[n] for c in self.counts.values())
 
     def first_mismatch(self) -> int | None:
-        for n, ok in enumerate(self.verdicts()):
-            if not ok:
-                return n
-        return None
+        return next((n for n, row in enumerate(zip(*self.counts.values()))
+                     if len(set(row)) > 1), None)
 
 
 @dataclass(frozen=True)
@@ -66,17 +53,15 @@ class FamilyReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks) and self.counts.passed
+        return (all(c.passed for c in self.checks)
+                and self.counts.first_mismatch() is None)
 
 
 def count_comparison(n_max, quad, methods=("brute", "dp"),
                      cap: int = DEFAULT_ENUMERATION_CAP) -> CountReport:
     check_cap(cap)
-    counts = {}
-    for m in methods:
-        table = count_brute(n_max, quad, cap) if m == "brute" else count_dp(n_max, quad)
-        counts[m] = table.sequence(n_max)
-    return CountReport(tuple(methods), counts)
+    return CountReport({m: count_brute(n_max, quad, cap) if m == "brute"
+                        else count_dp(n_max, quad) for m in methods})
 
 
 def verify_family(instance: FamilyInstance,
@@ -107,14 +92,14 @@ def verify_family(instance: FamilyInstance,
     # beyond the brute-force cap the DP and the series still check each other
     oracles = ("brute", "dp") if n_max <= cap else ("dp",)
     counted = count_comparison(n_max, instance.quad, oracles, cap).counts
-    report = CountReport(oracles + ("series",), {**counted, "series": gf_counts})
+    report = CountReport({**counted, "series": gf_counts})
     mismatch = report.first_mismatch()
     notes = [] if mismatch is None else [
         f"first mismatch at n={mismatch}: {report.row(mismatch)}"]
     if "brute" not in oracles:
         notes.append(f"brute force skipped above cap {cap}")
     checks.append(CheckOutcome(
-        f"counts agree ({' = '.join(report.methods)})", mismatch is None,
+        f"counts agree ({' = '.join(report.counts)})", mismatch is None,
         "; ".join(notes)))
 
     if isinstance(instance.body, Grammar):

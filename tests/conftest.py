@@ -59,13 +59,24 @@ def sample_quads(count: int, seed: int) -> list[RestrictionQuad]:
             for _ in range(count)]
 
 
-def verify_pool():
-    """F1-F3 and the instances of acceptance criteria 05 and 06 (81 in all)."""
-    out = [build("F1"), build("F2"), build("F3")]
+def run_progression_sweep():
+    """The 48 F5-F8 instances of acceptance criterion 05."""
+    out = []
     for a in range(1, 5):
         out += [build(f, A=a, B=b) for b in range(1, a) for f in ("F5", "F7")]
         out += [build(f, A=a, B=b) for b in range(a, 7) for f in ("F6", "F8")]
-    out += [build("F9", r=r) for r in range(1, 5)]
+    return out
+
+
+def short_run_sweep():
+    """The 30 F9-F11 instances of acceptance criterion 06."""
+    out = [build("F9", r=r) for r in range(1, 5)]
     out += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
     out += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
     return out
+
+
+def verify_pool():
+    """F1-F3 and the instances of acceptance criteria 05 and 06 (81 in all)."""
+    return ([build("F1"), build("F2"), build("F3")]
+            + run_progression_sweep() + short_run_sweep())

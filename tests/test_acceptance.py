@@ -9,7 +9,7 @@ elapsed time is asserted too.
 import time
 from math import comb
 
-from conftest import sample_quads
+from conftest import run_progression_sweep, sample_quads, short_run_sweep
 
 from dyckgram.bijection import PARITY_QUAD, verify_counts
 from dyckgram.families import (build, downrun_variant_sides, f2_closed_form)
@@ -32,8 +32,8 @@ def _report(num, failures, t0, budget=None):
 def _counts_all_ways(instance, n_max, order=None):
     """(brute, dp, series) count tuples for semilengths 0..n_max."""
     order = order or n_max + 1
-    brute = count_brute(n_max, instance.quad).sequence(n_max)
-    dp = count_dp(n_max, instance.quad).sequence(n_max)
+    brute = count_brute(n_max, instance.quad)
+    dp = count_dp(n_max, instance.quad)
     sol = solve(lower(instance.body), order)[instance.start].require_counts()
     return brute, dp, sol.coeffs[:n_max + 1]
 
@@ -96,8 +96,8 @@ def test_criterion_04_parity_walk_correspondence():
     t0 = time.perf_counter()
     failures = []
     expected = tuple(reference(SeqId.PARITY_BINOM, m) for m in range(13))
-    brute = count_brute(12, PARITY_QUAD).sequence(12)
-    dp = count_dp(12, PARITY_QUAD).sequence(12)
+    brute = count_brute(12, PARITY_QUAD)
+    dp = count_dp(12, PARITY_QUAD)
     if brute != expected:
         failures.append(f"brute counts {brute} != {expected}")
     if dp != expected:
@@ -114,12 +114,7 @@ def test_criterion_04_parity_walk_correspondence():
 def test_criterion_05_run_progression_sweep():
     t0 = time.perf_counter()
     failures = []
-    instances = []
-    for a in range(1, 5):
-        for b in range(1, a):
-            instances += [build("F5", A=a, B=b), build("F7", A=a, B=b)]
-        for b in range(a, 7):
-            instances += [build("F6", A=a, B=b), build("F8", A=a, B=b)]
+    instances = run_progression_sweep()
     if len(instances) != 48:
         failures.append(f"expected 48 instances, built {len(instances)}")
     _sweep(instances, failures)
@@ -129,11 +124,7 @@ def test_criterion_05_run_progression_sweep():
 def test_criterion_06_short_run_sweep():
     t0 = time.perf_counter()
     failures = []
-    instances = [build("F9", r=r) for r in range(1, 5)]
-    instances += [build("F10", m=m, n=n)
-                  for m in range(1, 5) for n in range(1, 5)]
-    instances += [build("F11", r=r, k=k)
-                  for r in range(1, 5) for k in range(1, r + 1)]
+    instances = short_run_sweep()
     if len(instances) != 30:
         failures.append(f"expected 30 instances, built {len(instances)}")
     _sweep(instances, failures)
@@ -145,8 +136,8 @@ def test_criterion_07_unrestricted_baseline():
     failures = []
     expected = tuple(comb(2 * n, n) // (n + 1) for n in range(15))
     quad = RestrictionQuad.parse()
-    brute = count_brute(14, quad).sequence(14)
-    dp = count_dp(14, quad).sequence(14)
+    brute = count_brute(14, quad)
+    dp = count_dp(14, quad)
     P = NonTerm("P")
     grammar = Grammar({"P": (EPSILON, seq(U, P, D, P))})
     series = solve(lower(grammar), 15)["P"].require_counts().coeffs
@@ -173,8 +164,8 @@ def test_criterion_09_run_swap_symmetry():
     t0 = time.perf_counter()
     failures = []
     for quad in sample_quads(20, seed=9129):
-        direct = count_dp(9, quad).sequence(9)
-        swapped = count_dp(9, quad.swapped_runs()).sequence(9)
+        direct = count_dp(9, quad)
+        swapped = count_dp(9, quad.swapped_runs())
         if direct != swapped:
             failures.append(f"{quad}: {direct} != {swapped}")
     _report(9, failures, t0)
@@ -190,7 +181,7 @@ def test_criterion_10_downrun_variant_overcount():
     for inst in instances:
         sol = solve(lower(inst.body), 12)
         series = sol["P"].require_counts()
-        brute = count_brute(8, inst.quad).sequence(8)
+        brute = count_brute(8, inst.quad)
         if series.coeffs[:9] != brute:
             failures.append(f"{inst}: grammar series differs from brute force")
         lhs, rhs = downrun_variant_sides(inst)

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from dyckgram import bijection, cli, verify
-from dyckgram.oracle import CountTable
 
 
 def run(capsys, *argv):
@@ -63,7 +62,7 @@ def test_count_dp_with_a_huge_run_range(capsys):
 def test_count_mismatch_exits_1(capsys, monkeypatch):
     # no real quad disagrees, so fake the dp side to exercise the protocol
     def fake_dp(n_max, quad):
-        return CountTable({n: 0 if n == 2 else 1 for n in range(n_max + 1)})
+        return tuple(0 if n == 2 else 1 for n in range(n_max + 1))
 
     monkeypatch.setattr(verify, "count_dp", fake_dp)
     code, payload, _ = run_json(capsys, "count", "--n-max", "3")
@@ -99,6 +98,17 @@ def test_bad_set_syntax_exits_2(capsys):
         cli.main(["enumerate", "-n", "2", "--peaks", "5..3"])
     assert exc.value.code == 2
     assert "bad set" in capsys.readouterr().err
+
+
+def test_non_ascii_digits_exit_2(capsys):
+    # str.isdigit() accepts '²' and '٣'; the set and parameter grammars take 0-9 only
+    for argv, message in ((["count", "--n-max", "3", "--peaks", "²"], "bad set"),
+                          (["verify", "--family", "F1", "--param", "A=--5"],
+                           "bad parameter")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cap_exceeded_exits_2(capsys):

@@ -10,7 +10,7 @@ from dyckgram.series import TruncatedSeries, solve
 
 
 def counts(instance, n_max=8):
-    return count_dp(n_max, instance.quad).sequence(n_max)
+    return count_dp(n_max, instance.quad)
 
 
 def test_build_dispatch_errors():

@@ -82,6 +82,16 @@ def test_syntax_errors_carry_positions():
         parse_set("3..4 5")
 
 
+def test_only_ascii_digits_are_integers():
+    with pytest.raises(SetSyntaxError) as e:
+        parse_set("²")
+    assert e.value.position == 0
+    with pytest.raises(SetSyntaxError):
+        parse_set("ap(٣,٣)")
+    with pytest.raises(SetSyntaxError):
+        parse_set("2..٣")
+
+
 def test_reversed_range_rejected():
     with pytest.raises(SetSyntaxError) as e:
         parse_set("5..3")

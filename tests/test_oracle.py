@@ -49,41 +49,39 @@ def test_enumerate_applies_restrictions():
 
 def test_unrestricted_counts_are_catalan():
     expected = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
-    assert count_brute(10).sequence() == expected
-    assert count_dp(10).sequence() == expected
+    assert count_brute(10) == expected
+    assert count_dp(10) == expected
 
 
 def test_count_table_shape():
-    table = count_brute(3)
-    assert table.entries == {0: 1, 1: 1, 2: 2, 3: 5}
-    assert table.sequence(2) == (1, 1, 2)
+    assert count_brute(3) == (1, 1, 2, 5)
 
 
 def test_restricted_count_examples():
     doubling = RestrictionQuad.parse(peaks="ap(2,3)", up_runs="3..")
-    assert count_brute(8, doubling).sequence() == (1, 1, 2, 4, 8, 16, 32, 64, 128)
+    assert count_brute(8, doubling) == (1, 1, 2, 4, 8, 16, 32, 64, 128)
     even_up_runs = RestrictionQuad.parse(up_runs="ap(2,1)")
-    assert count_brute(4, even_up_runs).sequence() == (1, 0, 1, 0, 3)
+    assert count_brute(4, even_up_runs) == (1, 0, 1, 0, 3)
     even_down_runs = RestrictionQuad.parse(down_runs="ap(2,1)")
-    assert count_dp(4, even_down_runs).sequence() == (1, 0, 1, 0, 3)
+    assert count_dp(4, even_down_runs) == (1, 0, 1, 0, 3)
 
 
 def test_methods_agree_on_corpus():
     for quad in CORPUS:
-        assert count_brute(9, quad).entries == count_dp(9, quad).entries, str(quad)
+        assert count_brute(9, quad) == count_dp(9, quad), str(quad)
 
 
 def test_methods_agree_deeper_on_a_few_quads():
     for quad in CORPUS[1:3]:
-        assert count_brute(12, quad).entries == count_dp(12, quad).entries, str(quad)
+        assert count_brute(12, quad) == count_dp(12, quad), str(quad)
 
 
 def test_enumeration_matches_counts_and_satisfaction():
     for quad in CORPUS:
         paths = enumerate_paths(7, quad)
         assert all(satisfies(p, quad) for p in paths)
-        assert len(paths) == count_brute(7, quad).entries[7]
-        assert len(paths) == count_dp(7, quad).entries[7]
+        assert len(paths) == count_brute(7, quad)[7]
+        assert len(paths) == count_dp(7, quad)[7]
 
 
 def test_one_sweep_reads_every_semilength_as_a_sweep_to_it_would():
@@ -92,15 +90,15 @@ def test_one_sweep_reads_every_semilength_as_a_sweep_to_it_would():
     for quad in CORPUS:
         long = count_dp(20, quad)
         for k in range(21):
-            assert long.sequence(k) == count_dp(k, quad).sequence(k), (str(quad), k)
+            assert long[:k + 1] == count_dp(k, quad), (str(quad), k)
 
 
 def test_dp_matches_series_beyond_brute_force_reach():
     n = 400
     for inst in (build("F1"), build("F2"), build("F3"), build("F6", A=1, B=3)):
         series = solve(lower(inst.body), n + 1)[inst.start].coeffs
-        assert count_dp(n, inst.quad).sequence() == series, str(inst)
-    assert count_dp(n).sequence() == tuple(comb(2 * k, k) // (k + 1) for k in range(n + 1))
+        assert count_dp(n, inst.quad) == series, str(inst)
+    assert count_dp(n) == tuple(comb(2 * k, k) // (k + 1) for k in range(n + 1))
 
 
 def test_dp_matches_series_where_run_classes_wrap():
@@ -110,7 +108,7 @@ def test_dp_matches_series_where_run_classes_wrap():
     assert len(pool) == 81
     for inst in pool:
         series = solve(lower(inst.body), 61)[inst.start].coeffs
-        assert count_dp(60, inst.quad).sequence() == series, str(inst)
+        assert count_dp(60, inst.quad) == series, str(inst)
 
 
 def test_dp_run_tables_stay_within_the_semilength(monkeypatch):
@@ -128,7 +126,7 @@ def test_dp_run_tables_stay_within_the_semilength(monkeypatch):
     for quad in (RestrictionQuad.parse(up_runs="1..1000000000"),
                  RestrictionQuad.parse(down_runs="ap(1000000000,1)")):
         sizes.clear()
-        assert count_dp(n, quad).entries == count_brute(n, quad).entries, str(quad)
+        assert count_dp(n, quad) == count_brute(n, quad), str(quad)
         assert sizes and max(sizes) <= n + 1, str(quad)
 
 
@@ -141,7 +139,7 @@ def _reference_dp(n_max, quad=RestrictionQuad()):
     up_nxt = oracle._run_successors(quad.up_runs, n_max)
     down_nxt = oracle._run_successors(quad.down_runs, n_max)
     total_steps = 2 * n_max
-    entries = {0: 1}
+    counts = [1]
     states = {(1, 1, 1): 1}
     for i in range(1, total_steps):
         new = {}
@@ -164,9 +162,9 @@ def _reference_dp(n_max, quad=RestrictionQuad()):
                     new[key] = new.get(key, 0) + c
         states = new
         if i % 2:
-            entries[(i + 1) // 2] = sum(c for (h, d, r), c in states.items()
-                                        if h == 0 and d == -1 and not down_t[r])
-    return entries
+            counts.append(sum(c for (h, d, r), c in states.items()
+                              if h == 0 and d == -1 and not down_t[r]))
+    return tuple(counts)
 
 
 def test_dp_matches_the_per_state_reference():
@@ -174,35 +172,35 @@ def test_dp_matches_the_per_state_reference():
               + sample_quads(20, 9129) + sample_quads(60, 77))
     for quad in corpus:
         for n in (0, 1, 2, 7, 20, 64):
-            assert count_dp(n, quad).entries == _reference_dp(n, quad), (str(quad), n)
+            assert count_dp(n, quad) == _reference_dp(n, quad), (str(quad), n)
 
 
 @given(quads, st.integers(0, 12))
 def test_dp_matches_the_per_state_reference_on_drawn_quads(quad, n):
-    assert count_dp(n, quad).entries == _reference_dp(n, quad)
+    assert count_dp(n, quad) == _reference_dp(n, quad)
 
 
 def test_dp_edge_cases():
-    assert count_dp(0).entries == {0: 1}
-    assert count_dp(1).entries == {0: 1, 1: 1}
+    assert count_dp(0) == (1,)
+    assert count_dp(1) == (1, 1)
     # every peak height or every up-run length avoided: only the empty path
     no_peaks = RestrictionQuad.parse(peaks="1..")
-    assert count_dp(9, no_peaks).sequence() == (1,) + (0,) * 9
+    assert count_dp(9, no_peaks) == (1,) + (0,) * 9
     huge = RestrictionQuad.parse(up_runs="1..1000000000")
-    assert count_dp(3, huge).sequence() == (1, 0, 0, 0)
+    assert count_dp(3, huge) == (1, 0, 0, 0)
     for quad in (no_peaks, huge):
-        assert count_dp(3, quad).entries == _reference_dp(3, quad), str(quad)
+        assert count_dp(3, quad) == _reference_dp(3, quad), str(quad)
 
 
 @given(quads, st.integers(0, 6))
 @settings(max_examples=40)
 def test_counting_respects_mirror_symmetry(quad, n):
-    assert count_dp(n, quad).entries[n] == count_dp(n, quad.swapped_runs()).entries[n]
+    assert count_dp(n, quad)[n] == count_dp(n, quad.swapped_runs())[n]
 
 
 def test_mirror_symmetry_at_depth_ten():
     for quad in CORPUS[:6]:
-        assert count_dp(10, quad).sequence() == count_dp(10, quad.swapped_runs()).sequence()
+        assert count_dp(10, quad) == count_dp(10, quad.swapped_runs())
 
 
 def test_enumeration_cap():
@@ -212,7 +210,7 @@ def test_enumeration_cap():
         count_brute(17)
     with pytest.raises(ResourceLimit):
         enumerate_paths(5, cap=4)
-    assert count_dp(17).entries[17] == 129644790  # the DP is not capped
+    assert count_dp(17)[17] == 129644790  # the DP is not capped
 
 
 def test_negative_semilength_rejected():
@@ -268,7 +266,7 @@ def _dyck_words(n):
 def test_pruned_language_counts_as_brute_force_does():
     # the generator prunes, brute force does not: two routes to one count
     for quad in CORPUS:
-        brute = count_brute(12, quad).entries
+        brute = count_brute(12, quad)
         for n in range(13):
             assert len(language(n, quad)) == brute[n], (str(quad), n)
 
@@ -311,14 +309,14 @@ def test_pruned_language_prunes_both_halves(monkeypatch):
     for n in (60, 200):
         calls, limit = 0, 2 * n * n
         got = language(n, inst.quad, cap=n)
-        assert len(got) == count_dp(n, inst.quad).entries[n] == 1, n
+        assert len(got) == count_dp(n, inst.quad)[n] == 1, n
         assert calls > 0
 
 
 def test_brute_force_counts_the_filtered_word_list():
     # the midpoint split and its halves against an independent generator
     for quad in CORPUS:
-        brute = count_brute(8, quad).entries
+        brute = count_brute(8, quad)
         tables = avoid_tables(quad, 8)
         for n in range(9):
             kept = sum(accepts(w, tables) for w in _dyck_words(n))
@@ -330,7 +328,7 @@ def test_brute_force_counts_the_filtered_word_list():
 def test_brute_force_counts_the_filtered_word_list_on_drawn_quads(quad):
     # drawn quads reach seam cases CORPUS may miss: second halves that
     # start with U, empty tails, the single-run D^n
-    brute = count_brute(8, quad).entries
+    brute = count_brute(8, quad)
     tables = avoid_tables(quad, 8)
     for n in range(9):
         assert brute[n] == sum(accepts(w, tables) for w in _dyck_words(n)), (str(quad), n)
@@ -393,7 +391,7 @@ def test_brute_force_walks_each_first_half_once_and_each_seam_once_per_pair(monk
     monkeypatch.setattr(oracle, "accepts", recording_accepts)
     quad = RestrictionQuad.parse(peaks="1", valleys="1", up_runs="4..", down_runs="ap(3,2)")
     n_max = 10
-    table = count_brute(n_max, quad)
+    brute = count_brute(n_max, quad)
     tables = avoid_tables(quad, n_max)
     assert sorted(scans) == list(range(n_max + 1))
     kept = seam_walks = behind_dead = live_pairs = 0
@@ -440,4 +438,4 @@ def test_brute_force_walks_each_first_half_once_and_each_seam_once_per_pair(monk
                         for kind, _, _, out in joins)
     assert behind_dead > 0 and seam_walks > 0 and tail_verdicts == {False, True}
     assert behind_dead + live_pairs == sum(_catalan(k) for k in range(n_max + 1))
-    assert kept == sum(table.entries.values())
+    assert kept == sum(brute)
