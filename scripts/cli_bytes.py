@@ -1,0 +1,102 @@
+"""Hash what the CLI writes for a fixed set of command lines.
+
+    PYTHONPATH=src python3 scripts/cli_bytes.py
+
+Each command line runs in-process through ``dyckgram.cli.main``, and its
+stdout, stderr and exit status are captured.  The groups: ``verify`` and
+``series --dump-grammar``, each as text and with ``--json``, on the 81
+instances of ``tests/conftest.verify_pool()``; ``count --method both
+--n-max 12``, as text and with ``--json``, on the 24 seeded quads of
+``brute_layer.census_quads()``; and a dozen command lines that exit 2.
+dyckgram is imported from PYTHONPATH, so pointing it at another
+checkout's ``src`` runs the same command lines on that checkout.  Prints
+one JSON object: the number of runs, and for each group its runs and a
+digest of every (argv, stdout, stderr, exit status), so that two
+checkouts can be compared for equal output byte for byte.
+"""
+
+import hashlib
+import io
+import json
+import platform
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from brute_layer import census_quads  # noqa: E402
+from conftest import verify_pool  # noqa: E402
+from dyckgram import cli  # noqa: E402
+
+CENSUS_N_MAX = 12
+
+EXIT_2 = [
+    [],
+    ["count", "--method", "dp"],
+    ["count", "--n-max", "abc"],
+    ["count", "--n-max", "3", "--peaks", "5..3"],
+    ["enumerate", "-n", "30"],
+    ["series", "--family", "F5", "--param", "A=1,B=2"],
+    ["series", "--family", "F6", "--param", "A=1,A=2"],
+    ["verify", "--family", "F1", "--n-max", "-1"],
+    ["verify", "--family", "F3", "--max-len", "-2"],
+    ["verify", "--family", "F3", "--max-len", "80"],
+    ["identify", "--terms", "1,x,2"],
+    ["bijection", "--semilength", "10", "--cap", "5"],
+]
+
+
+def run(argv: list[str]) -> tuple[str, str, int]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def _family_args(inst) -> list[str]:
+    params = ",".join(f"{k}={v}" for k, v in inst.params.items())
+    return ["--family", inst.family] + (["--param", params] if params else [])
+
+
+def _quad_args(quad) -> list[str]:
+    return ["--peaks", str(quad.peaks), "--valleys", str(quad.valleys),
+            "--upruns", str(quad.up_runs), "--downruns", str(quad.down_runs)]
+
+
+def groups(instances, quads) -> dict[str, list[list[str]]]:
+    families = [_family_args(inst) for inst in instances]
+    counts = [["count", "--method", "both", "--n-max", str(CENSUS_N_MAX)]
+              + _quad_args(quad) for quad in quads]
+    out = {}
+    for suffix in ("", " --json"):
+        extra = suffix.split()
+        out["verify" + suffix] = [["verify", *f, *extra] for f in families]
+        out["series --dump-grammar" + suffix] = [
+            ["series", "--dump-grammar", *f, *extra] for f in families]
+        out["count --method both" + suffix] = [c + extra for c in counts]
+    out["exit 2"] = EXIT_2
+    return out
+
+
+def digests(named: dict[str, list[list[str]]]) -> dict:
+    out = {}
+    for name, argvs in named.items():
+        h = hashlib.sha256()
+        for argv in argvs:
+            h.update(repr((argv, run(argv))).encode())
+        out[name] = {"runs": len(argvs), "sha256": h.hexdigest()[:16]}
+    return out
+
+
+def main() -> None:
+    rows = digests(groups(verify_pool(), census_quads()))
+    print(json.dumps({"python": platform.python_version(),
+                      "runs": sum(r["runs"] for r in rows.values()),
+                      "groups": rows}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -54,10 +54,20 @@ def _params_arg(text: str) -> dict[str, int]:
     return out
 
 
+def _int_arg(text: str) -> int:
+    # int() alone also reads other scripts' digits, such as '٣' or '１２'
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _terms_arg(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",")]
-    except ValueError:
+        return [_int_arg(t) for t in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"bad terms {text!r}, want INT,INT,...")
 
 
@@ -108,15 +118,15 @@ def _cmd_count(args) -> int:
     return 0 if mismatch is None else 1
 
 
-def _build_instance(args, parser):
+def _build_instance(args):
     try:
         return build(args.family, **(args.param or {}))
     except BadParams as e:
-        parser.error(str(e))
+        _make_parser().error(str(e))
 
 
-def _cmd_series(args, parser) -> int:
-    instance = _build_instance(args, parser)
+def _cmd_series(args) -> int:
+    instance = _build_instance(args)
     system = lower(instance.body)
     solution = solve(system, args.order)
     coeffs = {name: solution[name].require_counts().coeffs
@@ -137,11 +147,11 @@ def _cmd_series(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    instance = _build_instance(args, parser)
+def _cmd_verify(args) -> int:
+    instance = _build_instance(args)
     report = verify_family(instance, max_len=args.max_len, n_max=args.n_max,
                            cap=args.cap)
-    failing = [c for c in report.checks if not c.passed]
+    failed = next((c for c in report.checks if not c.passed), None)
     payload = {"command": "verify", "family": instance.family,
                "params": {k: str(v) for k, v in instance.params.items()},
                "max_len": str(args.max_len), "n_max": str(args.n_max),
@@ -150,9 +160,8 @@ def _cmd_verify(args, parser) -> int:
                "counts": {m: [str(c) for c in cs]
                           for m, cs in report.counts.counts.items()},
                "passed": report.passed,
-               "witness": None if report.passed else {
-                   "check": failing[0].name if failing else "counts",
-                   "detail": failing[0].detail if failing else ""}}
+               "witness": None if failed is None else {
+                   "check": failed.name, "detail": failed.detail}}
     lines = [f"{str(instance)}: {instance.quad}"]
     lines += [("PASS " if c.passed else "FAIL ") + c.name
               + (f" ({c.detail})" if c.detail else "") for c in report.checks]
@@ -205,17 +214,19 @@ def _make_parser() -> argparse.ArgumentParser:
                       help="up-run lengths to avoid, e.g. '3..'")
     quad.add_argument("--downruns", type=_set_arg, default=empty,
                       help="down-run lengths to avoid")
-    quad.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+    quad.add_argument("--cap", type=_int_arg, default=DEFAULT_ENUMERATION_CAP,
                       help="enumeration cap on the semilength")
 
     p = sub.add_parser("enumerate", parents=[flags, quad],
                        help="list satisfying paths of one semilength")
-    p.add_argument("-n", type=int, required=True, help="semilength")
+    p.add_argument("-n", type=_int_arg, required=True, help="semilength")
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("count", parents=[flags, quad],
                        help="count satisfying paths for each semilength")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int_arg, required=True)
     p.add_argument("--method", choices=("brute", "dp", "both"), default="both")
+    p.set_defaults(run=_cmd_count)
 
     fam = argparse.ArgumentParser(add_help=False)
     fam.add_argument("--family", required=True, choices=FAMILY_IDS)
@@ -224,47 +235,40 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", parents=[flags, fam],
                        help="lower a family and solve its series system")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=_int_arg, default=DEFAULT_ORDER)
     p.add_argument("--dump-grammar", action="store_true",
                    help="also print the grammar or equation")
+    p.set_defaults(run=_cmd_series)
 
     p = sub.add_parser("verify", parents=[flags, fam],
                        help="run every cross-check for a family instance")
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN,
+    p.add_argument("--max-len", type=_int_arg, default=DEFAULT_MAX_LEN,
                    help="word-check length bound")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+    p.add_argument("--n-max", type=_int_arg, default=DEFAULT_N_MAX,
                    help="count-check semilength bound")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--cap", type=_int_arg, default=DEFAULT_ENUMERATION_CAP,
                    help="brute-force and enumeration cap on the semilength")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("identify", parents=[flags],
                        help="match a count prefix against the reference sequences")
     p.add_argument("--terms", type=_terms_arg, required=True,
                    help="at least 4 leading terms, e.g. '1,1,2,5,14'")
+    p.set_defaults(run=_cmd_identify)
 
     p = sub.add_parser("bijection", parents=[flags],
                        help="certify the walk correspondence by full enumeration")
-    p.add_argument("--semilength", type=int, default=DEFAULT_BIJECTION_MAX)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--semilength", type=_int_arg, default=DEFAULT_BIJECTION_MAX)
+    p.add_argument("--cap", type=_int_arg, default=DEFAULT_ENUMERATION_CAP)
+    p.set_defaults(run=_cmd_bijection)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "series":
-            return _cmd_series(args, parser)
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        if args.command == "identify":
-            return _cmd_identify(args)
-        return _cmd_bijection(args)
+        return args.run(args)
     except (ResourceLimit, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,24 +1,25 @@
 """Grammars and grammatical equations over the letters U and D.
 
-Expressions are trees built from epsilon, terminals, named nonterminals,
-concatenation, and integer powers.  A grammar maps each nonterminal to a
-tuple of alternatives (a union, with multiset semantics: a word derived
-two ways counts twice).  A grammatical equation asserts that two unions
-of expressions generate the same multiset of words, where each
-nonterminal is interpreted not through rewrite rules but as the language
-of an externally supplied restriction quad.
+An expression is its token tuple: each maximal run of terminals is one
+literal string and each nonterminal a 1-tuple (name,), so epsilon is ();
+``seq`` concatenates expressions and ``rep`` repeats one.  A grammar maps
+each nonterminal to a tuple of alternatives (a union, with multiset
+semantics: a word derived two ways counts twice).  A grammatical equation
+asserts that two unions of expressions generate the same multiset of
+words, where each nonterminal is interpreted not through rewrite rules
+but as the language of an externally supplied restriction quad.
 
 Lowering sends a grammar (or equation) to a polynomial fixed-point
-system.  Each expression is one monomial, read off its flattened tokens:
-z to the number of its U letters times its nonterminals (D contributes
-1), and a union is the sum of its monomials, so z tracks the semilength
-of balanced words.
+system.  Each expression is one monomial, read off its tokens: z to the
+number of its U letters times its nonterminals (D contributes 1), and a
+union is the sum of its monomials, so z tracks the semilength of balanced
+words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 from .intsets import RestrictionQuad
 from .oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, language
@@ -31,80 +32,39 @@ class UnbalancedGrammar(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    pass
+GExpr = tuple  # of literal strings and (name,) nonterminal tokens
+
+EPSILON: GExpr = ()
+U: GExpr = ("U",)
+D: GExpr = ("D",)
 
 
-@dataclass(frozen=True)
-class Term:
-    letter: str
-
-
-@dataclass(frozen=True)
-class NonTerm:
-    name: str
-
-
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple["GExpr", ...]
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "GExpr"
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {self.exponent}")
-
-
-GExpr = Union[Epsilon, Term, NonTerm, Concat, Power]
-
-EPSILON = Epsilon()
-U = Term("U")
-D = Term("D")
+def NonTerm(name: str) -> GExpr:
+    return ((name,),)
 
 
 def seq(*parts: GExpr) -> GExpr:
-    if not parts:
-        return EPSILON
-    if len(parts) == 1:
-        return parts[0]
-    return Concat(tuple(parts))
+    """Concatenation: the parts' tokens in order, each literal joined to a
+    literal next to it."""
+    out: list = []
+    for part in parts:
+        for t in part:
+            if type(t) is str and out and type(out[-1]) is str:
+                out[-1] += t
+            else:
+                out.append(t)
+    return tuple(out)
 
 
 def rep(expr: GExpr, k: int) -> GExpr:
-    return Power(expr, k)
-
-
-def _flatten(expr: GExpr) -> tuple:
-    """Token tuple of an expression: each maximal run of terminals is one
-    literal string and each nonterminal a 1-tuple (name,); epsilon drops
-    out and powers unroll."""
-    out: list = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Term):
-            if out and type(out[-1]) is str:
-                out[-1] += e.letter
-            else:
-                out.append(e.letter)
-        elif isinstance(e, NonTerm):
-            out.append((e.name,))
-        elif isinstance(e, Concat):
-            stack.extend(reversed(e.parts))
-        elif isinstance(e, Power):
-            stack.extend([e.base] * e.exponent)
-    return tuple(out)
+    if k < 0:
+        raise ValueError(f"exponent must be >= 0, got {k}")
+    return seq(*[expr] * k)
 
 
 def render(expr: GExpr) -> str:
     return " ".join(" ".join(t) if type(t) is str else t[0]
-                    for t in _flatten(expr)) or "eps"
+                    for t in expr) or "eps"
 
 
 @dataclass(frozen=True)
@@ -142,7 +102,7 @@ class WordMultiset:
 
 
 class _Expander:
-    """Exact-length word multisets of ``_flatten`` token tuples, memoized
+    """Exact-length word multisets of expressions (token tuples), memoized
     and budgeted.
 
     A literal at the head prefixes the rest's words; a nonterminal at the
@@ -217,13 +177,11 @@ class _Expander:
 
 
 def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
-    rules = {name: tuple(map(_flatten, alts)) for name, alts in grammar.rules.items()}
-
     def resolve(name: str, length: int) -> dict:
-        if name not in rules:
+        if name not in grammar.rules:
             raise ValueError(f"undefined nonterminal {name}")
         out: dict = {}
-        for tokens in rules[name]:
+        for tokens in grammar.rules[name]:
             for w, c in expander.expand(tokens, length).items():
                 out[w] = out.get(w, 0) + c
         return out
@@ -253,7 +211,7 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int,
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    tokens = _flatten(NonTerm(start) if isinstance(start, str) else start)
+    tokens = NonTerm(start) if isinstance(start, str) else start
     expander = _grammar_expander(grammar, cap)
     out: dict = {}
     for length in range(max_len + 1):
@@ -307,7 +265,7 @@ def check_equation(eq: GrammaticalEquation,
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     expander = _language_expander(languages, cap, enum_cap)
-    sides = (tuple(map(_flatten, eq.lhs)), tuple(map(_flatten, eq.rhs)))
+    sides = (eq.lhs, eq.rhs)
     diff: dict = {}  # lhs minus rhs multiplicity
     for sign, side in zip((1, -1), sides):
         for tokens in side:
@@ -333,7 +291,7 @@ def _monomials(exprs: tuple[GExpr, ...]) -> Poly:
     for expr in exprs:
         zdeg = rise = 0
         names: dict[str, int] = {}
-        for t in _flatten(expr):
+        for t in expr:
             if type(t) is str:
                 ups = t.count("U")
                 zdeg += ups

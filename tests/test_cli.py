@@ -101,14 +101,27 @@ def test_bad_set_syntax_exits_2(capsys):
 
 
 def test_non_ascii_digits_exit_2(capsys):
-    # str.isdigit() accepts '²' and '٣'; the set and parameter grammars take 0-9 only
-    for argv, message in ((["count", "--n-max", "3", "--peaks", "²"], "bad set"),
-                          (["verify", "--family", "F1", "--param", "A=--5"],
-                           "bad parameter")):
+    # str.isdigit() accepts '²' and '٣', and int() reads '٣' and '１２';
+    # the set, parameter and integer arguments take 0-9 only
+    for argv, message in (
+            (["count", "--n-max", "3", "--peaks", "²"], "bad set"),
+            (["verify", "--family", "F1", "--param", "A=--5"], "bad parameter"),
+            (["count", "--n-max", "٣", "--method", "dp"], "argument --n-max"),
+            (["count", "--n-max", "3", "--cap", "٣"], "argument --cap"),
+            (["enumerate", "-n", "٣"], "argument -n"),
+            (["series", "--family", "F3", "--order", "٦"], "argument --order"),
+            (["verify", "--family", "F3", "--max-len", "１２"], "argument --max-len"),
+            (["bijection", "--semilength", "٣"], "argument --semilength"),
+            (["identify", "--terms", "١,١,٢,٥,١٤"], "argument --terms: bad terms")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+    # malformed ASCII keeps argparse's own message
+    with pytest.raises(SystemExit):
+        cli.main(["count", "--n-max", "3x"])
+    assert capsys.readouterr().err.endswith(
+        "error: argument --n-max: invalid int value: '3x'\n")
 
 
 def test_cap_exceeded_exits_2(capsys):

@@ -7,11 +7,10 @@ import pytest
 
 from conftest import verify_pool
 from dyckgram.families import build
-from dyckgram.grammar import (D, EPSILON, Concat, Epsilon, EquationReport,
-                              Grammar, GrammaticalEquation, NonTerm, Power,
-                              Term, U, UnbalancedGrammar, check_equation,
-                              check_unambiguous, equation_sides, lower,
-                              render, rep, seq, words)
+from dyckgram.grammar import (D, EPSILON, EquationReport, Grammar,
+                              GrammaticalEquation, NonTerm, U, UnbalancedGrammar,
+                              check_equation, check_unambiguous, equation_sides,
+                              lower, render, rep, seq, words)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import ResourceLimit, language
 from dyckgram.series import Poly, SeriesSystem, solve
@@ -29,9 +28,18 @@ def test_render():
     assert render(rep(U, 0)) == "eps"
 
 
+def test_expressions_are_token_tuples():
+    # a maximal run of letters is one literal, a nonterminal a 1-tuple
+    assert seq(U, seq(U, D)) == ("UUD",)
+    assert seq(rep(U, 2), NonTerm("P"), D, D) == ("UU", ("P",), "DD")
+    x = seq(U, P, D)
+    assert rep(x, 0) == seq() == EPSILON == ()
+    assert seq(U) == U
+
+
 def test_power_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        Power(U, -1)
+        rep(U, -1)
 
 
 def test_to_text():
@@ -222,24 +230,27 @@ def test_lower_equation_needs_one_bare_unknown():
 REFERENCE_MAX_LEN = 12
 
 
-def _reference(expr, length, nonterminal):
-    """Words of one length, read straight off the expression tree with
-    Counter products; only nonterminals are looked up, nothing is memoized."""
-    if isinstance(expr, Epsilon):
+def _symbols(expr):
+    """An expression one symbol at a time: each letter of each literal, and
+    each nonterminal token as it is."""
+    return tuple(s for t in expr for s in (t if type(t) is str else (t,)))
+
+
+def _reference(symbols, length, nonterminal):
+    """Words of one length of a symbol tuple, built with Counter products;
+    only nonterminals are looked up, nothing is memoized."""
+    if not symbols:
         return Counter({"": 1}) if length == 0 else Counter()
-    if isinstance(expr, Term):
-        return Counter({expr.letter: 1}) if length == 1 else Counter()
-    if isinstance(expr, NonTerm):
-        return nonterminal(expr.name, length)
-    parts = expr.parts if isinstance(expr, Concat) else (expr.base,) * expr.exponent
-    if not parts:
-        return Counter({"": 1}) if length == 0 else Counter()
+    head = symbols[0]
     out = Counter()
     for l1 in range(length + 1):
-        left = _reference(parts[0], l1, nonterminal)
+        if type(head) is str:
+            left = Counter({head: 1}) if l1 == 1 else Counter()
+        else:
+            left = nonterminal(head[0], l1)
         if not left:
             continue
-        right = _reference(seq(*parts[1:]), length - l1, nonterminal)
+        right = _reference(symbols[1:], length - l1, nonterminal)
         for w1, c1 in left.items():
             for w2, c2 in right.items():
                 out[w1 + w2] += c1 * c2
@@ -250,7 +261,7 @@ def _reference_union(exprs, nonterminal, max_len=REFERENCE_MAX_LEN):
     out = Counter()
     for e in exprs:
         for length in range(max_len + 1):
-            out.update(_reference(e, length, nonterminal))
+            out.update(_reference(_symbols(e), length, nonterminal))
     return out
 
 
@@ -272,8 +283,8 @@ def test_words_match_reference_expander(inst):
 
     @lru_cache(maxsize=None)
     def nonterminal(name, length):
-        return sum((_reference(alt, length, nonterminal) for alt in rules[name]),
-                   Counter())
+        return sum((_reference(_symbols(alt), length, nonterminal)
+                    for alt in rules[name]), Counter())
 
     expect = _reference_union((NonTerm(inst.start),), nonterminal)
     assert words(inst.body, inst.start, REFERENCE_MAX_LEN).counts == dict(expect)
@@ -312,46 +323,41 @@ def test_equation_reports_match_reference_expander(inst):
     assert (doubled.witness, doubled.lhs_multiplicity) == ("", 2)
 
 
-# --- differential check of lowering against the expression tree ----------
+# --- differential check of lowering against a letter-by-letter reference --
 
 Q = NonTerm("Q")
 R = NonTerm("R")
 
 
-def _tree_poly(expr):
-    """An expression's polynomial and its U-minus-D letter count, read
-    straight off the tree with Poly products and powers."""
-    if isinstance(expr, Epsilon):
-        return Poly.const(1), 0
-    if isinstance(expr, Term):
-        return (Poly.z(), 1) if expr.letter == "U" else (Poly.const(1), -1)
-    if isinstance(expr, NonTerm):
-        return Poly.var(expr.name), 0
-    if isinstance(expr, Power):
-        poly, rise = _tree_poly(expr.base)
-        return poly ** expr.exponent, rise * expr.exponent
+def _letter_poly(expr):
+    """An expression's polynomial and its U-minus-D letter count, read one
+    symbol at a time with Poly products."""
     out, rise = Poly.const(1), 0
-    for part in expr.parts:
-        poly, r = _tree_poly(part)
-        out, rise = out * poly, rise + r
+    for s in _symbols(expr):
+        if s == "U":
+            out, rise = out * Poly.z(), rise + 1
+        elif s == "D":
+            rise -= 1
+        else:
+            out = out * Poly.var(s[0])
     return out, rise
 
 
-def _tree_sum(exprs):
+def _letter_sum(exprs):
     total = Poly.zero()
     for e in exprs:
-        poly, rise = _tree_poly(e)
+        poly, rise = _letter_poly(e)
         if rise:
             raise UnbalancedGrammar(f"expression {render(e)!r} is not balanced")
         total = total + poly
     return total
 
 
-def _tree_lower(body, subject="P"):
+def _letter_lower(body, subject="P"):
     if isinstance(body, Grammar):
         return SeriesSystem(tuple(body.rules),
-                            {name: _tree_sum(alts) for name, alts in body.rules.items()})
-    phi = _tree_sum(body.rhs) - (_tree_sum(body.lhs) - Poly.var(subject))
+                            {name: _letter_sum(alts) for name, alts in body.rules.items()})
+    phi = _letter_sum(body.rhs) - (_letter_sum(body.lhs) - Poly.var(subject))
     return SeriesSystem((subject,), {subject: phi})
 
 
@@ -372,11 +378,11 @@ LOWERING_CASES = {**{str(i): (i.body, i.start) for i in POOL},
 @pytest.mark.parametrize("case", LOWERING_CASES)
 def test_lowering_matches_the_expression_tree(case):
     body, start = LOWERING_CASES[case]
-    system, expect = lower(body), _tree_lower(body, start)
+    system, expect = lower(body), _letter_lower(body, start)
     assert system == expect
     assert str(system) == str(expect)
     if not isinstance(body, Grammar):
-        assert equation_sides(body) == (_tree_sum(body.lhs), _tree_sum(body.rhs))
+        assert equation_sides(body) == (_letter_sum(body.lhs), _letter_sum(body.rhs))
 
 
 @pytest.mark.parametrize("body", [
@@ -385,7 +391,7 @@ def test_lowering_matches_the_expression_tree(case):
 ], ids=("grammar", "equation"))
 def test_unbalanced_expression_message_matches_the_expression_tree(body):
     with pytest.raises(UnbalancedGrammar) as expect:
-        _tree_lower(body)
+        _letter_lower(body)
     with pytest.raises(UnbalancedGrammar) as got:
         lower(body)
     assert str(got.value) == str(expect.value)

@@ -1,16 +1,21 @@
-"""The per-layer timing scripts under scripts/ still import and run.
+"""The scripts under scripts/ still import and run.
 
 Each script is imported by path, with scripts/ on sys.path as when it is
-run directly, and the two count scripts time one small row, so a script
-left behind by an API change fails here rather than when next run.
+run directly; the two count scripts time one small row, the lowering
+script's synthetic grammar is lowered, and the CLI byte hasher runs a
+small subset of its command lines, so a script left behind by an API
+change fails here rather than when next run.
 """
 
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
+from conftest import verify_pool
+from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -46,3 +51,26 @@ def test_brute_layer_row(monkeypatch):
     want = hashlib.sha256(repr([(str(RestrictionQuad()), (1, 1, 2, 5))]).encode())
     assert row["counts_sha256"] == want.hexdigest()[:16]
     assert row["work"]["walk_calls"] > 0
+
+
+def test_lower_layer_synthetic(monkeypatch):
+    # alternative i is U P^a D Q^b R^c for the i-th triple (a, b, c)
+    grammar = _load(SCRIPTS / "lower_layer.py", monkeypatch).synthetic(60)
+    terms = lower(grammar).equations["P"].terms
+    assert len(terms) == 60
+    assert {c for _, _, c in terms} == {1}
+    assert {z for z, _, _ in terms} == {1}
+
+
+def test_cli_bytes_subset(monkeypatch):
+    cli_bytes = _load(SCRIPTS / "cli_bytes.py", monkeypatch)
+    census = _load(SCRIPTS / "brute_layer.py", monkeypatch).census_quads(2)
+    named = cli_bytes.groups(verify_pool()[:2], census)
+    for name, argvs in named.items():
+        want = 2 if name == "exit 2" else 0
+        assert [cli_bytes.run(argv)[2] for argv in argvs] == [want] * len(argvs), name
+    rows = cli_bytes.digests(named)
+    assert rows == cli_bytes.digests(named)
+    assert {name: row["runs"] for name, row in rows.items()} == {
+        name: len(argvs) for name, argvs in named.items()}
+    assert all(re.fullmatch("[0-9a-f]{16}", row["sha256"]) for row in rows.values())
