@@ -7,10 +7,14 @@ The pool is ``tests/conftest.verify_pool()``: F1-F3 plus the 48
 run-progression instances of acceptance criterion 05 and the 30 short-run
 instances of criterion 06, 15 grammars and 66 equations.  dyckgram is imported from PYTHONPATH, so pointing it
 at another checkout's ``src`` times that checkout with the same script.
-Prints one JSON object: for each entry point, the best of three wall
-times over its instances and a digest of every word multiset or equation
-report, so that two checkouts can be compared for equal results as well
-as for speed.
+Prints one JSON object: for each entry point, the time of its instances
+and a digest of every word multiset or equation report, so that two
+checkouts can be compared for equal results as well as for speed; then
+the time of each of three groups, the heavy equations (F6, F8), the light
+ones (F9-F11) and the grammars, so that a change that speeds up the large
+multisets but slows the cheap instances shows.  A time is the sum over
+the instances of each one's best of five wall times: on a shared host a
+slow phase then costs one instance one run, not a whole pass.
 """
 
 import hashlib
@@ -25,7 +29,7 @@ from conftest import verify_pool  # noqa: E402
 from dyckgram.grammar import Grammar, check_equation, words  # noqa: E402
 
 MAX_LEN = 20
-REPEATS = 3
+REPEATS = 5
 
 
 def _words(inst):
@@ -38,21 +42,35 @@ def _equation(inst):
             report.rhs_multiplicity)
 
 
+GROUPS = (("heavy equations (F6, F8)", ("F6", "F8")),
+          ("light equations (F9-F11)", ("F9", "F10", "F11")),
+          ("grammars", ("F1", "F2", "F3", "F5", "F7")))
+
+
 def main() -> None:
     instances = verify_pool()
-    grammars = [i for i in instances if isinstance(i.body, Grammar)]
-    equations = [i for i in instances if not isinstance(i.body, Grammar)]
-    rows = []
-    for name, run, group in (("words", _words, grammars),
-                             ("check_equation", _equation, equations)):
-        best = float("inf")
-        for _ in range(REPEATS):
+    run = {str(i): _words if isinstance(i.body, Grammar) else _equation
+           for i in instances}
+    times = {str(i): [] for i in instances}
+    for _ in range(REPEATS):
+        results = {}
+        for inst in instances:
             t0 = time.perf_counter()
-            results = [(str(inst), run(inst)) for inst in group]
-            best = min(best, time.perf_counter() - t0)
-        digest = hashlib.sha256(repr(results).encode()).hexdigest()
-        rows.append({"entry": name, "instances": len(group),
-                     "best_s": round(best, 3), "results_sha256": digest[:16]})
+            results[str(inst)] = run[str(inst)](inst)
+            times[str(inst)].append(time.perf_counter() - t0)
+
+    def best(names):
+        return round(sum(min(times[n]) for n in names), 3)
+
+    rows = []
+    for name, entry in (("words", _words), ("check_equation", _equation)):
+        names = [n for n in times if run[n] is entry]
+        digest = hashlib.sha256(repr([(n, results[n]) for n in names]).encode())
+        rows.append({"entry": name, "instances": len(names), "best_s": best(names),
+                     "results_sha256": digest.hexdigest()[:16]})
+    for group, families in GROUPS:
+        names = [n for n in times if n.split("(")[0] in families]
+        rows.append({"group": group, "instances": len(names), "best_s": best(names)})
     print(json.dumps({"python": platform.python_version(), "max_len": MAX_LEN,
                       "repeats": REPEATS, "rows": rows}, indent=1))
 

@@ -101,21 +101,63 @@ class WordMultiset:
         return sum(self.counts.values())
 
 
-class _Expander:
-    """Exact-length word multisets of expressions (token tuples), memoized
-    and budgeted.
+def _union(parts: list) -> dict:
+    """The sum of word multisets.  The largest part is copied whole and
+    the others merged into it by ``dict.update``; only when two parts share
+    a word (the merge is smaller than the parts) are its counts added.  A
+    lone nonempty part is returned as it is."""
+    parts = sorted(parts, key=len, reverse=True)
+    if len(parts) < 2 or not parts[1]:
+        return parts[0] if parts else {}
+    out = dict(parts[0])
+    for part in parts[1:]:
+        out.update(part)
+    if len(out) < sum(map(len, parts)):
+        out = dict(parts[0])
+        for part in parts[1:]:
+            both = {w: out[w] + part[w] for w in out.keys() & part.keys()}
+            out.update(part)
+            out.update(both)
+    return out
 
-    A literal at the head prefixes the rest's words; a nonterminal at the
-    head is split over its possible lengths and absorbs the literal after
-    it.  ``resolve(name, length)`` gives a nonterminal's words of one
-    length; it is called once per (nonterminal, length), and a call that
-    re-enters its own (nonterminal, length) is unguarded recursion.
-    Returned dicts are shared with the memo and must not be mutated.
+
+def _product(pre: str, lit: str, pairs: list) -> dict:
+    """pre + w1 + lit + w2, counts multiplied, for each (left, right) pair
+    of multisets and each w1 of left and w2 of right.  A left's words share
+    one length, so one pair's words are all distinct; only words of two
+    pairs can coincide, and then the pairs' products are summed."""
+    out = {h + w2: c1 * c2 for left, right in pairs for w1, c1 in left.items()
+           for h in (pre + w1 + lit,) for w2, c2 in right.items()}
+    if len(out) < sum(len(left) * len(right) for left, right in pairs):
+        out = _union([_product(pre, lit, [pair]) for pair in pairs])
+    return out
+
+
+class _Expander:
+    """Word multisets of expressions (token tuples), memoized and budgeted.
+
+    An expression with a nonterminal reads as ``[pre] N [lit] rest``: an
+    optional leading literal, its first nonterminal N, the literal after N
+    if any, and the remaining tokens, which start with a nonterminal or
+    are empty.  Its words are pre + w1 + lit + w2 for w1 a word of N and w2
+    one of rest, so no literal-headed suffix is ever materialised, and w1
+    is at most as long as rest's letters leave room for.  ``expand`` gives
+    the words of one length, one ``_product`` over that length's splits,
+    memoized; ``upto`` gives the words of every length up to a bound as
+    multisets to be summed, one ``_product`` over every pair of lengths of
+    w1 and w2, for the expressions a caller starts from.  A literal-only
+    expression is its one word.  ``resolve(name, length)`` gives a
+    nonterminal's words of one length; it is called once per (nonterminal,
+    length), and a call that re-enters its own (nonterminal, length) is
+    unguarded recursion.  Returned dicts may be shared with the memo and
+    must not be mutated.
 
     ``generated``, the figure ``cap`` bounds, counts the distinct words of
-    every multiset built (one per (nonterminal, length) and one per (token
-    suffix, length) other than a lone nonterminal): the memo's size, and
-    the work done to within a factor of the length.
+    every multiset built: each (nonterminal, length) resolved, each
+    (expression, length) ``expand`` memoizes and each product ``upto``
+    returns; a lone nonterminal or a literal builds none.  That is the
+    memo's size plus what ``upto`` returns, and the work done to within a
+    factor of the length.
     """
 
     def __init__(self, resolve, cap: int):
@@ -125,6 +167,7 @@ class _Expander:
         self._memo: dict = {}   # (tokens, length) -> dict
         self._words: dict = {}  # (name, length) -> dict
         self._active: set = set()
+        self._plans: dict = {}  # tokens -> (pre, name, lit, rest, least)
 
     def _charge(self, words: dict) -> None:
         self.generated += len(words)
@@ -143,48 +186,78 @@ class _Expander:
             self._charge(out)
         return out
 
+    def _plan(self, tokens: tuple) -> tuple:
+        """(pre, name, lit, rest, least) of ``[pre] N [lit] rest``, where
+        least is the letter count of rest, a bound below its words' length;
+        (word, None, "", (), 0) for a literal-only expression."""
+        i = 0
+        while i < len(tokens) and type(tokens[i]) is str:
+            i += 1
+        pre = "".join(tokens[:i])
+        if i == len(tokens):
+            plan = (pre, None, "", (), 0)
+        else:
+            j = i + 1
+            while j < len(tokens) and type(tokens[j]) is str:
+                j += 1
+            rest = tokens[j:]
+            plan = (pre, tokens[i][0], "".join(tokens[i + 1:j]), rest,
+                    sum(len(t) for t in rest if type(t) is str))
+        self._plans[tokens] = plan
+        return plan
+
     def expand(self, tokens: tuple, length: int) -> dict:
-        if not tokens:
-            return {"": 1} if length == 0 else {}
-        head, rest = tokens[0], tokens[1:]
-        if not rest and type(head) is tuple:
-            return self.nonterminal(head[0], length)
         key = (tokens, length)
         out = self._memo.get(key)
         if out is not None:
             return out
-        if type(head) is str:
-            tail = self.expand(rest, length - len(head)) if length >= len(head) else {}
-            out = {head + w: c for w, c in tail.items()}
-        else:
-            lit = ""
-            if rest and type(rest[0]) is str:
-                lit, rest = rest[0], rest[1:]
-            out = {}
-            for l1 in range(length - len(lit) + 1):
-                left = self.nonterminal(head[0], l1)
-                right = self.expand(rest, length - len(lit) - l1) if left else None
-                if not right:
-                    continue
-                for w1, c1 in left.items():
-                    w1 += lit
-                    for w2, c2 in right.items():
-                        w = w1 + w2
-                        out[w] = out.get(w, 0) + c1 * c2
-        self._memo[key] = out
+        pre, name, lit, rest, least = self._plans.get(tokens) or self._plan(tokens)
+        if name is None:
+            return {pre: 1} if len(pre) == length else {}
+        if not (pre or lit or rest):
+            return self.nonterminal(name, length)
+        free = length - len(pre) - len(lit)
+        words, memo, pairs = self._words, self._memo, []
+        # with no rest, N's word takes all the free letters
+        for l1 in range(0 if rest else max(free, 0), free - least + 1):
+            left = words.get((name, l1))
+            if left is None:
+                left = self.nonterminal(name, l1)
+            if not left:
+                continue
+            right = memo.get((rest, free - l1))
+            if right is None:
+                right = self.expand(rest, free - l1)
+            if right:
+                pairs.append((left, right))
+        out = self._memo[key] = _product(pre, lit, pairs)
         self._charge(out)
         return out
+
+    def upto(self, tokens: tuple, max_len: int) -> list:
+        """Multisets that sum to the words of every length <= max_len."""
+        pre, name, lit, rest, least = self._plans.get(tokens) or self._plan(tokens)
+        if name is None:
+            return [{pre: 1}] if len(pre) <= max_len else []
+        free = max_len - len(pre) - len(lit)
+        lefts = [(l1, left) for l1 in range(free - least + 1)
+                 if (left := self.nonterminal(name, l1))]
+        if not (pre or lit or rest):
+            return [left for _, left in lefts]
+        rights = [(l2, right) for l2 in range(least, free - lefts[0][0] + 1)
+                  if (right := self.expand(rest, l2))] if lefts else []
+        out = _product(pre, lit, [(left, right) for l1, left in lefts
+                                  for l2, right in rights if l1 + l2 <= free])
+        self._charge(out)
+        return [out]
 
 
 def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
     def resolve(name: str, length: int) -> dict:
         if name not in grammar.rules:
             raise ValueError(f"undefined nonterminal {name}")
-        out: dict = {}
-        for tokens in grammar.rules[name]:
-            for w, c in expander.expand(tokens, length).items():
-                out[w] = out.get(w, 0) + c
-        return out
+        return _union([expander.expand(tokens, length)
+                       for tokens in grammar.rules[name]])
 
     expander = _Expander(resolve, cap)
     return expander
@@ -212,11 +285,8 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int,
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     tokens = NonTerm(start) if isinstance(start, str) else start
-    expander = _grammar_expander(grammar, cap)
-    out: dict = {}
-    for length in range(max_len + 1):
-        out.update(expander.expand(tokens, length))
-    return WordMultiset(max_len, out)
+    return WordMultiset(max_len,
+                        _union(_grammar_expander(grammar, cap).upto(tokens, max_len)))
 
 
 @dataclass(frozen=True)
@@ -260,25 +330,21 @@ def check_equation(eq: GrammaticalEquation,
 
     Nonterminals are read as oracle languages (each word once); union and
     concatenation contribute multiplicities as usual, so overlapping
-    alternatives on both sides must overlap equally for a PASS.
+    alternatives on both sides must overlap equally for a PASS.  Each side
+    is one dict from word to multiplicity, and the two are compared with
+    ``==``; on a mismatch the witness is the shortest, then least, word
+    whose multiplicities differ.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     expander = _language_expander(languages, cap, enum_cap)
-    sides = (eq.lhs, eq.rhs)
-    diff: dict = {}  # lhs minus rhs multiplicity
-    for sign, side in zip((1, -1), sides):
-        for tokens in side:
-            for length in range(max_len + 1):
-                for w, c in expander.expand(tokens, length).items():
-                    diff[w] = diff.get(w, 0) + sign * c
-    bad = [w for w, c in diff.items() if c]
-    if not bad:
+    lhs, rhs = (_union([part for tokens in side
+                        for part in expander.upto(tokens, max_len)])
+                for side in (eq.lhs, eq.rhs))
+    if lhs == rhs:
         return EquationReport(True, max_len)
-    w = min(bad, key=lambda x: (len(x), x))
-    lhs, rhs = (sum(expander.expand(t, len(w)).get(w, 0) for t in side)
-                for side in sides)
-    return EquationReport(False, max_len, w, lhs, rhs)
+    w = min({w for w, _ in lhs.items() ^ rhs.items()}, key=lambda x: (len(x), x))
+    return EquationReport(False, max_len, w, lhs.get(w, 0), rhs.get(w, 0))
 
 
 # --- lowering to series systems -----------------------------------------

@@ -29,7 +29,8 @@ Three methods; the two counters are deliberately independent:
 Both counters return a tuple whose entry n is the count at semilength n,
 for n = 0 .. n_max.  Counts are exact Python integers throughout.  Brute
 force and enumeration are guarded by an enumeration cap on the
-semilength; the DP has no cap.
+semilength; the DP by the fixed budget ``DP_MAX_SEMILENGTH``, which it
+checks before it allocates anything.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .intsets import IntSet, RestrictionQuad
 from .paths import _FLIP, DyckPath, accepts, avoid_tables, walk
 
 DEFAULT_ENUMERATION_CAP = 16
+# the DP holds up to ~n_max classes of (n_max + 1) * (2 * n_max + 1) bits;
+# at n_max = 500, up-runs avoiding 999 and down-runs 998 (500 classes each)
+# took 20 s and 95 MB (2 cores, Python 3.11.7), the unrestricted quad 0.17 s
+DP_MAX_SEMILENGTH = 500
 
 _EMPTY_QUAD = RestrictionQuad()
 
@@ -181,6 +186,8 @@ def _run_successors(s: IntSet, n_max: int) -> list[int]:
 def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> tuple[int, ...]:
     if n_max < 0:
         raise ValueError(f"semilength must be >= 0, got {n_max}")
+    if n_max > DP_MAX_SEMILENGTH:
+        raise ResourceLimit(n_max, DP_MAX_SEMILENGTH, what="DP semilength")
     # a run class c <= n_max is itself a run length, so the run tables
     # index classes as they index lengths
     peak_t, valley_t, up_t, down_t = avoid_tables(quad, n_max)

@@ -21,7 +21,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping
 
+from .oracle import ResourceLimit
+
 DEFAULT_ORDER = 32
+MAX_ORDER = 1000  # solve's budget, checked before anything is allocated
 
 
 class OrderMismatch(ValueError):
@@ -330,6 +333,8 @@ def solve(system: SeriesSystem, order: int = DEFAULT_ORDER) -> dict[str, Truncat
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if order > MAX_ORDER:
+        raise ResourceLimit(order, MAX_ORDER, what="series order")
     system.validate()
     coeffs: dict[str, list] = {name: [] for name in system.unknowns}
     products: dict[_VarsKey, list] = {(): [1] + [0] * (order - 1)}

@@ -358,3 +358,36 @@ def test_parser_is_built_once_and_reused_unchanged(capsys):
     for argv in usage_errors + (valid, valid) + usage_errors:
         assert _outcome(capsys, argv) == firsts[argv]
     assert cli._make_parser() is parser
+
+
+def test_dp_n_max_over_budget_exits_2_before_counting(capsys, monkeypatch):
+    from dyckgram import oracle
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("count_dp started above its budget")
+
+    monkeypatch.setattr(oracle, "avoid_tables", no_tables)
+    code, out, err = run(capsys, "count", "--method", "dp",
+                         "--n-max", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: requested DP semilength 1000000000 exceeds cap "
+                   f"{oracle.DP_MAX_SEMILENGTH}\n")
+
+
+def test_series_order_over_budget_exits_2_before_solving(capsys):
+    from dyckgram import series
+    from dyckgram.families import build
+    from dyckgram.grammar import lower
+    from dyckgram.oracle import ResourceLimit
+
+    # the budget is checked before anything is allocated, so the CLI run
+    # below allocates no 10^9-entry list
+    with pytest.raises(ResourceLimit):
+        series.solve(lower(build("F1").body), series.MAX_ORDER + 1)
+    code, out, err = run(capsys, "series", "--family", "F1",
+                         "--order", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: requested series order 1000000000 exceeds cap "
+                   f"{series.MAX_ORDER}\n")

@@ -4,8 +4,9 @@ from itertools import islice, product
 from time import perf_counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from conftest import verify_pool
+from conftest import quads, verify_pool
 from dyckgram.families import build
 from dyckgram.grammar import (D, EPSILON, EquationReport, Grammar,
                               GrammaticalEquation, NonTerm, U, UnbalancedGrammar,
@@ -16,6 +17,7 @@ from dyckgram.oracle import ResourceLimit, language
 from dyckgram.series import Poly, SeriesSystem, solve
 
 P = NonTerm("P")
+Q = NonTerm("Q")
 
 CATALAN = Grammar({"P": (EPSILON, seq(U, P, D, P))})
 UNRESTRICTED = RestrictionQuad.parse()
@@ -106,6 +108,16 @@ def test_undefined_nonterminal():
 def test_unguarded_recursion():
     with pytest.raises(ValueError, match="unguarded"):
         words(Grammar({"P": (P,)}), "P", 4)
+
+
+def test_nonterminal_head_is_guarded_by_later_letters():
+    # P -> P P U D never reaches P at the word's own length; P = 1 + z P^2
+    # derives (UD)^n in Catalan(n) ways
+    g = Grammar({"P": (EPSILON, seq(P, P, U, D))})
+    assert words(g, "P", 10).counts == {"UD" * n: c for n, c in
+                                        enumerate((1, 1, 2, 5, 14, 42))}
+    report = check_unambiguous(g, "P", 10)
+    assert (report.witness, report.multiplicity) == ("UDUD", 2)
 
 
 def test_word_multiplicity_unambiguous():
@@ -238,12 +250,14 @@ def _symbols(expr):
 
 def _reference(symbols, length, nonterminal):
     """Words of one length of a symbol tuple, built with Counter products;
-    only nonterminals are looked up, nothing is memoized."""
+    only nonterminals are looked up, nothing is memoized.  The head takes
+    at most the length the later letters leave, so a nonterminal in an
+    alternative with a letter is only ever looked up shorter."""
     if not symbols:
         return Counter({"": 1}) if length == 0 else Counter()
     head = symbols[0]
     out = Counter()
-    for l1 in range(length + 1):
+    for l1 in range(length - sum(type(s) is str for s in symbols[1:]) + 1):
         if type(head) is str:
             left = Counter({head: 1}) if l1 == 1 else Counter()
         else:
@@ -323,9 +337,71 @@ def test_equation_reports_match_reference_expander(inst):
     assert (doubled.witness, doubled.lhs_multiplicity) == ("", 2)
 
 
+# Random token tuples over U, D, P and Q.  The examples pin the shapes the
+# catalogue lacks: literal-only, a leading literal before a lone P, a
+# trailing literal, adjacent nonterminals (splits that collide, so counts
+# must add) and epsilon.
+LITERAL_ONLY, LEAD_LONE, TRAILING, ADJACENT, INNER_ADJACENT = (
+    seq(U, U, D), seq(U, U, P), seq(P, D, U), seq(P, P), seq(U, P, P, D))
+_exprs = st.lists(st.sampled_from((U, D, P, Q, seq(U, D))), max_size=5).map(
+    lambda parts: seq(*parts))
+_sides = st.lists(_exprs, min_size=1, max_size=3).map(tuple)
+
+
+@given(_sides, _sides, quads, quads)
+@example((P, LITERAL_ONLY, EPSILON), (LEAD_LONE, TRAILING, P), UNRESTRICTED,
+         UNRESTRICTED)
+@example((ADJACENT, INNER_ADJACENT), (seq(P, Q, P), P, seq(U, D, P)),
+         UNRESTRICTED, RestrictionQuad.parse(peaks="2"))
+def test_random_equations_match_reference_expander(lhs, rhs, quad_p, quad_q):
+    languages = {"P": quad_p, "Q": quad_q}
+
+    @lru_cache(maxsize=None)
+    def nonterminal(name, length):
+        if length % 2:
+            return Counter()
+        return Counter(dict.fromkeys(language(length // 2, languages[name]), 1))
+
+    def side(exprs):
+        return _reference_union(exprs, nonterminal)
+
+    # the drawn equation, each side against itself reordered, and a side
+    # against itself with one expression dropped
+    for a, b in ((lhs, rhs), (lhs, lhs[::-1]), (lhs + rhs, rhs + lhs),
+                 (rhs, rhs[1:])):
+        got = check_equation(GrammaticalEquation(a, b), languages,
+                             REFERENCE_MAX_LEN)
+        assert got == _reference_report(side(a), side(b)), (a, b)
+
+
+# an ambiguous rule: UD derives as U D and as U Q D, and Q Q U D splits
+# its Q Q prefix every way
+AMBIGUOUS_Q = (EPSILON, seq(U, D), seq(U, Q, D), seq(Q, Q, U, D))
+
+
+def _guarded(expr):
+    # an alternative with a nonterminal and a letter only looks up shorter
+    # nonterminals, so the rules hold no unguarded recursion
+    return all(type(t) is str for t in expr) or any(type(t) is str for t in expr)
+
+
+@given(_exprs, st.lists(_exprs.filter(_guarded), max_size=3))
+@example(INNER_ADJACENT, [EPSILON, LITERAL_ONLY, LEAD_LONE, TRAILING])
+@example(ADJACENT, [seq(U, P, D, P), seq(U, Q, P, D)])
+def test_random_grammars_match_reference_expander(start, alts):
+    rules = {"P": (EPSILON, *alts), "Q": AMBIGUOUS_Q}
+
+    @lru_cache(maxsize=None)
+    def nonterminal(name, length):
+        return sum((_reference(_symbols(alt), length, nonterminal)
+                    for alt in rules[name]), Counter())
+
+    expect = _reference_union((start,), nonterminal)
+    assert words(Grammar(rules), start, REFERENCE_MAX_LEN).counts == dict(expect)
+
+
 # --- differential check of lowering against a letter-by-letter reference --
 
-Q = NonTerm("Q")
 R = NonTerm("R")
 
 

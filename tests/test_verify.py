@@ -1,6 +1,9 @@
 from dataclasses import replace
 
+import pytest
+
 from dyckgram.families import build
+from dyckgram.grammar import GrammaticalEquation
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.verify import CountReport, count_comparison, verify_family
 
@@ -85,3 +88,24 @@ def test_wrong_reference_is_caught():
     failed = outcome(report, "counts match CATALAN (offset 0)")
     assert not failed.passed
     assert "expected" in failed.detail
+
+
+@pytest.mark.parametrize("family, params, dropped", [
+    ("F8", {"A": 2, "B": 3}, 1), ("F8", {"A": 2, "B": 3}, 2),
+    ("F9", {"r": 2}, 2), ("F6", {"A": 2, "B": 4}, 2),
+], ids=str)
+def test_negative_series_is_a_failed_check(family, params, dropped):
+    # dropping one right-hand expression makes the solved series go
+    # negative: the count check fails naming the series stage, and every
+    # other check still runs
+    good = build(family, **params)
+    rhs = good.body.rhs[:dropped] + good.body.rhs[dropped + 1:]
+    report = verify_family(replace(good, body=GrammaticalEquation(good.body.lhs, rhs)))
+    assert not report.passed
+    counts = outcome(report, "counts agree (brute = dp)")
+    assert not counts.passed
+    assert counts.detail.startswith("series stage: coefficient of z^")
+    assert "is not a count: -" in counts.detail
+    assert not outcome(report, "equation multisets equal").passed
+    assert not outcome(report, "lowering matches stated system").passed
+    assert list(report.counts.counts) == ["brute", "dp"]
