@@ -7,8 +7,10 @@ atoms, as in the benchmark's ``census`` workload) at n <= 12, the quads
 of the 81 verify-pool instances (``tests/conftest.verify_pool()``: F1-F3
 and acceptance criteria 05 and 06) at n <= 10, and the unrestricted quad at
 n <= 14.  dyckgram is imported from PYTHONPATH, so pointing it at
-another checkout's ``src`` times that checkout with the same script.  Prints one JSON object: for
-each set, the best of three wall times in seconds and a digest of every
+another checkout's ``src`` times that checkout with the same script.
+Prints one JSON object: for each set, the sum over its quads of each
+quad's best of five wall times in seconds (on a shared host a slow phase
+then costs one quad one run, not a whole pass) and a digest of every
 count sequence, so that two checkouts can be compared for equal counts as
 well as for speed.  After the timed repeats, one untimed pass per set
 wraps ``dyckgram.oracle.walk`` and ``accepts`` and reports the work done:
@@ -29,7 +31,7 @@ from dyckgram import oracle  # noqa: E402
 from dyckgram.intsets import RestrictionQuad  # noqa: E402
 from dyckgram.oracle import count_brute  # noqa: E402
 
-REPEATS = 3
+REPEATS = 5
 CENSUS_SEED = 9129
 
 
@@ -74,14 +76,16 @@ def brute_work(quads, n_max: int) -> dict:
 
 
 def _row(name: str, quads, n_max: int) -> dict:
-    best = float("inf")
+    times: list[list[float]] = [[] for _ in quads]
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        results = [(str(q), count_brute(n_max, q)) for q in quads]
-        best = min(best, time.perf_counter() - t0)
+        results = []
+        for q, spent in zip(quads, times):
+            t0 = time.perf_counter()
+            results.append((str(q), count_brute(n_max, q)))
+            spent.append(time.perf_counter() - t0)
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     return {"set": name, "quads": len(quads), "n_max": n_max,
-            "best_s": round(best, 3), "counts_sha256": digest[:16],
+            "best_s": round(sum(map(min, times)), 3), "counts_sha256": digest[:16],
             "work": brute_work(quads, n_max)}
 
 

@@ -6,9 +6,10 @@ n = 200 and 400.
 
 dyckgram is imported from PYTHONPATH, so pointing it at another
 checkout's ``src`` times that checkout with the same script.  Prints one
-JSON object: for each quad and n, the best of three wall times in seconds
+JSON object: for each quad and n, the best of five wall times in seconds
 and a digest of the count sequence, so that two checkouts can be compared
-for equal counts as well as for speed.
+for equal counts as well as for speed.  Each row is one instance, so its
+time is that instance's best of five, as in ``word_layer.py``.
 """
 
 import hashlib
@@ -28,7 +29,7 @@ QUADS = (RestrictionQuad.parse(),
          RestrictionQuad.parse(up_runs="ap(4,2)"),
          RestrictionQuad.parse(peaks="ap(2,3)", down_runs="ap(3,5)"))
 SEMILENGTHS = (200, 400)
-REPEATS = 3
+REPEATS = 5
 
 
 def _row(quad: RestrictionQuad, n: int) -> dict:

@@ -9,6 +9,14 @@ quad, the grammar or equation, and, where a closed form is stated for
 the family, the lowered series system transcribed independently of the
 grammar (so lowering can be tested against it).
 
+The paper's two algebraic closed forms, for F1 and F2, are stated as the
+integer polynomials in z and P that they satisfy (``F1_IDENTITY``,
+``F2_IDENTITY``), checked by ``Poly.eval`` at the counts.  In each, P's
+linear coefficient has constant term 1 or -1, so coefficient n of the
+residual fixes the count at n from the counts below it, an integer
+recurrence that starts at P(0) = 1.  A residual that is zero to order N
+therefore says the same as agreement with the radical form to order N.
+
 The catalogue:
 
   F1   peaks avoid ap(2,3), up-runs avoid 3..       counts 1, 2^(n-1)
@@ -25,14 +33,13 @@ The catalogue:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .grammar import (D, EPSILON, GExpr, Grammar, GrammaticalEquation, NonTerm,
                       U, rep, seq)
 from .intsets import IntSet, Progression, Range, RestrictionQuad
 from .sequences import SeqId
-from .series import DEFAULT_ORDER, Poly, SeriesSystem, TruncatedSeries
+from .series import Poly, SeriesSystem
 
 FAMILY_IDS = ("F1", "F2", "F3", "F5", "F6", "F7", "F8", "F9", "F10", "F11")
 
@@ -85,6 +92,10 @@ def _run_progression_system(A: int, B: int) -> SeriesSystem:
     return SeriesSystem(("P",), {"P": phi + _zP(A, A + 1) - _zP(B, B)})
 
 
+F1_IDENTITY = (Poly.const(1) - Poly.z().scale(2)) * _pvar() - Poly.const(1) + Poly.z()
+"""(1 - 2z) P - (1 - z): zero at F1's counts, P = (1 - z) / (1 - 2z)."""
+
+
 def _f1() -> FamilyInstance:
     Q = NonTerm("Q")
     g = Grammar({
@@ -120,6 +131,15 @@ def _f2() -> FamilyInstance:
                            up_runs=IntSet((Progression(1, 4),)))
     return FamilyInstance("F2", {}, quad, g, stated_system=stated,
                           count_reference=(SeqId.GEN_CATALAN, 1))
+
+
+F2_IDENTITY = (Poly.z(3) * _pvar(2)
+               - (Poly.const(1) - Poly.z() - Poly.z(2)) * _pvar() + Poly.const(1))
+"""z^3 P^2 - b P + 1 with b = 1 - z - z^2: zero at F2's counts.
+
+It encodes P = 2 / (b + sqrt(D)), D = 1 - 2z - z^2 - 2z^3 + z^4: clearing
+the root gives (b^2 - D) P^2 - 4b P + 4 = 0, and b^2 - D = 4z^3.
+"""
 
 
 def _f3() -> FamilyInstance:
@@ -254,20 +274,6 @@ def build(family: str, **params: int) -> FamilyInstance:
         raise BadParams(family, params,
                         f"parameters {names}" if names else "no parameters")
     return fn(*(params[name] for name in names))
-
-
-def f1_closed_form(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """(1 - z) / (1 - 2z): one path at n = 0, then 2^(n-1)."""
-    num = TruncatedSeries.from_coeffs([1, -1], order)
-    den = TruncatedSeries.from_coeffs([1, -2], order)
-    return (num * den.reciprocal()).require_counts()
-
-
-def f2_closed_form(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """2 / (1 - z - z^2 + sqrt(z^4 - 2z^3 - z^2 - 2z + 1))."""
-    radical = TruncatedSeries.from_coeffs([1, -2, -1, -2, 1], order).sqrt()
-    den = TruncatedSeries.from_coeffs([1, -1, -1], order) + radical
-    return den.scale(Fraction(1, 2)).reciprocal().require_counts()
 
 
 def downrun_variant_sides(instance: FamilyInstance) -> tuple[Poly, Poly]:

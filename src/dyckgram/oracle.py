@@ -15,16 +15,17 @@ Three methods; the two counters are deliberately independent:
   where peak/valley and run-length checks fire at direction changes and
   the final pending down-run is checked when the path closes.  A run's
   class is its length up to the horizon (T, p) of its avoid-set and its
-  residue mod p above it, so the states per height stay bounded however
-  long the runs grow (the transfer-matrix view).  Each (run direction,
-  run class) is one Python int whose W-bit slot h counts the prefixes
-  at height h, W = 2*n_max + 1: a slot counts distinct prefixes of at
-  most 2*n_max - 1 steps, so it never carries into the next.  A step is
-  a few shifts and masks per class: a run that goes on shifts its int
-  up or down one slot, and a peak or valley masks off the avoided
-  heights of the runs it ends.  One left-to-right sweep over 2*n_max
-  steps reads off every semilength n as slot 0 of the closing down-runs
-  after step 2n.
+  residue mod p above it, or, if that comes first, one class for every
+  length above the largest avoided one up to n_max; so the states per
+  height stay bounded however long the runs grow (the transfer-matrix
+  view).  Each (run direction, run class) is one Python int whose W-bit
+  slot h counts the prefixes at height h, W = 2*n_max + 1: a slot counts
+  distinct prefixes of at most 2*n_max - 1 steps, so it never carries
+  into the next.  A step is a few shifts and masks per class: a run that
+  goes on shifts its int up or down one slot, and a peak or valley masks
+  off the avoided heights of the runs it ends.  One left-to-right sweep
+  over 2*n_max steps reads off every semilength n as slot 0 of the
+  closing down-runs after step 2n.
 
 Both counters return a tuple whose entry n is the count at semilength n,
 for n = 0 .. n_max.  Counts are exact Python integers throughout.  Brute
@@ -40,8 +41,8 @@ from .paths import _FLIP, DyckPath, accepts, avoid_tables, walk
 
 DEFAULT_ENUMERATION_CAP = 16
 # the DP holds up to ~n_max classes of (n_max + 1) * (2 * n_max + 1) bits;
-# at n_max = 500, up-runs avoiding 999 and down-runs 998 (500 classes each)
-# took 20 s and 95 MB (2 cores, Python 3.11.7), the unrestricted quad 0.17 s
+# at n_max = 500, up-runs avoiding 500 and down-runs 499 (500 classes each)
+# took 19 s and 94 MB (2 cores, Python 3.11.7), the unrestricted quad 0.15 s
 DP_MAX_SEMILENGTH = 500
 
 _EMPTY_QUAD = RestrictionQuad()
@@ -166,20 +167,27 @@ def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
     return tuple(_scan(n, tables) for n in range(n_max + 1))
 
 
-def _run_successors(s: IntSet, n_max: int) -> list[int]:
-    """The class after each run class of avoid-set ``s``.
+def _run_successors(s: IntSet, avoided: list[bool]) -> list[int]:
+    """The class after each run class of avoid-set ``s``, whose membership
+    of 0..n_max is the table ``avoided``.
 
     With (T, p) = s.horizon(), run length r has class r up to T + p and
     T + 1 + (r - T - 1) % p above it, so membership of r is membership of
     its class, and the class after T + p is T + 1.  No run is longer than
-    the semilength, so the classes stop at min(T + p, n_max); when that
-    cuts the table short, its last entry is never followed.
+    n_max, so no run longer than L, the largest avoided length in the
+    table (0 if none), is avoided: if L + 1 < T + p, the classes stop at
+    L + 1, which stands for every longer run and follows itself.  The
+    classes never pass n_max; when that cuts the table short, its last
+    entry is never followed.
     """
     t, p = s.horizon()
-    top = min(t + p, max(n_max, 1))
+    last = max((r for r, a in enumerate(avoided) if a), default=0)
+    top = min(t + p, last + 1, len(avoided) - 1)
     nxt = list(range(1, top + 2))
     if top == t + p:
         nxt[top] = t + 1
+    elif top == last + 1:
+        nxt[top] = top
     return nxt
 
 
@@ -191,8 +199,8 @@ def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> tuple[int, ...]
     # a run class c <= n_max is itself a run length, so the run tables
     # index classes as they index lengths
     peak_t, valley_t, up_t, down_t = avoid_tables(quad, n_max)
-    up_nxt = _run_successors(quad.up_runs, n_max)
-    down_nxt = _run_successors(quad.down_runs, n_max)
+    up_nxt = _run_successors(quad.up_runs, up_t)
+    down_nxt = _run_successors(quad.down_runs, down_t)
     total_steps = 2 * n_max
     # ups[r] / downs[r]: W-bit slot h counts the prefixes at height h in an
     # up / down run of class r; a slot never carries (module docstring)

@@ -9,10 +9,9 @@ series and its reference sequence is evidence rather than circularity.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import comb
 
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .series import Poly
 
 
 class SeqId(Enum):
@@ -41,11 +40,17 @@ def _gen_catalan(n: int) -> int:
     return g[n]
 
 
-def gen_catalan_closed_form(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """The same sequence from its radical form (1 - z + z^2 - sqrt(...)) / 2z^2."""
-    inner = TruncatedSeries.from_coeffs([1, -2, -1, -2, 1], order + 2)
-    numerator = TruncatedSeries.from_coeffs([1, -1, 1], order + 2) - inner.sqrt()
-    return numerator.shift_down(2).scale(Fraction(1, 2)).require_counts()
+GEN_CATALAN_IDENTITY = (Poly.z(2) * Poly.var("G", 2)
+                        - (Poly.const(1) - Poly.z() + Poly.z(2)) * Poly.var("G") + Poly.const(1))
+"""z^2 G^2 - c G + 1 with c = 1 - z + z^2: zero at the GEN_CATALAN terms.
+
+It encodes the radical form G = (c - sqrt(D)) / 2z^2, where
+D = 1 - 2z - z^2 - 2z^3 + z^4: clearing the root gives
+4z^4 G^2 - 4z^2 c G + c^2 - D = 0, and c^2 - D = 4z^2.  Coefficient n
+reads G_n = G_(n-1) - G_(n-2) + [z^(n-2)] G^2, plus 1 at n = 0, so the
+identity fixes every term from the ones below it: a residual zero to
+order N says the same as the radical form to order N.
+"""
 
 
 def reference(seq: SeqId, n: int) -> int:

@@ -1,9 +1,10 @@
-"""Truncated formal power series with exact coefficients.
+"""Truncated formal power series with exact integer coefficients.
 
 A series of order N carries coefficients for z^0 .. z^(N-1); everything
-beyond is unknown, not zero.  Coefficients are Python ints wherever
-possible; Fractions appear only inside reciprocal and square root and
-are normalized back to int the moment they are integral.
+beyond is unknown, not zero.  Series form a ring under + - * and **, and
+every coefficient is a Python int: a closed form is checked as the
+integer polynomial it satisfies (``Poly.eval`` at the series), never by
+dividing or taking a root.
 
 The module also defines sparse polynomials in z and named unknowns
 (:class:`Poly`) and fixed-point systems X = Phi(X) over them
@@ -17,7 +18,6 @@ exactly once (relaxed evaluation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Mapping
 
@@ -31,32 +31,13 @@ class OrderMismatch(ValueError):
     pass
 
 
-class NonUnitConstant(ValueError):
-    def __init__(self, constant):
-        super().__init__(f"reciprocal needs constant term 1 or -1, got {constant}")
-        self.constant = constant
-
-
-class BadConstantTerm(ValueError):
-    def __init__(self, constant):
-        super().__init__(f"sqrt needs constant term 1, got {constant}")
-        self.constant = constant
-
-
 class NotContractive(ValueError):
     pass
 
 
-def _norm(c):
-    """Collapse integral Fractions to int."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
-    coeffs: tuple
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if not self.coeffs:
@@ -68,13 +49,11 @@ class TruncatedSeries:
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
-        cs = [_norm(c) for c in coeffs]
+        """The given coefficients, cut or zero-padded to ``order`` if given."""
+        cs = tuple(coeffs)
         if order is not None:
-            if len(cs) > order:
-                cs = cs[:order]
-            else:
-                cs.extend([0] * (order - len(cs)))
-        return cls(tuple(cs))
+            cs = cs[:order] + (0,) * (order - len(cs))
+        return cls(cs)
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
@@ -82,20 +61,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls.constant(1, order)
-
-    @classmethod
-    def constant(cls, c, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        return cls.from_coeffs([c], order)
-
-    @classmethod
-    def monomial(cls, coeff, power: int, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
-        if power >= order:
-            return cls.zero(order)
-        return cls.from_coeffs([0] * power + [coeff], order)
-
-    def coefficient(self, n: int):
-        return self.coeffs[n]
+        return cls.from_coeffs((1,), order)
 
     def _match(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -103,11 +69,11 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
-        return TruncatedSeries(tuple(_norm(a + b) for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
-        return TruncatedSeries(tuple(_norm(a - b) for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._match(other)
@@ -120,7 +86,7 @@ class TruncatedSeries:
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] += a * b
-        return TruncatedSeries(tuple(_norm(c) for c in out))
+        return TruncatedSeries(tuple(out))
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
@@ -130,47 +96,10 @@ class TruncatedSeries:
             result = result * self
         return result
 
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(_norm(c * a) for a in self.coeffs))
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a unit (+-1)."""
-        c0 = self.coeffs[0]
-        if c0 != 1 and c0 != -1:
-            raise NonUnitConstant(c0)
-        inv0 = 1 if c0 == 1 else -1
-        out = [inv0] + [0] * (self.order - 1)
-        for n in range(1, self.order):
-            acc = 0
-            for k in range(1, n + 1):
-                acc += self.coeffs[k] * out[n - k]
-            out[n] = _norm(-inv0 * acc)
-        return TruncatedSeries(tuple(out))
-
-    def sqrt(self) -> "TruncatedSeries":
-        """Square root with constant term 1 (the branch fixed by r(0) = 1)."""
-        if self.coeffs[0] != 1:
-            raise BadConstantTerm(self.coeffs[0])
-        out = [1] + [0] * (self.order - 1)
-        for n in range(1, self.order):
-            acc = 0
-            for i in range(1, n):
-                acc += out[i] * out[n - i]
-            out[n] = _norm(Fraction(self.coeffs[n] - acc, 2))
-        return TruncatedSeries(tuple(out))
-
-    def shift_down(self, k: int) -> "TruncatedSeries":
-        """Exact division by z^k; the first k coefficients must be zero."""
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"not divisible by z^{k}")
-        if k >= self.order:
-            raise ValueError(f"order {self.order} too small to drop z^{k}")
-        return TruncatedSeries(self.coeffs[k:])
-
     def require_counts(self) -> "TruncatedSeries":
-        """Assert every coefficient is a nonnegative integer and return self."""
+        """Assert every coefficient is nonnegative and return self."""
         for n, c in enumerate(self.coeffs):
-            if isinstance(c, Fraction) or c < 0:
+            if c < 0:
                 raise ValueError(f"coefficient of z^{n} is not a count: {c}")
         return self
 
@@ -271,7 +200,7 @@ class Poly:
         for zdeg, vars_, coeff in self.terms:
             if zdeg >= order:
                 continue
-            term = TruncatedSeries.monomial(coeff, zdeg, order)
+            term = TruncatedSeries.from_coeffs((0,) * zdeg + (coeff,), order)
             for name, e in vars_:
                 term = term * (env[name] ** e)
             total = total + term

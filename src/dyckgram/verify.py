@@ -95,7 +95,7 @@ def verify_family(instance: FamilyInstance,
     except ValueError as e:  # an equation's system subtracts: it can go negative
         notes.append(f"series stage: {e}")
     else:
-        counts["series"] = tuple(solution.coefficient(n) for n in range(n_max + 1))
+        counts["series"] = solution.coeffs
     report = CountReport(counts)
     mismatch = report.first_mismatch()
     if mismatch is not None:

@@ -12,12 +12,12 @@ from math import comb
 from conftest import run_progression_sweep, sample_quads, short_run_sweep
 
 from dyckgram.bijection import PARITY_QUAD, verify_counts
-from dyckgram.families import (build, downrun_variant_sides, f2_closed_form)
+from dyckgram.families import F2_IDENTITY, build, downrun_variant_sides
 from dyckgram.grammar import (D, EPSILON, Grammar, NonTerm, U, lower, seq)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import count_brute, count_dp
-from dyckgram.sequences import SeqId, gen_catalan_closed_form, reference
-from dyckgram.series import TruncatedSeries, solve
+from dyckgram.sequences import GEN_CATALAN_IDENTITY, SeqId, reference
+from dyckgram.series import Poly, TruncatedSeries, solve
 from dyckgram.verify import verify_family
 
 
@@ -70,14 +70,17 @@ def test_criterion_02_shifted_recurrence_family():
     for name, got in [("brute", brute), ("dp", dp), ("series", series)]:
         if got != expected:
             failures.append(f"{name} counts {got} != {expected}")
+    # the closed forms as the integer identities they satisfy: each fixes
+    # every coefficient, so a zero residual is agreement with the radical
+    zero = TruncatedSeries.zero(31)
     path_series = solve(lower(inst.body), 31)["P"].require_counts()
-    if f2_closed_form(31) != path_series:
-        failures.append("radical closed form differs from solved series")
-    shifted = gen_catalan_closed_form(31)
-    if shifted.coeffs != (1,) + path_series.coeffs[:30]:
-        failures.append("shift identity fails: second series != z * first + 1")
-    if shifted.coeffs != tuple(g[:31]):
-        failures.append("radical form differs from recurrence")
+    if F2_IDENTITY.eval({"P": path_series}, 31) != zero:
+        failures.append("solved series does not satisfy the radical closed form's identity")
+    shifted = (Poly.const(1) + Poly.z() * Poly.var("P")).eval({"P": path_series}, 31)
+    if GEN_CATALAN_IDENTITY.eval({"G": shifted}, 31) != zero:
+        failures.append("shift identity fails: z * first + 1 is not the second series")
+    if GEN_CATALAN_IDENTITY.eval({"G": TruncatedSeries(tuple(g[:31]))}, 31) != zero:
+        failures.append("recurrence does not satisfy the radical form's identity")
     _report(2, failures, t0, budget=10.0)
 
 

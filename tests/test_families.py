@@ -1,12 +1,11 @@
 import pytest
 
-from dyckgram.families import (FAMILY_IDS, BadParams, build,
-                               downrun_variant_sides, f1_closed_form,
-                               f2_closed_form)
+from dyckgram.families import (F1_IDENTITY, F2_IDENTITY, FAMILY_IDS, BadParams,
+                               build, downrun_variant_sides)
 from dyckgram.grammar import Grammar, GrammaticalEquation, lower
 from dyckgram.oracle import count_dp
-from dyckgram.sequences import SeqId
-from dyckgram.series import TruncatedSeries, solve
+from dyckgram.sequences import GEN_CATALAN_IDENTITY, SeqId
+from dyckgram.series import Poly, TruncatedSeries, solve
 
 
 def counts(instance, n_max=8):
@@ -121,14 +120,38 @@ def test_count_references():
     assert build("F6", A=2, B=2).count_reference is None
 
 
+def residual(identity, name, coeffs):
+    """The identity evaluated at the series with the given coefficients."""
+    return identity.eval({name: TruncatedSeries(tuple(coeffs))}, len(coeffs))
+
+
 def test_closed_forms():
-    assert f1_closed_form(8).coeffs == (1, 1, 2, 4, 8, 16, 32, 64)
-    assert f2_closed_form(10).coeffs == (1, 1, 2, 4, 8, 17, 37, 82, 185, 423)
+    f1 = (1, 1, 2, 4, 8, 16, 32, 64)
+    f2 = (1, 1, 2, 4, 8, 17, 37, 82, 185, 423)
+    assert residual(F1_IDENTITY, "P", f1) == TruncatedSeries.zero(8)
+    assert residual(F2_IDENTITY, "P", f2) == TruncatedSeries.zero(10)
 
 
 def test_closed_forms_match_path_counts():
-    assert f1_closed_form(9).coeffs == counts(build("F1"))
-    assert f2_closed_form(9).coeffs == counts(build("F2"))
+    assert residual(F1_IDENTITY, "P", counts(build("F1"))) == TruncatedSeries.zero(9)
+    assert residual(F2_IDENTITY, "P", counts(build("F2"))) == TruncatedSeries.zero(9)
+
+
+def test_identities_encode_their_radicals_and_pin_every_coefficient():
+    z = Poly.z
+    delta = Poly.const(1) - z().scale(2) - z(2) - z(3).scale(2) + z(4)
+    assert (Poly.const(1) - z() - z(2)) ** 2 - delta == z(3).scale(4)
+    assert (Poly.const(1) - z() + z(2)) ** 2 - delta == z(2).scale(4)
+    # bumping any one of the first 10 terms leaves a nonzero residual, so
+    # a zero residual is never vacuous
+    for identity, name, terms in [
+            (F1_IDENTITY, "P", counts(build("F1"), 11)),
+            (F2_IDENTITY, "P", counts(build("F2"), 11)),
+            (GEN_CATALAN_IDENTITY, "G", (1, 1, 1, 2, 4, 8, 17, 37, 82, 185, 423, 978))]:
+        assert residual(identity, name, terms) == TruncatedSeries.zero(12), str(identity)
+        for k in range(10):
+            bumped = terms[:k] + (terms[k] + 1,) + terms[k + 1:]
+            assert residual(identity, name, bumped) != TruncatedSeries.zero(12), (str(identity), k)
 
 
 def test_downrun_variant_overcounts_empty_path():

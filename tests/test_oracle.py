@@ -117,8 +117,8 @@ def test_dp_run_tables_stay_within_the_semilength(monkeypatch):
     sizes = []
     successors = oracle._run_successors
 
-    def recording(s, n_max):
-        nxt = successors(s, n_max)
+    def recording(s, avoided):
+        nxt = successors(s, avoided)
         sizes.append(len(nxt))
         return nxt
 
@@ -130,14 +130,25 @@ def test_dp_run_tables_stay_within_the_semilength(monkeypatch):
         assert sizes and max(sizes) <= n + 1, str(quad)
 
 
+def test_dp_lengths_above_every_avoided_one_share_a_class():
+    # no run of a path of semilength n is longer than n, so avoided lengths
+    # above n restrict nothing and cost no classes
+    far = RestrictionQuad.parse(up_runs="3,999", down_runs="998")
+    assert oracle._run_successors(far.up_runs, avoid_tables(far, 64)[2]) == [1, 2, 3, 4, 4]
+    assert oracle._run_successors(far.down_runs, avoid_tables(far, 64)[3]) == [1, 1]
+    assert count_dp(64, far) == count_dp(64, RestrictionQuad.parse(up_runs="3"))
+    assert count_dp(64, RestrictionQuad.parse(up_runs="ap(7,300)")) == count_dp(64)
+    assert count_dp(10, far) == count_brute(10, far)
+
+
 # --- differential check against a per-state reference DP ------------------
 
 def _reference_dp(n_max, quad=RestrictionQuad()):
     """The run-state DP one state at a time: a dict keyed by (height, run
     direction as +1/-1, run class), updated entry by entry on every step."""
     peak_t, valley_t, up_t, down_t = avoid_tables(quad, n_max)
-    up_nxt = oracle._run_successors(quad.up_runs, n_max)
-    down_nxt = oracle._run_successors(quad.down_runs, n_max)
+    up_nxt = oracle._run_successors(quad.up_runs, up_t)
+    down_nxt = oracle._run_successors(quad.down_runs, down_t)
     total_steps = 2 * n_max
     counts = [1]
     states = {(1, 1, 1): 1}
@@ -168,7 +179,9 @@ def _reference_dp(n_max, quad=RestrictionQuad()):
 
 
 def test_dp_matches_the_per_state_reference():
-    corpus = ([inst.quad for inst in verify_pool()] + CORPUS
+    far = [RestrictionQuad.parse(up_runs="ap(7,300)"),
+           RestrictionQuad.parse(up_runs="3,999", down_runs="998")]
+    corpus = ([inst.quad for inst in verify_pool()] + CORPUS + far
               + sample_quads(20, 9129) + sample_quads(60, 77))
     for quad in corpus:
         for n in (0, 1, 2, 7, 20, 64):

@@ -1,8 +1,9 @@
 import pytest
 
 from dyckgram import sequences
-from dyckgram.sequences import (SeqId, gen_catalan_closed_form, identify,
+from dyckgram.sequences import (GEN_CATALAN_IDENTITY, SeqId, identify,
                                 reference)
+from dyckgram.series import TruncatedSeries
 
 
 def prefix(sid, k):
@@ -44,8 +45,8 @@ def test_sequences_keeps_no_list_valued_module_state():
 
 
 def test_gen_catalan_closed_form_matches_recurrence():
-    series = gen_catalan_closed_form(30)
-    assert list(series.coeffs) == prefix(SeqId.GEN_CATALAN, 30)
+    series = TruncatedSeries(tuple(prefix(SeqId.GEN_CATALAN, 30)))
+    assert GEN_CATALAN_IDENTITY.eval({"G": series}, 30) == TruncatedSeries.zero(30)
 
 
 def test_identify_unique():

@@ -1,13 +1,10 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from dyckgram.families import build
 from dyckgram.grammar import lower
-from dyckgram.series import (BadConstantTerm, NonUnitConstant, NotContractive,
-                             OrderMismatch, Poly, SeriesSystem, TruncatedSeries,
-                             solve)
+from dyckgram.series import (NotContractive, OrderMismatch, Poly, SeriesSystem,
+                             TruncatedSeries, solve)
 
 S = TruncatedSeries.from_coeffs
 
@@ -42,67 +39,10 @@ def test_order_mismatch_rejected():
         S([1], 4) + S([1], 5)
 
 
-def test_reciprocal_geometric():
-    assert S([1, -1], 6).reciprocal().coeffs == (1, 1, 1, 1, 1, 1)
-    assert (S([1, -1], 8) * S([1, -2], 8).reciprocal()).coeffs == \
-        (1, 1, 2, 4, 8, 16, 32, 64)
-
-
-def test_reciprocal_of_negative_unit():
-    a = S([-1, 1], 5)
-    assert (a * a.reciprocal()).coeffs == (1, 0, 0, 0, 0)
-
-
-def test_reciprocal_requires_unit_constant():
-    with pytest.raises(NonUnitConstant):
-        S([2, 1], 4).reciprocal()
-    with pytest.raises(NonUnitConstant):
-        S([0, 1], 4).reciprocal()
-
-
-@given(st.lists(st.integers(-5, 5), min_size=0, max_size=9),
-       st.sampled_from([1, -1]))
-def test_reciprocal_round_trip(tail, unit):
-    a = S([unit] + tail, 10)
-    assert (a * a.reciprocal()).coeffs == TruncatedSeries.one(10).coeffs
-
-
-def test_sqrt_examples():
-    assert S([1, 2, 1], 6).sqrt().coeffs == (1, 1, 0, 0, 0, 0)
-    assert TruncatedSeries.one(4).sqrt().coeffs == (1, 0, 0, 0)
-
-
-def test_sqrt_requires_constant_one():
-    with pytest.raises(BadConstantTerm):
-        S([4, 1], 4).sqrt()
-
-
-@given(st.lists(st.integers(-4, 4), min_size=0, max_size=9))
-def test_sqrt_squares_back(tail):
-    a = S([1] + tail, 10)
-    r = a.sqrt()
-    assert (r * r).coeffs == a.coeffs
-
-
-def test_sqrt_of_quartic_gives_growth_sequence():
-    # the radical whose shifted half encodes 1, 1, 1, 2, 4, 8, 17, ...
-    inner = S([1, -2, -1, -2, 1], 10)
-    g = (S([1, -1, 1], 10) - inner.sqrt()).shift_down(2).scale(Fraction(1, 2))
-    assert g.coeffs == (1, 1, 1, 2, 4, 8, 17, 37)
-
-
-def test_shift_down_requires_divisibility():
-    assert S([0, 0, 3, 4], 4).shift_down(2).coeffs == (3, 4)
-    with pytest.raises(ValueError):
-        S([0, 1], 4).shift_down(2)
-
-
 def test_require_counts():
     assert S([1, 0, 2], 3).require_counts().coeffs == (1, 0, 2)
     with pytest.raises(ValueError):
         S([1, -1], 3).require_counts()
-    with pytest.raises(ValueError):
-        TruncatedSeries((Fraction(1, 2), 0)).require_counts()
 
 
 def test_rendering():

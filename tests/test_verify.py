@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from dyckgram.families import build
-from dyckgram.grammar import GrammaticalEquation
+from dyckgram.grammar import Grammar, GrammaticalEquation, NonTerm
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.verify import CountReport, count_comparison, verify_family
 
@@ -109,3 +109,42 @@ def test_negative_series_is_a_failed_check(family, params, dropped):
     assert not outcome(report, "equation multisets equal").passed
     assert not outcome(report, "lowering matches stated system").passed
     assert list(report.counts.counts) == ["brute", "dp"]
+
+
+MUTANT_POOL = [build("F1"), build("F2"), build("F3"), build("F5", A=4, B=2),
+               build("F6", A=2, B=4), build("F7", A=4, B=2), build("F8", A=3, B=5),
+               build("F9", r=1), build("F10", m=2, n=1), build("F11", r=2, k=1)]
+
+
+def _dropped_and_doubled(exprs, start=0):
+    for i in range(start, len(exprs)):
+        yield f"drop {i}", exprs[:i] + exprs[i + 1:]
+        yield f"double {i}", exprs[:i + 1] + exprs[i:]
+
+
+def _mutants(inst):
+    """The instance with one alternative or equation expression dropped,
+    or doubled, in turn.  The equation's bare left-hand P, which ``lower``
+    rejects by design, is left alone."""
+    body = inst.body
+    if isinstance(body, Grammar):
+        for name, alts in body.rules.items():
+            for what, new in _dropped_and_doubled(alts):
+                yield f"{name} {what}", replace(inst, body=Grammar({**body.rules, name: new}))
+    else:
+        assert body.lhs[0] == NonTerm("P")
+        for side in ("lhs", "rhs"):
+            start = 1 if side == "lhs" else 0
+            for what, new in _dropped_and_doubled(getattr(body, side), start):
+                yield f"{side} {what}", replace(inst, body=replace(body, **{side: new}))
+
+
+@pytest.mark.parametrize("inst", MUTANT_POOL, ids=str)
+def test_every_single_expression_mutant_fails_a_named_check(inst):
+    # none passes and none raises: each is a FAIL that names what failed
+    mutants = list(_mutants(inst))
+    assert len(mutants) >= 6
+    for label, mutant in mutants:
+        report = verify_family(mutant, max_len=10, n_max=5)
+        assert not report.passed, label
+        assert any(not c.passed and c.name for c in report.checks), label
