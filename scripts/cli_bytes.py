@@ -7,7 +7,11 @@ stdout, stderr and exit status are captured.  The groups: ``verify`` and
 ``series --dump-grammar``, each as text and with ``--json``, on the 81
 instances of ``tests/conftest.verify_pool()``; ``count --method both
 --n-max 12``, as text and with ``--json``, on the 24 seeded quads of
-``brute_layer.census_quads()``; and a dozen command lines that exit 2.
+``brute_layer.census_quads()``; ``deep``, the two command lines of the
+benchmark's ``deep`` workload (``count --method dp --n-max 64`` on the
+instance's quad and ``series --order 128``), each as text and with
+``--json``, on the 8 instances of ``tests/conftest.deep_set()``; and a
+dozen command lines that exit 2.
 dyckgram is imported from PYTHONPATH, so pointing it at another
 checkout's ``src`` runs the same command lines on that checkout.  Prints
 one JSON object: the number of runs, and for each group its runs and a
@@ -25,10 +29,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from brute_layer import census_quads  # noqa: E402
-from conftest import verify_pool  # noqa: E402
+from conftest import deep_set, verify_pool  # noqa: E402
 from dyckgram import cli  # noqa: E402
 
 CENSUS_N_MAX = 12
+DEEP_N_MAX = 64
+DEEP_ORDER = 128
 
 EXIT_2 = [
     [],
@@ -66,10 +72,13 @@ def _quad_args(quad) -> list[str]:
             "--upruns", str(quad.up_runs), "--downruns", str(quad.down_runs)]
 
 
-def groups(instances, quads) -> dict[str, list[list[str]]]:
+def groups(instances, quads, deep) -> dict[str, list[list[str]]]:
     families = [_family_args(inst) for inst in instances]
     counts = [["count", "--method", "both", "--n-max", str(CENSUS_N_MAX)]
               + _quad_args(quad) for quad in quads]
+    deep_runs = [argv for inst in deep for argv in (
+        ["count", "--method", "dp", "--n-max", str(DEEP_N_MAX)] + _quad_args(inst.quad),
+        ["series", *_family_args(inst), "--order", str(DEEP_ORDER)])]
     out = {}
     for suffix in ("", " --json"):
         extra = suffix.split()
@@ -77,6 +86,7 @@ def groups(instances, quads) -> dict[str, list[list[str]]]:
         out["series --dump-grammar" + suffix] = [
             ["series", "--dump-grammar", *f, *extra] for f in families]
         out["count --method both" + suffix] = [c + extra for c in counts]
+    out["deep"] = [argv + extra for extra in ([], ["--json"]) for argv in deep_runs]
     out["exit 2"] = EXIT_2
     return out
 
@@ -92,7 +102,7 @@ def digests(named: dict[str, list[list[str]]]) -> dict:
 
 
 def main() -> None:
-    rows = digests(groups(verify_pool(), census_quads()))
+    rows = digests(groups(verify_pool(), census_quads(), deep_set()))
     print(json.dumps({"python": platform.python_version(),
                       "runs": sum(r["runs"] for r in rows.values()),
                       "groups": rows}, indent=1))

@@ -1,6 +1,6 @@
 """Time the run-state DP (``oracle.count_dp``) alone: on the 8 instances
-of the benchmark's ``deep`` workload at n = 64, and on three quads at
-n = 200 and 400.
+of the benchmark's ``deep`` workload (``tests/conftest.deep_set()``) at
+n = 64, and on three quads at n = 200 and 400.
 
     PYTHONPATH=src python3 scripts/dp_layer.py
 
@@ -15,15 +15,15 @@ time is that instance's best of five, as in ``word_layer.py``.
 import hashlib
 import json
 import platform
+import sys
 import time
+from pathlib import Path
 
-from dyckgram.families import build
-from dyckgram.intsets import RestrictionQuad
-from dyckgram.oracle import count_dp
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import deep_set  # noqa: E402
+from dyckgram.intsets import RestrictionQuad  # noqa: E402
+from dyckgram.oracle import count_dp  # noqa: E402
 
-DEEP = (build("F1"), build("F2"), build("F3"), build("F5", A=4, B=2),
-        build("F6", A=2, B=4), build("F7", A=4, B=2), build("F8", A=3, B=5),
-        build("F9", r=1))
 DEEP_N = 64
 QUADS = (RestrictionQuad.parse(),
          RestrictionQuad.parse(up_runs="ap(4,2)"),
@@ -44,7 +44,7 @@ def _row(quad: RestrictionQuad, n: int) -> dict:
 
 
 def main() -> None:
-    rows = [{"instance": str(inst), **_row(inst.quad, DEEP_N)} for inst in DEEP]
+    rows = [{"instance": str(inst), **_row(inst.quad, DEEP_N)} for inst in deep_set()]
     rows += [_row(quad, n) for quad in QUADS for n in SEMILENGTHS]
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
                       "rows": rows}, indent=1))

@@ -81,6 +81,8 @@ def _quad_json(quad: RestrictionQuad) -> dict:
 
 
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
+    """Print ``payload`` as JSON, or else each of ``text_lines``; that is
+    iterated only for text, so a generator builds no line under --json."""
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -109,12 +111,14 @@ def _cmd_count(args) -> int:
                "witness": None if mismatch is None else {
                    "n": str(mismatch),
                    **{m: str(c) for m, c in zip(methods, report.row(mismatch))}}}
-    lines = ["n\t" + "\t".join(methods)]
-    lines += [f"{n}\t" + "\t".join(str(c) for c in report.row(n))
-              for n in range(args.n_max + 1)]
-    if mismatch is not None:
-        lines.append(f"FAIL: methods disagree at n={mismatch}")
-    _emit(payload, args.json, lines)
+
+    def lines():
+        yield "n\t" + "\t".join(methods)
+        for n in range(args.n_max + 1):
+            yield f"{n}\t" + "\t".join(str(c) for c in report.row(n))
+        if mismatch is not None:
+            yield f"FAIL: methods disagree at n={mismatch}"
+    _emit(payload, args.json, lines())
     return 0 if mismatch is None else 1
 
 
@@ -136,14 +140,17 @@ def _cmd_series(args) -> int:
                "order": str(args.order),
                "system": str(system).splitlines(),
                "coefficients": {n: [str(c) for c in cs] for n, cs in coeffs.items()}}
-    lines = str(system).splitlines()
-    lines += [f"{name}: " + ", ".join(str(c) for c in cs)
-              for name, cs in coeffs.items()]
     if args.dump_grammar:
-        body_text = instance.body.to_text()
-        payload["body"] = body_text.splitlines()
-        lines = body_text.splitlines() + [""] + lines
-    _emit(payload, args.json, lines)
+        payload["body"] = instance.body.to_text().splitlines()
+
+    def lines():
+        if args.dump_grammar:
+            yield from payload["body"]
+            yield ""
+        yield from payload["system"]
+        for name, cs in payload["coefficients"].items():
+            yield f"{name}: " + ", ".join(cs)
+    _emit(payload, args.json, lines())
     return 0
 
 
@@ -162,11 +169,14 @@ def _cmd_verify(args) -> int:
                "passed": report.passed,
                "witness": None if failed is None else {
                    "check": failed.name, "detail": failed.detail}}
-    lines = [f"{str(instance)}: {instance.quad}"]
-    lines += [("PASS " if c.passed else "FAIL ") + c.name
-              + (f" ({c.detail})" if c.detail else "") for c in report.checks]
-    lines.append("PASS" if report.passed else "FAIL")
-    _emit(payload, args.json, lines)
+
+    def lines():
+        yield f"{str(instance)}: {instance.quad}"
+        for c in report.checks:
+            yield (("PASS " if c.passed else "FAIL ") + c.name
+                   + (f" ({c.detail})" if c.detail else ""))
+        yield "PASS" if report.passed else "FAIL"
+    _emit(payload, args.json, lines())
     return 0 if report.passed else 1
 
 

@@ -10,7 +10,8 @@ by the CLI and by :func:`parse_set`:
 ``"3.."`` is shorthand for ``ap(1,3)`` = {3, 4, 5, ...}, and ``"ap(2,3)"``
 is {3, 5, 7, ...}.  All members are positive; a zero base or step is
 rejected at parse time.  Sets are kept un-normalized: membership is
-decided per query, directly from the defining atoms.
+decided per query, directly from the defining atoms, and each atom lists
+its own members up to a bound as a ``range`` (``upto``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ class Single:
     def contains(self, v: int) -> bool:
         return v == self.value
 
+    def upto(self, bound: int) -> range:
+        return range(self.value, min(self.value, bound) + 1)
+
     def horizon(self) -> tuple[int, int]:
         return self.value, 1
 
@@ -61,6 +65,9 @@ class Range:
 
     def contains(self, v: int) -> bool:
         return self.lo <= v <= self.hi
+
+    def upto(self, bound: int) -> range:
+        return range(self.lo, min(self.hi, bound) + 1)
 
     def horizon(self) -> tuple[int, int]:
         return self.hi, 1
@@ -78,6 +85,9 @@ class Progression:
 
     def contains(self, v: int) -> bool:
         return v >= self.base and (v - self.base) % self.step == 0
+
+    def upto(self, bound: int) -> range:
+        return range(self.base, bound + 1, self.step)
 
     def horizon(self) -> tuple[int, int]:
         return self.base, self.step

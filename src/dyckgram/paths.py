@@ -129,13 +129,21 @@ def avoid_tables(quad: RestrictionQuad, bound: int) -> tuple[list[bool], ...]:
     """Membership of 0..max(bound, 1) in the peak, valley, up-run and
     down-run avoid-sets, as four boolean lists.
 
-    Index 0 is never avoided: avoid-sets hold positive integers only, which
-    is what exempts valleys at height 0.  A bound of the semilength covers
-    every feature of a path.
+    Each table starts all False and every atom of the set marks its own
+    members up to the bound (``upto``), so no value is looked up atom by
+    atom.  Index 0 is never avoided: avoid-sets hold positive integers
+    only, which is what exempts valleys at height 0.  A bound of the
+    semilength covers every feature of a path.
     """
     bound = max(bound, 1)
-    return tuple([False] + [s.contains(v) for v in range(1, bound + 1)]
-                 for s in (quad.peaks, quad.valleys, quad.up_runs, quad.down_runs))
+    tables = []
+    for s in (quad.peaks, quad.valleys, quad.up_runs, quad.down_runs):
+        table = [False] * (bound + 1)
+        for atom in s.atoms:
+            for v in atom.upto(bound):
+                table[v] = True
+        tables.append(table)
+    return tuple(tables)
 
 
 def walk(steps, tables, state=(0, 0, "")):

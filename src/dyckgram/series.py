@@ -251,14 +251,30 @@ class SeriesSystem:
         return "\n".join(f"{name} = {self.equations[name]}" for name in self.unknowns)
 
 
+def _quotient(key: _VarsKey, sub: _VarsKey) -> _VarsKey | None:
+    """The product ``key`` divided by ``sub``; None unless ``sub`` is a
+    proper divisor."""
+    d = dict(key)
+    for name, e in sub:
+        if d.get(name, 0) < e:
+            return None
+        d[name] -= e
+    return tuple((name, e) for name, e in d.items() if e) or None
+
+
 def solve(system: SeriesSystem, order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
     """The fixed point of X = Phi(X), one coefficient of every unknown at a time.
 
     Coefficient n of an unknown sums c * [z^(n - zdeg)] of each monomial's
     product of unknowns.  Every such product carries z^1 or higher, so it
     is read below index n.  Each distinct product keeps a growing
-    coefficient list, built as (the product without one factor) x that
-    factor, one convolution term per n.
+    coefficient list, one convolution per n.  A product whose exponents
+    are all even is the square of its half, and its coefficient n sums
+    half the terms: 2 * sum_{i < n/2} a_i a_(n-i), plus a_(n/2)^2 for even
+    n.  Any other product is two products already built, where a split
+    allows, or else an unknown of odd exponent times the rest.  The
+    system's products are built lowest degree first, so a split reuses
+    any smaller one: P^5 is P^2 * P^3 when the system needs P^3.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -268,16 +284,28 @@ def solve(system: SeriesSystem, order: int = DEFAULT_ORDER) -> dict[str, Truncat
     coeffs: dict[str, list] = {name: [] for name in system.unknowns}
     products: dict[_VarsKey, list] = {(): [1] + [0] * (order - 1)}
     products.update({((name, 1),): cs for name, cs in coeffs.items()})
-    recipes: list[tuple[list, list, list]] = []  # (product, rest, factor)
+    recipes: list[tuple[list, list, list]] = []  # (product, a, b); a square's a and b are its half
 
     def product(key: _VarsKey) -> list:
         if key not in products:
-            (name, e), *others = key
-            rest = product(tuple(others) if e == 1 else ((name, e - 1), *others))
+            if not any(e % 2 for _, e in key):
+                half = product(tuple((name, e // 2) for name, e in key))
+                factors = half, half
+            else:
+                split = next(((a, q) for a in products
+                              if a and (q := _quotient(key, a)) in products), None)
+                if split is None:
+                    unit = ((next(name for name, e in key if e % 2), 1),)
+                    split = unit, _quotient(key, unit)
+                factors = product(split[0]), product(split[1])
             products[key] = []
-            recipes.append((products[key], rest, coeffs[name]))
+            recipes.append((products[key], *factors))
         return products[key]
 
+    # lowest degree first, so that a split may reuse any smaller product the system needs
+    for key in sorted({v for phi in system.equations.values() for _, v, _ in phi.terms},
+                      key=lambda v: (sum(e for _, e in v), v)):
+        product(key)
     rhs = {name: [(zdeg, product(vars_), c)
                   for zdeg, vars_, c in system.equations[name].terms]
            for name in system.unknowns}
@@ -286,6 +314,11 @@ def solve(system: SeriesSystem, order: int = DEFAULT_ORDER) -> dict[str, Truncat
             coeffs[name].append(sum(c * prod[n - zdeg]
                                     for zdeg, prod, c in rhs[name] if zdeg <= n))
         if n + 1 < order:
-            for prod, rest, factor in recipes:
-                prod.append(sum(map(mul, rest, reversed(factor))))
+            for prod, a, b in recipes:
+                if a is b:
+                    k = (n + 1) // 2
+                    twice = 2 * sum(map(mul, a[:k], reversed(a)))
+                    prod.append(twice + a[k] ** 2 if n % 2 == 0 else twice)
+                else:
+                    prod.append(sum(map(mul, a, reversed(b))))
     return {name: TruncatedSeries(tuple(cs)) for name, cs in coeffs.items()}

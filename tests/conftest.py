@@ -80,3 +80,21 @@ def verify_pool():
     """F1-F3 and the instances of acceptance criteria 05 and 06 (81 in all)."""
     return ([build("F1"), build("F2"), build("F3")]
             + run_progression_sweep() + short_run_sweep())
+
+
+def deep_set():
+    """The 8 instances of the benchmark's ``deep`` workload, one per family
+    with a stated system."""
+    return (build("F1"), build("F2"), build("F3"), build("F5", A=4, B=2),
+            build("F6", A=2, B=4), build("F7", A=4, B=2), build("F8", A=3, B=5),
+            build("F9", r=1))
+
+
+def catalogue():
+    """F1-F3, F5-F8 for A <= 6 and B <= 7, and the F9-F11 instances of
+    acceptance criterion 06 (117 in all)."""
+    instances = [build("F1"), build("F2"), build("F3")]
+    for a in range(1, 7):
+        for b in range(1, 8):
+            instances += [build(f, A=a, B=b) for f in (("F5", "F7") if b < a else ("F6", "F8"))]
+    return instances + short_run_sweep()

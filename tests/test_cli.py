@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -32,6 +33,22 @@ def test_enumerate_json_round_trip(capsys):
     assert payload["paths"] == ["UUDD"]
     assert payload["quad"]["up_runs"] == "1"
     assert json.dumps(payload, indent=2, sort_keys=True) == out.rstrip("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n-max", "4"], ["series", "--family", "F3", "--order", "6"],
+    ["verify", "--family", "F3", "--max-len", "6", "--n-max", "3"]], ids=lambda a: a[0])
+def test_text_lines_are_built_only_for_text(capsys, monkeypatch, argv):
+    emit, states = cli._emit, []
+
+    def recording(payload, as_json, text_lines):
+        emit(payload, as_json, text_lines)
+        states.append(inspect.getgeneratorstate(text_lines))
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    assert run(capsys, *argv, "--json")[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert states == [inspect.GEN_CREATED, inspect.GEN_CLOSED]
 
 
 def test_count_text(capsys):

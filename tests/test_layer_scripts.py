@@ -1,10 +1,10 @@
 """The scripts under scripts/ still import and run.
 
 Each script is imported by path, with scripts/ on sys.path as when it is
-run directly; the two count scripts time one small row, the lowering
-script's synthetic grammar is lowered, and the CLI byte hasher runs a
-small subset of its command lines, so a script left behind by an API
-change fails here rather than when next run.
+run directly; the two count scripts and the series script time one
+small row, the lowering script's synthetic grammar is lowered, and the
+CLI byte hasher runs a small subset of its command lines, so a script
+left behind by an API change fails here rather than when next run.
 """
 
 import hashlib
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import verify_pool
+from conftest import deep_set, verify_pool
+from dyckgram.families import build
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
 
@@ -32,7 +33,8 @@ def _load(path: Path, monkeypatch):
 
 def test_there_are_layer_scripts():
     assert [p.stem for p in LAYER_SCRIPTS] == [
-        "brute_layer", "dp_layer", "language_layer", "lower_layer", "word_layer"]
+        "brute_layer", "dp_layer", "language_layer", "lower_layer", "series_layer",
+        "word_layer"]
 
 
 @pytest.mark.parametrize("path", LAYER_SCRIPTS, ids=lambda p: p.stem)
@@ -43,6 +45,11 @@ def test_layer_script_imports(path, monkeypatch):
 def test_dp_layer_row(monkeypatch):
     row = _load(SCRIPTS / "dp_layer.py", monkeypatch)._row(RestrictionQuad(), 3)
     assert row["counts_sha256"] == hashlib.sha256(b"1,1,2,5").hexdigest()[:16]
+
+
+def test_series_layer_row(monkeypatch):
+    row = _load(SCRIPTS / "series_layer.py", monkeypatch)._row([build("F3")], 8)
+    assert row["coeffs_sha256"] == hashlib.sha256(b"P:1,1,2,4,9,21,51,127;").hexdigest()[:16]
 
 
 def test_brute_layer_row(monkeypatch):
@@ -65,7 +72,7 @@ def test_lower_layer_synthetic(monkeypatch):
 def test_cli_bytes_subset(monkeypatch):
     cli_bytes = _load(SCRIPTS / "cli_bytes.py", monkeypatch)
     census = _load(SCRIPTS / "brute_layer.py", monkeypatch).census_quads(2)
-    named = cli_bytes.groups(verify_pool()[:2], census)
+    named = cli_bytes.groups(verify_pool()[:2], census, deep_set()[:2])
     for name, argvs in named.items():
         want = 2 if name == "exit 2" else 0
         assert [cli_bytes.run(argv)[2] for argv in argvs] == [want] * len(argvs), name

@@ -145,10 +145,13 @@ def test_dp_lengths_above_every_avoided_one_share_a_class():
 
 def _reference_dp(n_max, quad=RestrictionQuad()):
     """The run-state DP one state at a time: a dict keyed by (height, run
-    direction as +1/-1, run class), updated entry by entry on every step."""
+    direction as +1/-1, run length), updated entry by entry on every step.
+    No run class and no horizon: a run longer than L, the largest avoided
+    length of its direction up to n_max, is never avoided, so its length
+    is kept as L + 1."""
     peak_t, valley_t, up_t, down_t = avoid_tables(quad, n_max)
-    up_nxt = oracle._run_successors(quad.up_runs, up_t)
-    down_nxt = oracle._run_successors(quad.down_runs, down_t)
+    up_cap, down_cap = (1 + max((r for r, a in enumerate(t) if a), default=0)
+                        for t in (up_t, down_t))
     total_steps = 2 * n_max
     counts = [1]
     states = {(1, 1, 1): 1}
@@ -158,7 +161,7 @@ def _reference_dp(n_max, quad=RestrictionQuad()):
             # step up, if it can still return to 0
             if h + 1 <= total_steps - i - 1:
                 if d == 1:
-                    key = (h + 1, 1, up_nxt[r])
+                    key = (h + 1, 1, min(r + 1, up_cap))
                     new[key] = new.get(key, 0) + c
                 elif not (down_t[r] or valley_t[h]):
                     key = (h + 1, 1, 1)
@@ -166,7 +169,7 @@ def _reference_dp(n_max, quad=RestrictionQuad()):
             # step down
             if h > 0:
                 if d == -1:
-                    key = (h - 1, -1, down_nxt[r])
+                    key = (h - 1, -1, min(r + 1, down_cap))
                     new[key] = new.get(key, 0) + c
                 elif not (up_t[r] or peak_t[h]):
                     key = (h - 1, -1, 1)

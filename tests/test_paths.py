@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given
 
-from conftest import dyck_paths, quads, unrestricted_paths
+from conftest import dyck_paths, quads, sample_quads, unrestricted_paths
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.paths import (DyckPath, NegativePrefix, PathFeatures,
-                            UnbalancedPath, InvalidPath, features,
+                            UnbalancedPath, InvalidPath, avoid_tables, features,
                             reverse_complement, satisfies)
 
 
@@ -118,3 +118,25 @@ def test_satisfaction_transfers_through_mirror(path, quad):
 
 def test_all_paths_of_small_semilengths_are_catalan_many():
     assert [len(unrestricted_paths(n)) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+
+
+def _assert_tables_match_membership(quad):
+    sets = (quad.peaks, quad.valleys, quad.up_runs, quad.down_runs)
+    members = [[False] + [s.contains(v) for v in range(1, 71)] for s in sets]
+    for bound in range(71):
+        want = tuple(m[:max(bound, 1) + 1] for m in members)
+        assert avoid_tables(quad, bound) == want, (str(quad), bound)
+
+
+def test_avoid_tables_match_membership_including_atoms_beyond_the_bound():
+    far = [RestrictionQuad.parse(peaks="999", valleys="1..1000000000",
+                                 up_runs="ap(1000000000,1)", down_runs="3,999,ap(1000000000,7)"),
+           RestrictionQuad.parse(peaks="ap(1000000000,1000000000)", valleys="70..999",
+                                 up_runs="5..71", down_runs="ap(7,64),71")]
+    for quad in far + sample_quads(40, 4242):
+        _assert_tables_match_membership(quad)
+
+
+@given(quads)
+def test_avoid_tables_match_membership_on_drawn_quads(quad):
+    _assert_tables_match_membership(quad)

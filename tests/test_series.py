@@ -1,7 +1,10 @@
+from math import prod
+from operator import mul
+
 import pytest
 from hypothesis import given, strategies as st
 
-from dyckgram.families import build
+from conftest import catalogue
 from dyckgram.grammar import lower
 from dyckgram.series import (NotContractive, OrderMismatch, Poly, SeriesSystem,
                              TruncatedSeries, solve)
@@ -98,21 +101,9 @@ def test_solution_is_a_fixed_point():
     assert system.equations["P"].eval(sol, 12) == sol["P"]
 
 
-def _catalogue():
-    instances = [build("F1"), build("F2"), build("F3")]
-    for a in range(1, 7):
-        for b in range(1, 8):
-            for family in (("F5", "F7") if b < a else ("F6", "F8")):
-                instances.append(build(family, A=a, B=b))
-    instances += [build("F9", r=r) for r in range(1, 5)]
-    instances += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
-    instances += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
-    return instances
-
-
 def test_solution_is_a_fixed_point_of_every_catalogue_system():
     # checked by Poly.eval's full series products, not by the online recurrence
-    for inst in _catalogue():
+    for inst in catalogue():
         system = lower(inst.body)
         sol = solve(system, 64)
         for name in system.unknowns:
@@ -137,3 +128,81 @@ def test_non_contractive_system_rejected():
 def test_unbound_unknown_rejected():
     with pytest.raises(ValueError):
         solve(SeriesSystem(("X",), {"X": Poly.z() * Poly.var("Y")}), 4)
+
+
+# --- differential check against a one-factor-at-a-time reference ----------
+
+def _reference_solve(system, order):
+    """The relaxed solver with every product built as (the product without
+    one factor) x that factor, one full convolution per n."""
+    coeffs = {name: [] for name in system.unknowns}
+    products = {(): [1] + [0] * (order - 1)}
+    products.update({((name, 1),): cs for name, cs in coeffs.items()})
+    recipes = []
+
+    def product(key):
+        if key not in products:
+            (name, e), *others = key
+            rest = product(tuple(others) if e == 1 else ((name, e - 1), *others))
+            products[key] = []
+            recipes.append((products[key], rest, coeffs[name]))
+        return products[key]
+
+    rhs = {name: [(zdeg, product(vars_), c) for zdeg, vars_, c in system.equations[name].terms]
+           for name in system.unknowns}
+    for n in range(order):
+        for name in system.unknowns:
+            coeffs[name].append(sum(c * p[n - zdeg] for zdeg, p, c in rhs[name] if zdeg <= n))
+        if n + 1 < order:
+            for p, rest, factor in recipes:
+                p.append(sum(map(mul, rest, reversed(factor))))
+    return {name: tuple(cs) for name, cs in coeffs.items()}
+
+
+ORDERS = (1, 2, 3, 4, 64, 128)
+
+
+def _assert_matches_reference(system, orders=ORDERS):
+    for order in orders:
+        got = {name: series.coeffs for name, series in solve(system, order).items()}
+        assert got == _reference_solve(system, order), (str(system), order)
+
+
+def test_solve_matches_the_reference_on_every_catalogue_system():
+    for inst in catalogue():
+        _assert_matches_reference(lower(inst.body))
+
+
+def _monomial(zdeg, coeff, **exps):
+    return prod((Poly.var(name, e) for name, e in exps.items()), start=Poly.z(zdeg)).scale(coeff)
+
+
+def test_solve_matches_the_reference_on_squares_of_several_unknowns():
+    # X^2 Y^2, X^4 Y^2 and Y^2 Z^4 are squares of X Y, X^2 Y and Y Z^2;
+    # X^3 Y^4 and X^5 Y^2 Z^4 are an unknown times a square
+    system = SeriesSystem(("X", "Y", "Z"), {
+        "X": Poly.const(1) + _monomial(1, 1, X=2, Y=2) - _monomial(2, 1, X=3, Y=4),
+        "Y": Poly.const(1) + _monomial(1, 2, X=4, Y=2) + _monomial(3, -1, X=5, Y=2, Z=4),
+        "Z": Poly.const(1) + _monomial(1, 1, Y=2, Z=4) + _monomial(1, 1, X=1, Y=1)})
+    _assert_matches_reference(system)
+
+
+@st.composite
+def contractive_systems(draw):
+    """1-3 unknowns, each equation a few monomials with exponents <= 6,
+    coefficients in -3..3 and a z factor on every unknown-bearing one."""
+    names = ("X", "Y", "Z")[:draw(st.integers(1, 3))]
+    equations = {}
+    for name in names:
+        phi = Poly.const(draw(st.integers(-3, 3)))
+        for _ in range(draw(st.integers(0, 4))):
+            exps = {n: draw(st.integers(0, 6)) for n in names}
+            zdeg = draw(st.integers(1 if any(exps.values()) else 0, 3))
+            phi = phi + _monomial(zdeg, draw(st.integers(-3, 3).filter(bool)), **exps)
+        equations[name] = phi
+    return SeriesSystem(names, equations)
+
+
+@given(contractive_systems(), st.sampled_from(ORDERS))
+def test_solve_matches_the_reference_on_drawn_systems(system, order):
+    _assert_matches_reference(system, (order,))
