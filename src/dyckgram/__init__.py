@@ -2,8 +2,7 @@
 
 from .intsets import (IntSet, Progression, Range, RestrictionQuad, Single,
                       parse_set)
-from .paths import (DyckPath, PathFeatures, features, reverse_complement,
-                    satisfies)
+from .paths import DyckPath, satisfies
 from .oracle import ResourceLimit, count_brute, count_dp, enumerate_paths
 from .series import Poly, SeriesSystem, TruncatedSeries, solve
 from .grammar import (Grammar, GrammaticalEquation, check_equation,

@@ -2,12 +2,14 @@
 
 Three methods; the two counters are deliberately independent:
 
-* brute force, a definitional count: every path of the given semilength
-  is a first half ending at some height h joined to the reverse
-  complement of a first half ending at h; each path gets one verdict from
-  the walk of ``paths.accepts``, split at the seam after the second
-  half's first run: each first half is walked once, each second half's
-  tail judged once, and each join walks only its seam;
+* brute force, a definitional count: one pass grows every half-path by
+  a letter per level, and every path of semilength n is a level-n first
+  half ending at some height h joined to the reverse complement of a
+  level-n first half ending at h.  Each path gets one verdict from the
+  walk of ``paths.accepts``, split at the seam after the second half's
+  first run: a first half's walker state is one letter walked from its
+  parent's, each second half's tail is judged once per semilength, and
+  each join walks only its seam;
 * enumeration of the satisfying paths, a midpoint join on the same
   walker: pruned first halves, each joined to the second halves of its
   walker state, which are listed once per distinct state;
@@ -37,7 +39,7 @@ checks before it allocates anything.
 from __future__ import annotations
 
 from .intsets import IntSet, RestrictionQuad
-from .paths import _FLIP, DyckPath, accepts, avoid_tables, walk
+from .paths import DyckPath, accepts, avoid_tables, walk
 
 DEFAULT_ENUMERATION_CAP = 16
 # the DP holds up to ~n_max classes of (n_max + 1) * (2 * n_max + 1) bits;
@@ -66,48 +68,6 @@ def check_semilength(n: int, cap: int) -> None:
         raise ValueError(f"semilength must be >= 0, got {n}")
     if n > cap:
         raise ResourceLimit(n, cap)
-
-
-def _halves(n: int) -> dict[int, list[str]]:
-    """Every length-n U/D word whose prefix sums stay >= 0, keyed by the
-    height it ends at."""
-    level: dict[int, list[str]] = {0: [""]}
-    for _ in range(n):
-        nxt: dict[int, list[str]] = {}
-        for h, ws in level.items():
-            nxt.setdefault(h + 1, []).extend(w + "U" for w in ws)
-            if h > 0:
-                nxt.setdefault(h - 1, []).extend(w + "D" for w in ws)
-        level = nxt
-    return level
-
-
-def _scan(n: int, tables) -> int:
-    """Number of paths of semilength n that pass the membership walk.
-
-    Joining every first half that ends at height h to every second half
-    that leaves from h gives each of the C_n paths once.  A second half b
-    whose first run of m letters is followed by a letter y leaves any live
-    walk at (h', 1, y), h' being h plus the rise of its seam b[:m+1], so
-    its tail b[m+1:] is judged once, from there.  Each first half is
-    walked once; a live walk is resumed on the seam of every second half
-    whose tail passed, and on the single-run D^n whole.
-    """
-    total = 0
-    for h, firsts in _halves(n).items():
-        seams, whole = [], []
-        for b in (w[::-1].translate(_FLIP) for w in firsts):
-            cut = len(b) - len(b.lstrip(b[:1])) + 1  # the seam: b's first run and one letter more
-            if cut > len(b):
-                whole.append(b)
-            elif accepts(b[cut:], tables, (h + 2 * b[:cut].count("U") - cut, 1, b[cut - 1])):
-                seams.append(b[:cut])
-        for a in firsts:
-            state = walk(a, tables)
-            if state is not None:
-                total += sum(1 for s in seams if walk(s, tables, state))
-                total += sum(accepts(b, tables, state) for b in whole)
-    return total
 
 
 def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
@@ -162,9 +122,50 @@ def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
 
 def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
                 cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+    """Number of paths of each semilength 0..n_max that pass the membership
+    walk.
+
+    Level n holds each n-letter word w whose prefix sums stay >= 0, keyed
+    by the height h it ends at, as (b, k, state): b is w's reverse
+    complement, the second half that leaves from h; k is the length of b's
+    first run; state is w's walker state, None once it died.  Growing w by
+    a letter prepends the letter flipped to b and walks it from w's state,
+    never from a dead one.  Past its seam b[:k+1] a second half leaves any
+    live walk at (h', 1, b[k]), h' being h plus the seam's rise, so its
+    tail b[k+1:] is judged once, from there.  Each live first half's state
+    is resumed on the seam of every second half whose tail passed, and on
+    the single-run D^n (k == n) whole.
+    """
     check_semilength(n_max, cap)
     tables = avoid_tables(quad, n_max)
-    return tuple(_scan(n, tables) for n in range(n_max + 1))
+    level = {0: [("", 0, (0, 0, ""))]}
+    counts = []
+    for n in range(n_max + 1):
+        if n:
+            grown: dict[int, list] = {}
+            for h, entries in level.items():
+                for s, flip, g in (("U", "D", h + 1), ("D", "U", h - 1)):
+                    if g >= 0:
+                        grown.setdefault(g, []).extend(
+                            (flip + b, k + 1 if b[:1] == flip else 1,
+                             walk(s, tables, state) if state else None)
+                            for b, k, state in entries)
+            level = grown
+        total = 0
+        for h, entries in level.items():
+            seams, whole = [], []
+            for b, k, _ in entries:
+                if k == n:
+                    whole.append(b)
+                elif accepts(b[k + 1:], tables,
+                             (h - k + 1 if b[0] == "D" else h + k - 1, 1, b[k])):
+                    seams.append(b[:k + 1])
+            for _, _, state in entries:
+                if state:
+                    total += sum(1 for s in seams if walk(s, tables, state))
+                    total += sum(accepts(b, tables, state) for b in whole)
+        counts.append(total)
+    return tuple(counts)
 
 
 def _run_successors(s: IntSet, avoided: list[bool]) -> list[int]:

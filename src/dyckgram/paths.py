@@ -17,11 +17,8 @@ valley", and 0 never belongs to an avoid-set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .intsets import RestrictionQuad
-
-_FLIP = str.maketrans("UD", "DU")
 
 
 class InvalidPath(ValueError):
@@ -68,61 +65,11 @@ class DyckPath:
     def semilength(self) -> int:
         return len(self.text) // 2
 
-    def heights(self) -> tuple[int, ...]:
-        """Partial sums after each step."""
-        return tuple(accumulate(1 if c == "U" else -1 for c in self.text))
-
     def __str__(self) -> str:
         return self.text
 
     def __len__(self) -> int:
         return len(self.text)
-
-
-@dataclass(frozen=True)
-class PathFeatures:
-    peaks: tuple[int, ...]
-    valleys: tuple[int, ...]
-    up_runs: tuple[int, ...]
-    down_runs: tuple[int, ...]
-
-
-def features(path: DyckPath) -> PathFeatures:
-    """All four feature lists, left to right.
-
-    A run is recorded when it ends (at a direction change, or at the end
-    of the path).  Peak and valley heights are recorded at the same
-    moments, so peaks interleave with up-run endings and valleys with
-    down-run endings.
-    """
-    peaks: list[int] = []
-    valleys: list[int] = []
-    up_runs: list[int] = []
-    down_runs: list[int] = []
-    h = 0
-    run = 0
-    prev = ""
-    for s in path.text:
-        if s == "U":
-            if prev == "D":
-                valleys.append(h)
-                down_runs.append(run)
-                run = 1
-            else:
-                run += 1
-            h += 1
-        else:
-            if prev == "U":
-                peaks.append(h)
-                up_runs.append(run)
-                run = 1
-            else:
-                run += 1
-            h -= 1
-        prev = s
-    if prev == "D":
-        down_runs.append(run)
-    return PathFeatures(tuple(peaks), tuple(valleys), tuple(up_runs), tuple(down_runs))
 
 
 def avoid_tables(quad: RestrictionQuad, bound: int) -> tuple[list[bool], ...]:
@@ -149,8 +96,8 @@ def avoid_tables(quad: RestrictionQuad, bound: int) -> tuple[list[bool], ...]:
 def walk(steps, tables, state=(0, 0, "")):
     """The walker's ``(height, run length, last step)`` after the "U"/"D"
     ``steps`` from ``state``, or None once a peak, valley or completed run
-    lands in its table: the walk of :func:`features`, checking each feature
-    as it ends.  A left fold, so walking ``a + b`` resumes ``a``'s walk on ``b``.
+    lands in its table, each feature checked as it ends.  A left fold, so
+    walking ``a + b`` resumes ``a``'s walk on ``b``.
     """
     peak_t, valley_t, up_t, down_t = tables
     h, run, prev = state
@@ -187,13 +134,3 @@ def accepts(steps, tables, state=(0, 0, "")) -> bool:
 def satisfies(path: DyckPath, quad: RestrictionQuad) -> bool:
     """True iff none of the path's features lands in the matching avoid-set."""
     return accepts(path.text, avoid_tables(quad, path.semilength))
-
-
-def reverse_complement(path: DyckPath) -> DyckPath:
-    """Reverse the step order and flip every step.
-
-    An involution on Dyck paths.  It mirrors the height profile, so peak
-    and valley heights are preserved while up-runs and down-runs trade
-    places.
-    """
-    return DyckPath(path.text[::-1].translate(_FLIP))

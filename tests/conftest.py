@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from hypothesis import settings, strategies as st
 
 from dyckgram.families import build
 from dyckgram.intsets import IntSet, Progression, Range, RestrictionQuad, Single
 from dyckgram.oracle import enumerate_paths
+from dyckgram.paths import DyckPath
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -25,6 +28,71 @@ def dyck_paths(draw, max_semilength: int = 7):
     n = draw(st.integers(0, max_semilength))
     paths = unrestricted_paths(n)
     return paths[draw(st.integers(0, len(paths) - 1))]
+
+
+def heights(path: DyckPath) -> tuple[int, ...]:
+    """Partial sums after each step."""
+    return tuple(accumulate(1 if c == "U" else -1 for c in path.text))
+
+
+@dataclass(frozen=True)
+class PathFeatures:
+    peaks: tuple[int, ...]
+    valleys: tuple[int, ...]
+    up_runs: tuple[int, ...]
+    down_runs: tuple[int, ...]
+
+
+def features(path: DyckPath) -> PathFeatures:
+    """All four feature lists, left to right: the definitional reference
+    of the membership walk ``paths.walk``.
+
+    A run is recorded when it ends (at a direction change, or at the end
+    of the path).  Peak and valley heights are recorded at the same
+    moments, so peaks interleave with up-run endings and valleys with
+    down-run endings.
+    """
+    peaks: list[int] = []
+    valleys: list[int] = []
+    up_runs: list[int] = []
+    down_runs: list[int] = []
+    h = 0
+    run = 0
+    prev = ""
+    for s in path.text:
+        if s == "U":
+            if prev == "D":
+                valleys.append(h)
+                down_runs.append(run)
+                run = 1
+            else:
+                run += 1
+            h += 1
+        else:
+            if prev == "U":
+                peaks.append(h)
+                up_runs.append(run)
+                run = 1
+            else:
+                run += 1
+            h -= 1
+        prev = s
+    if prev == "D":
+        down_runs.append(run)
+    return PathFeatures(tuple(peaks), tuple(valleys), tuple(up_runs), tuple(down_runs))
+
+
+_FLIP = str.maketrans("UD", "DU")
+
+
+def reverse_complement(path: DyckPath) -> DyckPath:
+    """Reverse the step order and flip every step.
+
+    An involution on Dyck paths.  It mirrors the height profile, so peak
+    and valley heights are preserved while up-runs and down-runs trade
+    places.
+    """
+    return DyckPath(path.text[::-1].translate(_FLIP))
 
 
 _atoms = st.one_of(

@@ -57,7 +57,7 @@ def test_brute_layer_row(monkeypatch):
     row = brute_layer._row("unrestricted", [RestrictionQuad()], 3)
     want = hashlib.sha256(repr([(str(RestrictionQuad()), (1, 1, 2, 5))]).encode())
     assert row["counts_sha256"] == want.hexdigest()[:16]
-    assert row["work"]["walk_calls"] > 0
+    assert row["work"]["growth_walks"] > 0 and row["work"]["seam_walks"] > 0
 
 
 def test_lower_layer_synthetic(monkeypatch):

@@ -1,18 +1,20 @@
+from collections import Counter
 from functools import lru_cache
 from itertools import groupby, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import quads, sample_quads, unrestricted_paths, verify_pool
+from conftest import features, quads, sample_quads, unrestricted_paths, verify_pool
 from dyckgram.families import build
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
 from dyckgram import oracle
 from dyckgram.oracle import (ResourceLimit, count_brute, count_dp,
                              enumerate_paths, language)
-from dyckgram.paths import accepts, avoid_tables, features, satisfies, walk
+from dyckgram.paths import accepts, avoid_tables, satisfies, walk
 from dyckgram.series import solve
 
 # a fixed corpus mixing family quads with arbitrary ones
@@ -73,6 +75,17 @@ def test_methods_agree_on_corpus():
 
 def test_methods_agree_deeper_on_a_few_quads():
     for quad in CORPUS[1:3]:
+        assert count_brute(12, quad) == count_dp(12, quad), str(quad)
+
+
+def test_methods_agree_on_census_quads(monkeypatch):
+    # the benchmark's census shape: every avoid-set restricted, n up to 12
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    from brute_layer import census_quads
+    census = census_quads()
+    assert len(census) == 24
+    assert all(s.atoms for q in census for s in (q.peaks, q.valleys, q.up_runs, q.down_runs))
+    for quad in census:
         assert count_brute(12, quad) == count_dp(12, quad), str(quad)
 
 
@@ -269,7 +282,7 @@ def _end_height(word, h=0):
 
 def _ud_words(length, start=0):
     """Every U/D word of the given length that stays >= 0 from ``start``,
-    by filtering the full product (independent of ``oracle._halves``)."""
+    by filtering the full product (independent of ``count_brute``'s levels)."""
     return [w for w in map("".join, product("UD", repeat=length))
             if _end_height(w, start) is not None]
 
@@ -382,76 +395,103 @@ def _first_run(word):
     return next((len(list(run)) for _, run in groupby(word)), 0)
 
 
+def _brute_levels(calls):
+    """The walk and accepts calls of one count_brute, split by level: level
+    n's one-letter growth walks, then its tail verdicts and joins.  Seams
+    have two letters or more, so a one-letter walk after a level's verdicts
+    starts the next level; level 0 grows nothing."""
+    levels = [([], [])]
+    for call in calls:
+        kind, steps = call[:2]
+        if kind == "walk" and len(steps) == 1:
+            if levels[-1][1]:
+                levels.append(([], []))
+            levels[-1][0].append(call)
+        else:
+            levels[-1][1].append(call)
+    return levels
+
+
 def test_brute_force_walks_each_first_half_once_and_each_seam_once_per_pair(monkeypatch):
-    # the calls of each _scan(n, ...) in order; a walk with no start state
-    # is a first half's, and the seam walks and whole-second-half verdicts
-    # of its pairs follow it before the next one
-    scan, scans = oracle._scan, {}
+    calls = []
 
-    def recording_scan(n, tables):
-        scans[n] = []
-        return scan(n, tables)
-
-    def recording_walk(steps, tables, *state):
-        end = walk(steps, tables, *state)
-        scans[max(scans)].append(("walk", steps, state[0] if state else None, end))
+    def recording_walk(steps, tables, state):
+        end = walk(steps, tables, state)
+        calls.append(("walk", steps, state, end))
         return end
 
     def recording_accepts(steps, tables, state):
         verdict = accepts(steps, tables, state)
-        scans[max(scans)].append(("accepts", steps, state, verdict))
+        calls.append(("accepts", steps, state, verdict))
         return verdict
 
-    monkeypatch.setattr(oracle, "_scan", recording_scan)
     monkeypatch.setattr(oracle, "walk", recording_walk)
     monkeypatch.setattr(oracle, "accepts", recording_accepts)
     quad = RestrictionQuad.parse(peaks="1", valleys="1", up_runs="4..", down_runs="ap(3,2)")
     n_max = 10
     brute = count_brute(n_max, quad)
     tables = avoid_tables(quad, n_max)
-    assert sorted(scans) == list(range(n_max + 1))
-    kept = seam_walks = behind_dead = live_pairs = 0
+    levels = _brute_levels(calls)
+    assert len(levels) == n_max + 1
+    # level 0: the empty path, one live pair judged whole from the empty walk
+    assert levels[0] == ([], [("accepts", "", (0, 0, ""), True)])
+    kept = live_pairs = 1
+    seam_walks = behind_dead = 0
     tail_verdicts = set()
-    for n, calls in scans.items():
-        tails, groups = [], []
-        for kind, steps, start, out in calls:
-            if kind == "walk" and start is None:
-                groups.append((steps, out, []))
-            elif kind == "accepts" and len(steps) < n:  # shorter than any second half
-                tails.append((steps, start, out))
-            else:
-                groups[-1][2].append((kind, steps, start, out))
-        # every first half is walked exactly once
-        assert sorted(a for a, _, _ in groups) == sorted(_ud_words(n)), n
+    parents = None  # the live states level n - 1 grew, by identity
+    for n, (grows, joins) in enumerate(levels[1:], 1):
+        words = _ud_words(n)
+        # each word whose parent is live gets its state from one one-letter
+        # walk from the parent's state, equal to its walk from the empty state;
+        # nothing is walked behind a dead parent
+        assert Counter((s, start, end) for _, s, start, end in grows) == Counter(
+            (w[-1], parent, walk(w, tables)) for w in words
+            if (parent := walk(w[:-1], tables)) is not None), n
+        if parents is None:
+            assert [start for _, _, start, _ in grows] == [(0, 0, "")]
+        else:
+            # every live state of the level before is grown up and, above
+            # height 0, down: one walk each from that very state
+            assert Counter(id(start) for _, _, start, _ in grows) == {
+                id(p): 1 + (p[0] > 0) for p in parents}, n
+        parents = [end for *_, end in grows if end is not None]
+        by_id = {id(p): p for p in parents}
         seconds = {h: [b for b in _ud_words(n, h) if _end_height(b, h) == 0]
                    for h in range(n + 1)}
+        tails = [(s, start, out) for kind, s, start, out in joins
+                 if kind == "accepts" and len(s) < n]
         # each second half with two runs or more has its tail b[m+1:] judged
         # exactly once, from (h', 1, y) after its seam b[:m+1]
-        assert sorted((t, s) for t, s, _ in tails) == sorted(
+        assert Counter((t, s) for t, s, _ in tails) == Counter(
             (b[m + 1:], (_end_height(b[:m + 1], h), 1, b[m]))
             for h, bs in seconds.items() for b in bs if (m := _first_run(b)) < n), n
         passed = {(t, s): v for t, s, v in tails}
         tail_verdicts |= set(passed.values())
-        for a, state, joins in groups:
+        seams = {h: sorted(b[:m + 1] for b in bs if (m := _first_run(b)) < n
+                           and passed[b[m + 1:], (_end_height(b[:m + 1], h), 1, b[m])])
+                 for h, bs in seconds.items()}
+        walked = [(s, start, out) for kind, s, start, out in joins if kind == "walk"]
+        whole = [(s, start, out) for kind, s, start, out in joins
+                 if kind == "accepts" and len(s) == n]
+        assert len(tails) + len(walked) + len(whole) == len(joins), n
+        # each surviving pair walks exactly its seam from its first half's
+        # own state; the single-run D^n is judged whole from U^n's
+        assert all(id(start) in by_id for _, start, _ in walked), n
+        for p in parents:
+            assert sorted(s for s, start, _ in walked if start is p) == seams[p[0]], (n, p)
+        u_n = next(p for p in parents if p[0] == n)
+        assert [s for s, _, _ in whole] == ["D" * n] and whole[0][1] is u_n, n
+        for a in words:
             h = _end_height(a)
-            if state is None:
-                # no pair behind a dead first half is walked at all
-                assert not joins, a
+            if walk(a, tables) is None:
                 behind_dead += len(seconds[h])
                 assert not any(accepts(a + b, tables) for b in seconds[h]), a
-                continue
-            seams = sorted(b[:m + 1] for b in seconds[h] if (m := _first_run(b)) < n
-                           and passed[b[m + 1:], (_end_height(b[:m + 1], h), 1, b[m])])
-            whole = [b for b in seconds[h] if _first_run(b) == n]
-            # one seam walk of m + 1 letters per surviving pair, from this
-            # first half's own state; the single-run D^n is judged whole
-            assert sorted(s for kind, s, _, _ in joins if kind == "walk") == seams, a
-            assert [s for kind, s, _, _ in joins if kind == "accepts"] == whole, a
-            assert all(start == state for _, _, start, _ in joins), a
-            seam_walks += len(seams)
-            live_pairs += len(seconds[h])
-            kept += sum(out is not None if kind == "walk" else out
-                        for kind, _, _, out in joins)
+            else:
+                live_pairs += len(seconds[h])
+        seam_walks += len(walked)
+        kept_n = sum(out is not None for *_, out in walked) + sum(out for *_, out in whole)
+        assert kept_n == brute[n], n
+        kept += kept_n
     assert behind_dead > 0 and seam_walks > 0 and tail_verdicts == {False, True}
     assert behind_dead + live_pairs == sum(_catalan(k) for k in range(n_max + 1))
     assert kept == sum(brute)

@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given
 
-from conftest import dyck_paths, quads, sample_quads, unrestricted_paths
+from conftest import (PathFeatures, dyck_paths, features, heights, quads,
+                      reverse_complement, sample_quads, unrestricted_paths)
 from dyckgram.intsets import RestrictionQuad
-from dyckgram.paths import (DyckPath, NegativePrefix, PathFeatures,
-                            UnbalancedPath, InvalidPath, avoid_tables, features,
-                            reverse_complement, satisfies)
+from dyckgram.paths import (DyckPath, NegativePrefix, UnbalancedPath, InvalidPath,
+                            avoid_tables, satisfies)
 
 
 def P(text: str) -> DyckPath:
@@ -49,8 +49,8 @@ def test_rejects_other_letters():
 
 
 def test_heights():
-    assert P("UUDD").heights() == (1, 2, 1, 0)
-    assert P("").heights() == ()
+    assert heights(P("UUDD")) == (1, 2, 1, 0)
+    assert heights(P("")) == ()
 
 
 def test_features_examples():
