@@ -14,8 +14,8 @@ then costs one quad one run, not a whole pass) and a digest of every
 count sequence, so that two checkouts can be compared for equal counts as
 well as for speed.  After the timed repeats, one untimed pass per set
 wraps ``dyckgram.oracle.walk`` and ``accepts`` and reports the work done:
-the one-letter walks that grow the half-paths, the seam walks, the
-``accepts`` calls, and the letters all of them were given.
+the ``walk`` calls of the midpoint join, its ``accepts`` calls, and the
+letters all of them were given.
 """
 
 import hashlib
@@ -55,22 +55,19 @@ def census_quads(count: int = 24, seed: int = CENSUS_SEED):
 
 def brute_work(quads, n_max: int) -> dict:
     """Calls to oracle.walk and oracle.accepts, and the letters they walked,
-    over one count_brute pass on every quad.  A one-letter walk grows a
-    half-path by a letter; a longer one walks a seam (a second half's first
-    run and the letter after it, two letters or more)."""
-    work = {"growth_walks": 0, "seam_walks": 0, "accepts_calls": 0, "letters": 0}
+    over one count_brute pass on every quad."""
+    work = {"walks": 0, "accepts_calls": 0, "letters": 0}
 
     def counting(key, fn):
         def counted(steps, *rest):
-            work[key(steps)] += 1
+            work[key] += 1
             work["letters"] += len(steps)
             return fn(steps, *rest)
         return counted
 
     saved = oracle.walk, oracle.accepts
-    oracle.walk = counting(lambda steps: "growth_walks" if len(steps) == 1 else "seam_walks",
-                           saved[0])
-    oracle.accepts = counting(lambda steps: "accepts_calls", saved[1])
+    oracle.walk = counting("walks", saved[0])
+    oracle.accepts = counting("accepts_calls", saved[1])
     try:
         for q in quads:
             count_brute(n_max, q)

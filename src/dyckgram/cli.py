@@ -38,30 +38,32 @@ def _set_arg(text: str):
         raise argparse.ArgumentTypeError(f"bad set {text!r}: {e}")
 
 
+def _ascii_int(text: str) -> int | None:
+    # an optional '-' and then ASCII digits only: int() alone also reads
+    # '1_0', '+5', ' 8' and other scripts' digits, such as '٣' or '１２'
+    digits = text.removeprefix("-")
+    return int(text) if digits.isascii() and digits.isdigit() else None
+
+
 def _params_arg(text: str) -> dict[str, int]:
     if not text:
         return {}
     out = {}
     for piece in text.split(","):
         name, sep, value = piece.partition("=")
-        digits = value.removeprefix("-")
-        if not sep or not (digits.isascii() and digits.isdigit()):
+        if not sep or (value := _ascii_int(value)) is None:
             raise argparse.ArgumentTypeError(f"bad parameter {piece!r}, want NAME=INT")
         name = name.strip()
         if name in out:
             raise argparse.ArgumentTypeError(f"parameter {name!r} given twice")
-        out[name] = int(value)
+        out[name] = value
     return out
 
 
 def _int_arg(text: str) -> int:
-    # int() alone also reads other scripts' digits, such as '٣' or '１２'
-    if text.isascii():
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if (value := _ascii_int(text)) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _terms_arg(text: str) -> list[int]:

@@ -1,18 +1,14 @@
 """Ground-truth enumeration and counting of restricted Dyck paths.
 
-Three methods; the two counters are deliberately independent:
+Two methods, deliberately independent of each other:
 
-* brute force, a definitional count: one pass grows every half-path by
-  a letter per level, and every path of semilength n is a level-n first
-  half ending at some height h joined to the reverse complement of a
-  level-n first half ending at h.  Each path gets one verdict from the
-  walk of ``paths.accepts``, split at the seam after the second half's
-  first run: a first half's walker state is one letter walked from its
-  parent's, each second half's tail is judged once per semilength, and
-  each join walks only its seam;
-* enumeration of the satisfying paths, a midpoint join on the same
-  walker: pruned first halves, each joined to the second halves of its
-  walker state, which are listed once per distinct state;
+* one path generator on the walker of ``paths.walk``, a midpoint join:
+  pruned first halves, each joined to the second halves of its walker
+  state, which are listed once per distinct state.  It is read two ways:
+  enumeration of the satisfying paths joins each pair, and brute force,
+  a definitional count, adds up the lengths of those explicit lists of
+  second halves without joining them; it reads no run class or height
+  slot of the DP;
 * a dynamic program over run states (height, run direction, run class),
   where peak/valley and run-length checks fire at direction changes and
   the final pending down-run is checked when the path closes.  A run's
@@ -70,24 +66,20 @@ def check_semilength(n: int, cap: int) -> None:
         raise ResourceLimit(n, cap)
 
 
-def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, ...]:
-    """Text of every satisfying path of semilength ``n``, in lexicographic
-    order (U < D).
+def _midpoint(n: int, tables) -> tuple[list, dict]:
+    """The midpoint join of semilength ``n`` on the walker of ``paths.walk``,
+    unjoined: the pruned first halves as (text, walker state), U before D,
+    and each reachable midpoint state's accepted second halves.
 
-    A midpoint join on the walker of ``paths.walk``.  The first halves
-    (n steps) grow one step at a time, U before D, each step a walk from
-    the prefix's state; a prefix is cut once its walk dies, its height
-    goes below 0 or it has no room left to return to 0.  Each distinct
-    walker state at the midpoint gets its list of second halves once: a
-    forward pass walks the states reachable from the midpoint, pruned the
-    same way, and a backward pass builds each state's suffixes, keeping
-    the endings whose closing down-run passes ``paths.accepts``.  Each
-    first half joined, in order, to its state's suffixes is already in
-    lexicographic order.
+    The first halves (n steps) grow one step at a time, U before D, each
+    step a walk from the prefix's state; a prefix is cut once its walk
+    dies, its height goes below 0 or it has no room left to return to 0.
+    Each distinct walker state at the midpoint gets its list of second
+    halves once: a forward pass walks the states reachable from the
+    midpoint, pruned the same way, and a backward pass builds each state's
+    suffixes, keeping the endings whose closing down-run passes
+    ``paths.accepts``.
     """
-    check_semilength(n, cap)
-    tables = avoid_tables(quad, n)
     steps = 2 * n
 
     def step(i, state, s):
@@ -111,6 +103,18 @@ def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
         tails = {state: ["U" + t for t in tails.get(up, ())]
                  + ["D" + t for t in tails.get(down, ())]
                  for state, (up, down) in level.items()}
+    return firsts, tails
+
+
+def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
+             cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, ...]:
+    """Text of every satisfying path of semilength ``n``, in lexicographic
+    order (U < D): each first half of the midpoint join (:func:`_midpoint`)
+    joined, in order, to its walker state's second halves, which is
+    already lexicographic order.
+    """
+    check_semilength(n, cap)
+    firsts, tails = _midpoint(n, avoid_tables(quad, n))
     return tuple(a + b for a, state in firsts for b in tails[state])
 
 
@@ -123,48 +127,16 @@ def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
 def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
                 cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
     """Number of paths of each semilength 0..n_max that pass the membership
-    walk.
-
-    Level n holds each n-letter word w whose prefix sums stay >= 0, keyed
-    by the height h it ends at, as (b, k, state): b is w's reverse
-    complement, the second half that leaves from h; k is the length of b's
-    first run; state is w's walker state, None once it died.  Growing w by
-    a letter prepends the letter flipped to b and walks it from w's state,
-    never from a dead one.  Past its seam b[:k+1] a second half leaves any
-    live walk at (h', 1, b[k]), h' being h plus the seam's rise, so its
-    tail b[k+1:] is judged once, from there.  Each live first half's state
-    is resumed on the seam of every second half whose tail passed, and on
-    the single-run D^n (k == n) whole.
+    walk: the (first half, second half) pairs of the midpoint join
+    (:func:`_midpoint`) that :func:`language` lists, counted as the lengths
+    of each first half's list of second halves, never joined.
     """
     check_semilength(n_max, cap)
     tables = avoid_tables(quad, n_max)
-    level = {0: [("", 0, (0, 0, ""))]}
     counts = []
     for n in range(n_max + 1):
-        if n:
-            grown: dict[int, list] = {}
-            for h, entries in level.items():
-                for s, flip, g in (("U", "D", h + 1), ("D", "U", h - 1)):
-                    if g >= 0:
-                        grown.setdefault(g, []).extend(
-                            (flip + b, k + 1 if b[:1] == flip else 1,
-                             walk(s, tables, state) if state else None)
-                            for b, k, state in entries)
-            level = grown
-        total = 0
-        for h, entries in level.items():
-            seams, whole = [], []
-            for b, k, _ in entries:
-                if k == n:
-                    whole.append(b)
-                elif accepts(b[k + 1:], tables,
-                             (h - k + 1 if b[0] == "D" else h + k - 1, 1, b[k])):
-                    seams.append(b[:k + 1])
-            for _, _, state in entries:
-                if state:
-                    total += sum(1 for s in seams if walk(s, tables, state))
-                    total += sum(accepts(b, tables, state) for b in whole)
-        counts.append(total)
+        firsts, tails = _midpoint(n, tables)
+        counts.append(sum(len(tails[state]) for _, state in firsts))
     return tuple(counts)
 
 

@@ -118,8 +118,9 @@ def test_bad_set_syntax_exits_2(capsys):
 
 
 def test_non_ascii_digits_exit_2(capsys):
-    # str.isdigit() accepts '²' and '٣', and int() reads '٣' and '１２';
-    # the set, parameter and integer arguments take 0-9 only
+    # str.isdigit() accepts '²' and '٣', and int() reads '٣', '１２', '1_0',
+    # '+5' and ' 8'; the set, parameter and integer arguments take an
+    # optional '-' and 0-9 only
     for argv, message in (
             (["count", "--n-max", "3", "--peaks", "²"], "bad set"),
             (["verify", "--family", "F1", "--param", "A=--5"], "bad parameter"),
@@ -129,7 +130,12 @@ def test_non_ascii_digits_exit_2(capsys):
             (["series", "--family", "F3", "--order", "٦"], "argument --order"),
             (["verify", "--family", "F3", "--max-len", "１２"], "argument --max-len"),
             (["bijection", "--semilength", "٣"], "argument --semilength"),
-            (["identify", "--terms", "١,١,٢,٥,١٤"], "argument --terms: bad terms")):
+            (["identify", "--terms", "١,١,٢,٥,١٤"], "argument --terms: bad terms"),
+            (["count", "--n-max", "1_0", "--method", "dp"], "argument --n-max"),
+            (["count", "--n-max", "+5", "--method", "dp"], "argument --n-max"),
+            (["count", "--n-max", " 8", "--method", "dp"], "argument --n-max"),
+            (["verify", "--family", "F1", "--param", "A=+5"], "bad parameter"),
+            (["identify", "--terms", "1, 1,2,+5"], "argument --terms: bad terms")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

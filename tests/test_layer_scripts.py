@@ -57,7 +57,11 @@ def test_brute_layer_row(monkeypatch):
     row = brute_layer._row("unrestricted", [RestrictionQuad()], 3)
     want = hashlib.sha256(repr([(str(RestrictionQuad()), (1, 1, 2, 5))]).encode())
     assert row["counts_sha256"] == want.hexdigest()[:16]
-    assert row["work"]["growth_walks"] > 0 and row["work"]["seam_walks"] > 0
+    work = row["work"]
+    assert work["walks"] > 0 and work["accepts_calls"] > 0
+    # the midpoint join walks one letter a call and judges each end state
+    # with the empty suffix
+    assert work["letters"] == work["walks"]
 
 
 def test_lower_layer_synthetic(monkeypatch):

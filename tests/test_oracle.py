@@ -1,6 +1,5 @@
-from collections import Counter
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -267,12 +266,9 @@ def test_membership_rule_matches_its_definition():
             assert satisfies(p, quad) == _satisfies_by_definition(p, quad), (p.text, str(quad))
 
 
-def _catalan(n):
-    return comb(2 * n, n) // (n + 1)
-
-
-def _end_height(word, h=0):
-    """Height after ``word`` from height h, or None if it dips below 0."""
+def _end_height(word):
+    """Height after ``word``, or None if it dips below 0."""
+    h = 0
     for s in word:
         h += 1 if s == "U" else -1
         if h < 0:
@@ -280,20 +276,16 @@ def _end_height(word, h=0):
     return h
 
 
-def _ud_words(length, start=0):
-    """Every U/D word of the given length that stays >= 0 from ``start``,
-    by filtering the full product (independent of ``count_brute``'s levels)."""
-    return [w for w in map("".join, product("UD", repeat=length))
-            if _end_height(w, start) is not None]
-
-
 @lru_cache(maxsize=None)
 def _dyck_words(n):
-    return [w for w in _ud_words(2 * n) if _end_height(w) == 0]
+    """Every Dyck word of semilength n, by filtering the full product of
+    U/D words (independent of the oracle's midpoint join)."""
+    return [w for w in map("".join, product("UD", repeat=2 * n)) if _end_height(w) == 0]
 
 
 def test_pruned_language_counts_as_brute_force_does():
-    # the generator prunes, brute force does not: two routes to one count
+    # brute force adds up the unjoined (first half, second half) pairs of
+    # the midpoint join: their number must be the length of the joined list
     for quad in CORPUS:
         brute = count_brute(12, quad)
         for n in range(13):
@@ -321,7 +313,8 @@ def test_pruned_language_is_the_filtered_word_list_on_drawn_quads(quad):
 def test_pruned_language_prunes_both_halves(monkeypatch):
     # one path per semilength, against exponentially many unpruned first
     # halves and second halves: only live states may be walked, so the
-    # walks stay within a small polynomial in n
+    # walks stay within a small polynomial in n, for the language and for
+    # brute force over every semilength up to n
     calls = limit = 0
 
     def counting(verdict):
@@ -340,6 +333,10 @@ def test_pruned_language_prunes_both_halves(monkeypatch):
         got = language(n, inst.quad, cap=n)
         assert len(got) == count_dp(n, inst.quad)[n] == 1, n
         assert calls > 0
+    n = 60
+    calls, limit = 0, n ** 3
+    assert count_brute(n, inst.quad, cap=n) == count_dp(n, inst.quad)
+    assert calls > 0
 
 
 def test_brute_force_counts_the_filtered_word_list():
@@ -355,8 +352,8 @@ def test_brute_force_counts_the_filtered_word_list():
 @given(quads)
 @settings(max_examples=25)
 def test_brute_force_counts_the_filtered_word_list_on_drawn_quads(quad):
-    # drawn quads reach seam cases CORPUS may miss: second halves that
-    # start with U, empty tails, the single-run D^n
+    # drawn quads reach cases CORPUS may miss: second halves that start
+    # with U, second halves of a single run, the single-run D^n
     brute = count_brute(8, quad)
     tables = avoid_tables(quad, 8)
     for n in range(9):
@@ -388,110 +385,3 @@ def test_walk_resumes_at_every_split_point_on_drawn_quads(quad):
 def test_pruned_language_reaches_past_the_recursion_limit():
     quad = RestrictionQuad.parse(up_runs="2..", down_runs="2..")
     assert language(600, quad, cap=600) == ("UD" * 600,)
-
-
-def _first_run(word):
-    """Length of the first run of ``word``, 0 for the empty word."""
-    return next((len(list(run)) for _, run in groupby(word)), 0)
-
-
-def _brute_levels(calls):
-    """The walk and accepts calls of one count_brute, split by level: level
-    n's one-letter growth walks, then its tail verdicts and joins.  Seams
-    have two letters or more, so a one-letter walk after a level's verdicts
-    starts the next level; level 0 grows nothing."""
-    levels = [([], [])]
-    for call in calls:
-        kind, steps = call[:2]
-        if kind == "walk" and len(steps) == 1:
-            if levels[-1][1]:
-                levels.append(([], []))
-            levels[-1][0].append(call)
-        else:
-            levels[-1][1].append(call)
-    return levels
-
-
-def test_brute_force_walks_each_first_half_once_and_each_seam_once_per_pair(monkeypatch):
-    calls = []
-
-    def recording_walk(steps, tables, state):
-        end = walk(steps, tables, state)
-        calls.append(("walk", steps, state, end))
-        return end
-
-    def recording_accepts(steps, tables, state):
-        verdict = accepts(steps, tables, state)
-        calls.append(("accepts", steps, state, verdict))
-        return verdict
-
-    monkeypatch.setattr(oracle, "walk", recording_walk)
-    monkeypatch.setattr(oracle, "accepts", recording_accepts)
-    quad = RestrictionQuad.parse(peaks="1", valleys="1", up_runs="4..", down_runs="ap(3,2)")
-    n_max = 10
-    brute = count_brute(n_max, quad)
-    tables = avoid_tables(quad, n_max)
-    levels = _brute_levels(calls)
-    assert len(levels) == n_max + 1
-    # level 0: the empty path, one live pair judged whole from the empty walk
-    assert levels[0] == ([], [("accepts", "", (0, 0, ""), True)])
-    kept = live_pairs = 1
-    seam_walks = behind_dead = 0
-    tail_verdicts = set()
-    parents = None  # the live states level n - 1 grew, by identity
-    for n, (grows, joins) in enumerate(levels[1:], 1):
-        words = _ud_words(n)
-        # each word whose parent is live gets its state from one one-letter
-        # walk from the parent's state, equal to its walk from the empty state;
-        # nothing is walked behind a dead parent
-        assert Counter((s, start, end) for _, s, start, end in grows) == Counter(
-            (w[-1], parent, walk(w, tables)) for w in words
-            if (parent := walk(w[:-1], tables)) is not None), n
-        if parents is None:
-            assert [start for _, _, start, _ in grows] == [(0, 0, "")]
-        else:
-            # every live state of the level before is grown up and, above
-            # height 0, down: one walk each from that very state
-            assert Counter(id(start) for _, _, start, _ in grows) == {
-                id(p): 1 + (p[0] > 0) for p in parents}, n
-        parents = [end for *_, end in grows if end is not None]
-        by_id = {id(p): p for p in parents}
-        seconds = {h: [b for b in _ud_words(n, h) if _end_height(b, h) == 0]
-                   for h in range(n + 1)}
-        tails = [(s, start, out) for kind, s, start, out in joins
-                 if kind == "accepts" and len(s) < n]
-        # each second half with two runs or more has its tail b[m+1:] judged
-        # exactly once, from (h', 1, y) after its seam b[:m+1]
-        assert Counter((t, s) for t, s, _ in tails) == Counter(
-            (b[m + 1:], (_end_height(b[:m + 1], h), 1, b[m]))
-            for h, bs in seconds.items() for b in bs if (m := _first_run(b)) < n), n
-        passed = {(t, s): v for t, s, v in tails}
-        tail_verdicts |= set(passed.values())
-        seams = {h: sorted(b[:m + 1] for b in bs if (m := _first_run(b)) < n
-                           and passed[b[m + 1:], (_end_height(b[:m + 1], h), 1, b[m])])
-                 for h, bs in seconds.items()}
-        walked = [(s, start, out) for kind, s, start, out in joins if kind == "walk"]
-        whole = [(s, start, out) for kind, s, start, out in joins
-                 if kind == "accepts" and len(s) == n]
-        assert len(tails) + len(walked) + len(whole) == len(joins), n
-        # each surviving pair walks exactly its seam from its first half's
-        # own state; the single-run D^n is judged whole from U^n's
-        assert all(id(start) in by_id for _, start, _ in walked), n
-        for p in parents:
-            assert sorted(s for s, start, _ in walked if start is p) == seams[p[0]], (n, p)
-        u_n = next(p for p in parents if p[0] == n)
-        assert [s for s, _, _ in whole] == ["D" * n] and whole[0][1] is u_n, n
-        for a in words:
-            h = _end_height(a)
-            if walk(a, tables) is None:
-                behind_dead += len(seconds[h])
-                assert not any(accepts(a + b, tables) for b in seconds[h]), a
-            else:
-                live_pairs += len(seconds[h])
-        seam_walks += len(walked)
-        kept_n = sum(out is not None for *_, out in walked) + sum(out for *_, out in whole)
-        assert kept_n == brute[n], n
-        kept += kept_n
-    assert behind_dead > 0 and seam_walks > 0 and tail_verdicts == {False, True}
-    assert behind_dead + live_pairs == sum(_catalan(k) for k in range(n_max + 1))
-    assert kept == sum(brute)
