@@ -27,6 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import verify_pool  # noqa: E402
 from dyckgram.grammar import Grammar, check_equation, words  # noqa: E402
+from dyckgram.oracle import language  # noqa: E402
 
 MAX_LEN = 20
 REPEATS = 5
@@ -37,7 +38,8 @@ def _words(inst):
 
 
 def _equation(inst):
-    report = check_equation(inst.body, {inst.start: inst.quad}, MAX_LEN)
+    lang = [language(n, inst.quad) for n in range(MAX_LEN // 2 + 1)]
+    report = check_equation(inst.body, {inst.start: lang}, MAX_LEN)
     return (report.passed, report.witness, report.lhs_multiplicity,
             report.rhs_multiplicity)
 

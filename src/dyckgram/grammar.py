@@ -19,10 +19,9 @@ words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .intsets import RestrictionQuad
-from .oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, language
+from .oracle import ResourceLimit
 from .series import Poly, SeriesSystem
 
 DEFAULT_WORD_CAP = 10_000_000
@@ -263,14 +262,14 @@ def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
     return expander
 
 
-def _language_expander(languages: Mapping[str, RestrictionQuad], cap: int,
-                       enum_cap: int) -> _Expander:
+def _language_expander(languages: Mapping[str, Sequence[tuple[str, ...]]],
+                       cap: int) -> _Expander:
     def resolve(name: str, length: int) -> dict:
         if name not in languages:
             raise ValueError(f"no language bound to nonterminal {name}")
         if length % 2:
             return {}
-        return dict.fromkeys(language(length // 2, languages[name], enum_cap), 1)
+        return dict.fromkeys(languages[name][length // 2], 1)
 
     return _Expander(resolve, cap)
 
@@ -322,13 +321,14 @@ class EquationReport:
 
 
 def check_equation(eq: GrammaticalEquation,
-                   languages: Mapping[str, RestrictionQuad],
+                   languages: Mapping[str, Sequence[tuple[str, ...]]],
                    max_len: int,
-                   cap: int = DEFAULT_WORD_CAP,
-                   enum_cap: int = DEFAULT_ENUMERATION_CAP) -> EquationReport:
+                   cap: int = DEFAULT_WORD_CAP) -> EquationReport:
     """Compare both sides as word multisets up to max_len.
 
-    Nonterminals are read as oracle languages (each word once); union and
+    Nonterminals are read as languages (each word once), ``languages[name]``
+    holding its words of each semilength 0..max_len // 2, or ValueError is
+    raised rather than compare against missing words.  Union and
     concatenation contribute multiplicities as usual, so overlapping
     alternatives on both sides must overlap equally for a PASS.  Each side
     is one dict from word to multiplicity, and the two are compared with
@@ -337,7 +337,11 @@ def check_equation(eq: GrammaticalEquation,
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    expander = _language_expander(languages, cap, enum_cap)
+    for name, by_n in languages.items():
+        if len(by_n) <= max_len // 2:
+            raise ValueError(f"nonterminal {name} needs words of semilength "
+                             f"0..{max_len // 2}, got {len(by_n)} lists")
+    expander = _language_expander(languages, cap)
     lhs, rhs = (_union([part for tokens in side
                         for part in expander.upto(tokens, max_len)])
                 for side in (eq.lhs, eq.rhs))

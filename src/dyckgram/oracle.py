@@ -4,11 +4,11 @@ Two methods, deliberately independent of each other:
 
 * one path generator on the walker of ``paths.walk``, a midpoint join:
   pruned first halves, each joined to the second halves of its walker
-  state, which are listed once per distinct state.  It is read two ways:
-  enumeration of the satisfying paths joins each pair, and brute force,
-  a definitional count, adds up the lengths of those explicit lists of
-  second halves without joining them; it reads no run class or height
-  slot of the DP;
+  state, which are listed once per distinct state.  One join is read two
+  ways: the language joins each pair (:func:`joined_words`), and brute
+  force, a definitional count, adds up the lengths of those explicit lists
+  of second halves without joining them (:func:`pair_count`); it reads no
+  run class or height slot of the DP;
 * a dynamic program over run states (height, run direction, run class),
   where peak/valley and run-length checks fire at direction changes and
   the final pending down-run is checked when the path closes.  A run's
@@ -106,16 +106,31 @@ def _midpoint(n: int, tables) -> tuple[list, dict]:
     return firsts, tails
 
 
+def pair_count(join) -> int:
+    """The (first half, second half) pairs of a midpoint join, never joined."""
+    firsts, tails = join
+    return sum(len(tails[state]) for _, state in firsts)
+
+
+def joined_words(join) -> tuple[str, ...]:
+    """The words of a midpoint join; its order is lexicographic (U < D)."""
+    firsts, tails = join
+    return tuple(a + b for a, state in firsts for b in tails[state])
+
+
+def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
+          cap: int = DEFAULT_ENUMERATION_CAP):
+    """The midpoint join of each semilength 0..n_max, built as it is read."""
+    check_semilength(n_max, cap)
+    tables = avoid_tables(quad, n_max)
+    return (_midpoint(n, tables) for n in range(n_max + 1))
+
+
 def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
              cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, ...]:
-    """Text of every satisfying path of semilength ``n``, in lexicographic
-    order (U < D): each first half of the midpoint join (:func:`_midpoint`)
-    joined, in order, to its walker state's second halves, which is
-    already lexicographic order.
-    """
+    """Text of every satisfying path of semilength ``n``, in lexicographic order."""
     check_semilength(n, cap)
-    firsts, tails = _midpoint(n, avoid_tables(quad, n))
-    return tuple(a + b for a, state in firsts for b in tails[state])
+    return joined_words(_midpoint(n, avoid_tables(quad, n)))
 
 
 def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
@@ -127,17 +142,8 @@ def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
 def count_brute(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
                 cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
     """Number of paths of each semilength 0..n_max that pass the membership
-    walk: the (first half, second half) pairs of the midpoint join
-    (:func:`_midpoint`) that :func:`language` lists, counted as the lengths
-    of each first half's list of second halves, never joined.
-    """
-    check_semilength(n_max, cap)
-    tables = avoid_tables(quad, n_max)
-    counts = []
-    for n in range(n_max + 1):
-        firsts, tails = _midpoint(n, tables)
-        counts.append(sum(len(tails[state]) for _, state in firsts))
-    return tuple(counts)
+    walk: the pairs of each midpoint join, one join alive at a time."""
+    return tuple(map(pair_count, joins(n_max, quad, cap)))
 
 
 def _run_successors(s: IntSet, avoided: list[bool]) -> list[int]:

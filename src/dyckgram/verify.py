@@ -5,7 +5,8 @@ For one instance this runs: lowering against the stated closed form
 against the path oracle, a three-way count comparison (brute force, DP,
 solved generating function; DP and series alone above the brute-force
 cap), and the reference-sequence comparison for families with a known
-count formula.
+count formula.  Brute force and the word checks read one oracle midpoint
+join per semilength.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from .families import FamilyInstance
 from .grammar import Grammar, ambiguity, check_equation, lower, words
 from .oracle import (DEFAULT_ENUMERATION_CAP, check_cap, count_brute, count_dp,
-                     language)
+                     joined_words, joins, pair_count)
 from .sequences import reference
 from .series import solve
 
@@ -86,8 +87,17 @@ def verify_family(instance: FamilyInstance,
                                    "" if ok else f"derived {system}"))
 
     # beyond the brute-force cap the DP and the series still check each other
-    oracles = ("brute", "dp") if n_max <= cap else ("dp",)
-    counts = dict(count_comparison(n_max, instance.quad, oracles, cap).counts)
+    brute = n_max <= cap
+    top, half = n_max if brute else -1, max_len // 2
+    # one midpoint join per semilength: the brute row's pairs, the checks' words
+    pairs, lang = [], []
+    for n, join in enumerate(joins(max(top, half), instance.quad, cap)):
+        if n <= top:
+            pairs.append(pair_count(join))
+        if n <= half:
+            lang.append(joined_words(join))
+    counts = {"brute": tuple(pairs)} if brute else {}
+    counts["dp"] = count_dp(n_max, instance.quad)
     notes = []
     solution = solve(system, n_max + 1)[instance.start]
     try:
@@ -100,7 +110,7 @@ def verify_family(instance: FamilyInstance,
     mismatch = report.first_mismatch()
     if mismatch is not None:
         notes.append(f"first mismatch at n={mismatch}: {report.row(mismatch)}")
-    if "brute" not in oracles:
+    if not brute:
         notes.append(f"brute force skipped above cap {cap}")
     checks.append(CheckOutcome(
         f"counts agree ({' = '.join(report.counts)})",
@@ -113,8 +123,7 @@ def verify_family(instance: FamilyInstance,
             "grammar unambiguous", amb.passed,
             "" if amb.passed else f"{amb.witness!r} derived {amb.multiplicity} ways"))
         got = set(derived.counts)
-        want = {w for n in range(max_len // 2 + 1)
-                for w in language(n, instance.quad, cap)}
+        want = {w for ws in lang for w in ws}
         ok = got == want
         detail = ""
         if not ok:
@@ -123,8 +132,7 @@ def verify_family(instance: FamilyInstance,
             detail = f"extra={extra} missing={missing}"
         checks.append(CheckOutcome("grammar words = oracle language", ok, detail))
     else:
-        eq = check_equation(instance.body, {instance.start: instance.quad},
-                            max_len, enum_cap=cap)
+        eq = check_equation(instance.body, {instance.start: lang}, max_len)
         detail = ""
         if not eq.passed:
             detail = (f"{eq.witness!r}: lhs {eq.lhs_multiplicity}, "

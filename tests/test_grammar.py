@@ -23,6 +23,12 @@ CATALAN = Grammar({"P": (EPSILON, seq(U, P, D, P))})
 UNRESTRICTED = RestrictionQuad.parse()
 
 
+def _words_by_n(quad, max_len):
+    """A quad's oracle language at each semilength 0..max_len // 2, the
+    per-nonterminal argument of ``check_equation``."""
+    return [language(n, quad) for n in range(max_len // 2 + 1)]
+
+
 def test_render():
     assert render(EPSILON) == "eps"
     assert render(seq(U, P, D, P)) == "U P D P"
@@ -84,9 +90,24 @@ def test_word_budget_counts_distinct_words():
 
 def test_check_equation_cap():
     inst = build("F6", A=2, B=4)
-    assert check_equation(inst.body, {"P": inst.quad}, 20).passed
+    languages = {"P": _words_by_n(inst.quad, 20)}
+    assert check_equation(inst.body, languages, 20).passed
     with pytest.raises(ResourceLimit):
-        check_equation(inst.body, {"P": inst.quad}, 20, cap=1000)
+        check_equation(inst.body, languages, 20, cap=1000)
+
+
+def test_check_equation_rejects_a_short_word_list():
+    # P = eps | U P D P | (UD)^6 derives (UD)^6 twice on the right and
+    # nothing else differs: read up to semilength 5 only, it would pass
+    false_eq = GrammaticalEquation((P,), (EPSILON, seq(U, P, D, P), rep(seq(U, D), 6)))
+    full = _words_by_n(UNRESTRICTED, 12)
+    report = check_equation(false_eq, {"P": full}, 12)
+    assert (report.witness, report.lhs_multiplicity, report.rhs_multiplicity) == \
+        ("UD" * 6, 1, 2)
+    with pytest.raises(ValueError, match="nonterminal P"):
+        check_equation(false_eq, {"P": full[:6], "Q": full}, 12)
+    with pytest.raises(ValueError, match="nonterminal P"):
+        check_equation(GrammaticalEquation((P,), (EPSILON,)), {"P": []}, 0)
 
 
 def test_negative_max_len_is_rejected():
@@ -97,7 +118,7 @@ def test_negative_max_len_is_rejected():
     with pytest.raises(ValueError, match="max_len"):
         check_unambiguous(CATALAN, "P", -1)
     with pytest.raises(ValueError, match="max_len"):
-        check_equation(false_eq, {"P": UNRESTRICTED}, -1)
+        check_equation(false_eq, {"P": _words_by_n(UNRESTRICTED, 0)}, -1)
 
 
 def test_undefined_nonterminal():
@@ -140,7 +161,7 @@ def test_concatenation_multiplicity():
     g = Grammar({"T": (seq(S, S, S),), "S": (EPSILON, seq(U, D))})
     assert words(g, "T", 8).counts == {"": 1, "UD": 3, "UDUD": 3, "UDUDUD": 1}
     eq = GrammaticalEquation(lhs=(seq(P, P),), rhs=(P,))
-    report = check_equation(eq, {"P": UNRESTRICTED}, max_len=6)
+    report = check_equation(eq, {"P": _words_by_n(UNRESTRICTED, 6)}, max_len=6)
     assert (report.witness, report.lhs_multiplicity, report.rhs_multiplicity) == \
         ("UD", 2, 1)
 
@@ -156,13 +177,13 @@ def test_check_unambiguous():
 
 def test_check_equation_passes():
     eq = GrammaticalEquation(lhs=(P,), rhs=(EPSILON, seq(U, P, D, P)))
-    report = check_equation(eq, {"P": UNRESTRICTED}, max_len=12)
+    report = check_equation(eq, {"P": _words_by_n(UNRESTRICTED, 12)}, max_len=12)
     assert report.passed
 
 
 def test_check_equation_finds_witness():
     eq = GrammaticalEquation(lhs=(P,), rhs=(EPSILON,))
-    report = check_equation(eq, {"P": UNRESTRICTED}, max_len=6)
+    report = check_equation(eq, {"P": _words_by_n(UNRESTRICTED, 6)}, max_len=6)
     assert not report.passed
     assert report.witness == "UD"
     assert (report.lhs_multiplicity, report.rhs_multiplicity) == (1, 0)
@@ -309,6 +330,7 @@ def test_words_match_reference_expander(inst):
 def test_equation_reports_match_reference_expander(inst):
     eq = inst.body
     languages = {inst.start: inst.quad}
+    words_by_n = {inst.start: _words_by_n(inst.quad, REFERENCE_MAX_LEN)}
 
     @lru_cache(maxsize=None)
     def nonterminal(name, length):
@@ -327,8 +349,8 @@ def test_equation_reports_match_reference_expander(inst):
     cases += [(eq.lhs + (e,), eq.rhs) for e in eq.lhs]
     reports = []
     for lhs, rhs in cases:
-        got = check_equation(GrammaticalEquation(lhs, rhs),
-                             languages, REFERENCE_MAX_LEN)
+        got = check_equation(GrammaticalEquation(lhs, rhs), words_by_n,
+                             REFERENCE_MAX_LEN)
         assert got == _reference_report(side(lhs), side(rhs)), (lhs, rhs)
         reports.append(got)
     assert reports[0].passed
@@ -355,6 +377,8 @@ _sides = st.lists(_exprs, min_size=1, max_size=3).map(tuple)
          UNRESTRICTED, RestrictionQuad.parse(peaks="2"))
 def test_random_equations_match_reference_expander(lhs, rhs, quad_p, quad_q):
     languages = {"P": quad_p, "Q": quad_q}
+    words_by_n = {name: _words_by_n(quad, REFERENCE_MAX_LEN)
+                  for name, quad in languages.items()}
 
     @lru_cache(maxsize=None)
     def nonterminal(name, length):
@@ -369,7 +393,7 @@ def test_random_equations_match_reference_expander(lhs, rhs, quad_p, quad_q):
     # against itself with one expression dropped
     for a, b in ((lhs, rhs), (lhs, lhs[::-1]), (lhs + rhs, rhs + lhs),
                  (rhs, rhs[1:])):
-        got = check_equation(GrammaticalEquation(a, b), languages,
+        got = check_equation(GrammaticalEquation(a, b), words_by_n,
                              REFERENCE_MAX_LEN)
         assert got == _reference_report(side(a), side(b)), (a, b)
 

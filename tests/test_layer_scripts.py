@@ -2,7 +2,8 @@
 
 Each script is imported by path, with scripts/ on sys.path as when it is
 run directly; the two count scripts and the series script time one
-small row, the lowering script's synthetic grammar is lowered, and the
+small row, the verify script counts the midpoint joins of two instances,
+the lowering script's synthetic grammar is lowered, and the
 CLI byte hasher runs a small subset of its command lines, so a script
 left behind by an API change fails here rather than when next run.
 """
@@ -34,7 +35,7 @@ def _load(path: Path, monkeypatch):
 def test_there_are_layer_scripts():
     assert [p.stem for p in LAYER_SCRIPTS] == [
         "brute_layer", "dp_layer", "language_layer", "lower_layer", "series_layer",
-        "word_layer"]
+        "verify_layer", "word_layer"]
 
 
 @pytest.mark.parametrize("path", LAYER_SCRIPTS, ids=lambda p: p.stem)
@@ -62,6 +63,15 @@ def test_brute_layer_row(monkeypatch):
     # the midpoint join walks one letter a call and judges each end state
     # with the empty suffix
     assert work["letters"] == work["walks"]
+
+
+def test_verify_layer_row(monkeypatch):
+    # F1 and F2 at max_len 8, n_max 5: one midpoint join per semilength 0..5
+    verify_layer = _load(SCRIPTS / "verify_layer.py", monkeypatch)
+    best, row = verify_layer._row(verify_pool()[:2], 8, 5, repeats=1)
+    assert list(best) == ["F1", "F2"]
+    assert row["midpoint_calls"] == 2 * 6
+    assert re.fullmatch("[0-9a-f]{16}", row["reports_sha256"])
 
 
 def test_lower_layer_synthetic(monkeypatch):

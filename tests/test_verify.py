@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import pytest
 
+from dyckgram import oracle
 from dyckgram.families import build
-from dyckgram.grammar import Grammar, GrammaticalEquation, NonTerm
+from dyckgram.grammar import Grammar, GrammaticalEquation, NonTerm, check_equation, words
 from dyckgram.intsets import RestrictionQuad
-from dyckgram.verify import CountReport, count_comparison, verify_family
+from dyckgram.oracle import DEFAULT_ENUMERATION_CAP, count_brute, language
+from dyckgram.verify import CheckOutcome, CountReport, count_comparison, verify_family
 
 
 def check_names(report):
@@ -139,12 +141,62 @@ def _mutants(inst):
                 yield f"{side} {what}", replace(inst, body=replace(body, **{side: new}))
 
 
-@pytest.mark.parametrize("inst", MUTANT_POOL, ids=str)
-def test_every_single_expression_mutant_fails_a_named_check(inst):
-    # none passes and none raises: each is a FAIL that names what failed
+def _word_check(inst, max_len):
+    """The grammar or equation check as built from one ``oracle.language``
+    call per semilength, apart from the brute-force count."""
+    lang = [language(n, inst.quad) for n in range(max_len // 2 + 1)]
+    if not isinstance(inst.body, Grammar):
+        eq = check_equation(inst.body, {inst.start: lang}, max_len)
+        return CheckOutcome("equation multisets equal", eq.passed, "" if eq.passed else
+                            f"{eq.witness!r}: lhs {eq.lhs_multiplicity}, "
+                            f"rhs {eq.rhs_multiplicity}")
+    got = set(words(inst.body, inst.start, max_len).counts)
+    want = {w for ws in lang for w in ws}
+    extra = sorted(got - want, key=lambda w: (len(w), w))[:3]
+    missing = sorted(want - got, key=lambda w: (len(w), w))[:3]
+    return CheckOutcome("grammar words = oracle language", got == want,
+                        "" if got == want else f"extra={extra} missing={missing}")
+
+
+# (max_len, n_max): the word checks' semilength max_len // 2 equal to,
+# below and above n_max, and n_max above the brute-force cap
+SIZES = [(10, 5), (12, 8), (8, 12), (10, 17)]
+
+
+@pytest.mark.parametrize("inst, sizes", [(i, s) for s in SIZES for i in MUTANT_POOL],
+                         ids=[str(i) if s == SIZES[0] else f"{i}-{s[0]}-{s[1]}"
+                              for s in SIZES for i in MUTANT_POOL])
+def test_every_single_expression_mutant_fails_a_named_check(inst, sizes):
+    # none passes and none raises: each is a FAIL that names what failed;
+    # its brute row is count_brute's and its word check is the one read
+    # off oracle.language, whatever max_len // 2 is beside n_max
+    max_len, n_max = sizes
     mutants = list(_mutants(inst))
     assert len(mutants) >= 6
     for label, mutant in mutants:
-        report = verify_family(mutant, max_len=10, n_max=5)
+        report = verify_family(mutant, max_len=max_len, n_max=n_max)
         assert not report.passed, label
         assert any(not c.passed and c.name for c in report.checks), label
+        brute = report.counts.counts.get("brute")
+        assert brute == (count_brute(n_max, mutant.quad)
+                         if n_max <= DEFAULT_ENUMERATION_CAP else None), label
+        word = _word_check(mutant, max_len)
+        assert next(c for c in report.checks if c.name == word.name) == word, label
+
+
+@pytest.mark.parametrize("inst, max_len, n_max", [
+    (build("F3"), 20, 10), (build("F6", A=1, B=2), 20, 10),
+    (build("F3"), 10, 17), (build("F6", A=1, B=2), 12, 4)], ids=str)
+def test_each_midpoint_join_is_built_once_per_call(inst, max_len, n_max, monkeypatch):
+    # brute force and the word checks read one join per semilength; above
+    # the cap brute force is skipped, so only the word checks' joins are built
+    built, inner = [], oracle._midpoint
+
+    def counted(n, tables):
+        built.append(n)
+        return inner(n, tables)
+
+    monkeypatch.setattr(oracle, "_midpoint", counted)
+    assert verify_family(inst, max_len=max_len, n_max=n_max).passed
+    top = max(max_len // 2, n_max if n_max <= DEFAULT_ENUMERATION_CAP else 0)
+    assert sorted(built) == list(range(top + 1))
