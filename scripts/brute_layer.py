@@ -14,8 +14,11 @@ then costs one quad one run, not a whole pass) and a digest of every
 count sequence, so that two checkouts can be compared for equal counts as
 well as for speed.  After the timed repeats, one untimed pass per set
 wraps ``dyckgram.oracle.walk`` and ``accepts`` and reports the work done:
-the ``walk`` calls of the midpoint join, its ``accepts`` calls, and the
-letters all of them were given.
+the ``walk`` calls of the midpoint joins, their ``accepts`` calls, and
+the letters all of them were given; ``tracemalloc`` follows that pass,
+and ``peak_mb`` is the most memory it saw allocated at once, in MiB
+(the suffix lists ``oracle.joins`` keeps for every number of steps left
+are most of it).
 """
 
 import hashlib
@@ -24,6 +27,7 @@ import platform
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -54,8 +58,8 @@ def census_quads(count: int = 24, seed: int = CENSUS_SEED):
 
 
 def brute_work(quads, n_max: int) -> dict:
-    """Calls to oracle.walk and oracle.accepts, and the letters they walked,
-    over one count_brute pass on every quad."""
+    """Calls to oracle.walk and oracle.accepts, the letters they walked and
+    the peak of traced memory, over one count_brute pass on every quad."""
     work = {"walks": 0, "accepts_calls": 0, "letters": 0}
 
     def counting(key, fn):
@@ -68,10 +72,13 @@ def brute_work(quads, n_max: int) -> dict:
     saved = oracle.walk, oracle.accepts
     oracle.walk = counting("walks", saved[0])
     oracle.accepts = counting("accepts_calls", saved[1])
+    tracemalloc.start()
     try:
         for q in quads:
             count_brute(n_max, q)
+        work["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
     finally:
+        tracemalloc.stop()
         oracle.walk, oracle.accepts = saved
     return work
 

@@ -1,5 +1,5 @@
 """Time ``verify.verify_family`` over the 81 verify-pool instances at
-max_len = 20, n_max = 10, and count the oracle's midpoint joins it builds.
+max_len = 20, n_max = 10, and count the oracle work it does.
 
     PYTHONPATH=src python3 scripts/verify_layer.py
 
@@ -8,13 +8,14 @@ run-progression instances of acceptance criterion 05 and the 30 short-run
 instances of criterion 06, 15 grammars and 66 equations.  dyckgram is
 imported from PYTHONPATH, so pointing it at another checkout's ``src``
 times that checkout with the same script.  Prints one JSON object: the
-time of all instances, the number of ``oracle._midpoint`` calls one pass
-over them makes, and a digest of every report's check names, verdicts,
-details and counts, so that two checkouts can be compared for equal
-reports as well as for speed and work; then the time of each of three
-groups, the heavy equations (F6, F8), the light ones (F9-F11) and the
-grammars.  A time is the sum over the instances of each one's best of
-five wall times; the calls are counted in a separate, untimed pass.
+time of all instances, the number of ``oracle.joins`` passes and of
+``oracle.walk`` calls one pass over them makes, and a digest of every
+report's check names, verdicts, details and counts, so that two
+checkouts can be compared for equal reports as well as for speed and
+work; then the time of each of three groups, the heavy equations (F6,
+F8), the light ones (F9-F11) and the grammars.  A time is the sum over
+the instances of each one's best of five wall times; the calls are
+counted in a separate, untimed pass.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import verify_pool  # noqa: E402
-from dyckgram import oracle  # noqa: E402
+from dyckgram import oracle, verify  # noqa: E402
 from dyckgram.verify import verify_family  # noqa: E402
 
 MAX_LEN = 20
@@ -44,22 +45,26 @@ def _report(inst, max_len, n_max):
             sorted(report.counts.counts.items()))
 
 
-def midpoint_calls(instances, max_len, n_max) -> int:
-    """``oracle._midpoint`` calls made by one ``verify_family`` call on each
-    instance."""
-    inner, calls = oracle._midpoint, [0]
+def oracle_work(instances, max_len, n_max) -> dict:
+    """``oracle.joins`` and ``oracle.walk`` calls made by one
+    ``verify_family`` call on each instance."""
+    work = {"joins_calls": 0, "walks": 0}
 
-    def counted(*args):
-        calls[0] += 1
-        return inner(*args)
+    def counting(key, fn):
+        def counted(*args):
+            work[key] += 1
+            return fn(*args)
+        return counted
 
-    oracle._midpoint = counted
+    saved = oracle.joins, verify.joins, oracle.walk
+    oracle.joins = verify.joins = counting("joins_calls", saved[0])
+    oracle.walk = counting("walks", saved[2])
     try:
         for inst in instances:
             verify_family(inst, max_len=max_len, n_max=n_max)
     finally:
-        oracle._midpoint = inner
-    return calls[0]
+        oracle.joins, verify.joins, oracle.walk = saved
+    return work
 
 
 def _row(instances, max_len, n_max, repeats=REPEATS):
@@ -75,7 +80,7 @@ def _row(instances, max_len, n_max, repeats=REPEATS):
     digest = hashlib.sha256(repr(sorted(results.items())).encode())
     return best, {"instances": len(instances), "max_len": max_len, "n_max": n_max,
                   "best_s": round(sum(best.values()), 3),
-                  "midpoint_calls": midpoint_calls(instances, max_len, n_max),
+                  **oracle_work(instances, max_len, n_max),
                   "reports_sha256": digest.hexdigest()[:16]}
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .intsets import IntSet, Progression, RestrictionQuad
-from .oracle import DEFAULT_ENUMERATION_CAP, check_semilength, enumerate_paths
+from .oracle import DEFAULT_ENUMERATION_CAP, joined_words, joins
 from .paths import DyckPath, satisfies
 from .sequences import SeqId, reference
 
@@ -158,12 +158,12 @@ def verify_counts(max_semilength: int,
     Checks, per semilength m <= max_semilength: the path count matches the
     binomial reference ``SeqId.PARITY_BINOM``, the walk count matches it
     too, the forward map is injective onto the full walk set, and both
-    composites are identities.
+    composites are identities.  The paths are read off one pass of
+    ``oracle.joins``.
     """
-    check_semilength(max_semilength, cap)
     rows = []
-    for m in range(max_semilength + 1):
-        paths = enumerate_paths(m, PARITY_QUAD, cap=cap)
+    for m, join in enumerate(joins(max_semilength, PARITY_QUAD, cap)):
+        paths = [DyckPath.from_text(w) for w in joined_words(join)]
         expected = reference(SeqId.PARITY_BINOM, m)
         if m == 0:
             # the empty path, outside the mapped sets

@@ -4,11 +4,16 @@ Two methods, deliberately independent of each other:
 
 * one path generator on the walker of ``paths.walk``, a midpoint join:
   pruned first halves, each joined to the second halves of its walker
-  state, which are listed once per distinct state.  One join is read two
-  ways: the language joins each pair (:func:`joined_words`), and brute
-  force, a definitional count, adds up the lengths of those explicit lists
-  of second halves without joining them (:func:`pair_count`); it reads no
-  run class or height slot of the DP;
+  state.  :func:`joins` builds the join of every semilength up to n_max in
+  one pass and shares work between them: each semilength's first halves
+  are the live one-letter extensions of the last one's (no first half is
+  ever cut for want of room), and the list of second halves of r steps
+  from a state is built once per pass and kept, keyed by (r, state), for
+  every semilength >= r, so memory holds the lists of every r.  One join
+  is read two ways: the language joins each pair (:func:`joined_words`),
+  and brute force, a definitional count, adds up the lengths of those
+  explicit lists of second halves without joining them
+  (:func:`pair_count`); it reads no run class or height slot of the DP;
 * a dynamic program over run states (height, run direction, run class),
   where peak/valley and run-length checks fire at direction changes and
   the final pending down-run is checked when the path closes.  A run's
@@ -66,46 +71,6 @@ def check_semilength(n: int, cap: int) -> None:
         raise ResourceLimit(n, cap)
 
 
-def _midpoint(n: int, tables) -> tuple[list, dict]:
-    """The midpoint join of semilength ``n`` on the walker of ``paths.walk``,
-    unjoined: the pruned first halves as (text, walker state), U before D,
-    and each reachable midpoint state's accepted second halves.
-
-    The first halves (n steps) grow one step at a time, U before D, each
-    step a walk from the prefix's state; a prefix is cut once its walk
-    dies, its height goes below 0 or it has no room left to return to 0.
-    Each distinct walker state at the midpoint gets its list of second
-    halves once: a forward pass walks the states reachable from the
-    midpoint, pruned the same way, and a backward pass builds each state's
-    suffixes, keeping the endings whose closing down-run passes
-    ``paths.accepts``.
-    """
-    steps = 2 * n
-
-    def step(i, state, s):
-        # the walk's state after taking s as step i + 1, or None if it is cut
-        nxt = walk(s, tables, state)
-        return nxt if nxt is not None and 0 <= nxt[0] <= steps - i - 1 else None
-
-    firsts = [("", (0, 0, ""))]
-    for i in range(n):
-        firsts = [(w + s, nxt) for w, state in firsts for s in "UD"
-                  if (nxt := step(i, state, s))]
-    # forward: the up and down successor of every reachable state per step
-    moves: list[dict] = []
-    states = {state for _, state in firsts}
-    for i in range(n, steps):
-        moves.append({state: (step(i, state, "U"), step(i, state, "D")) for state in states})
-        states = {nxt for pair in moves[-1].values() for nxt in pair if nxt}
-    # backward: the accepted suffixes from each state, U before D
-    tails = {state: [""] for state in states if accepts("", tables, state)}
-    for level in reversed(moves):
-        tails = {state: ["U" + t for t in tails.get(up, ())]
-                 + ["D" + t for t in tails.get(down, ())]
-                 for state, (up, down) in level.items()}
-    return firsts, tails
-
-
 def pair_count(join) -> int:
     """The (first half, second half) pairs of a midpoint join, never joined."""
     firsts, tails = join
@@ -120,17 +85,62 @@ def joined_words(join) -> tuple[str, ...]:
 
 def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
           cap: int = DEFAULT_ENUMERATION_CAP):
-    """The midpoint join of each semilength 0..n_max, built as it is read."""
+    """The midpoint join of each semilength 0..n_max on the walker of
+    ``paths.walk``, built as it is read and unjoined: the pruned first
+    halves as (text, walker state), U before D, and each midpoint state's
+    accepted second halves.
+
+    Semilengths share work two ways.  The first halves of n are the live
+    one-letter extensions of those of n - 1: a prefix is cut once its walk
+    dies or its height goes below 0, never for want of room, since i <= n
+    steps reach no height above n.  A second half of r steps from a state
+    is U or D, then one of r - 1 steps, cut once its walk dies or leaves
+    0..r - 1, so its list depends only on (r, state): each pair's list is
+    built once per call, from its successors' or, at r = 0, by
+    ``paths.accepts``, and every semilength >= r reads that one list, which
+    no reader may change.  The lists of every r stay alive until the call
+    ends.
+    """
     check_semilength(n_max, cap)
-    tables = avoid_tables(quad, n_max)
-    return (_midpoint(n, tables) for n in range(n_max + 1))
+    return _joins(n_max, avoid_tables(quad, n_max))
+
+
+def _joins(n_max, tables):
+    def step(r, state, s):
+        # the walk's state after s with r steps left, or None if it is cut
+        nxt = walk(s, tables, state)
+        return nxt if nxt is not None and 0 <= nxt[0] <= r - 1 else None
+
+    tails = {}  # (steps left, state): its accepted suffixes, U before D
+    firsts = [("", (0, 0, ""))]
+    for n in range(n_max + 1):
+        if n:
+            firsts = [(w + s, nxt) for w, state in firsts for s in "UD"
+                      if (nxt := walk(s, tables, state)) is not None and nxt[0] >= 0]
+        # forward: the successors of each (r, state) pair not yet listed;
+        # no pair with r = n can have been listed by a shorter semilength
+        levels, states = [], {state for _, state in firsts}
+        for r in range(n, 0, -1):
+            levels.append({state: (step(r, state, "U"), step(r, state, "D"))
+                           for state in states})
+            states = {nxt for pair in levels[-1].values() for nxt in pair
+                      if nxt and (r - 1, nxt) not in tails}
+        # backward: each new pair's suffixes from its successors'
+        for state in states:
+            tails[0, state] = [""] if accepts("", tables, state) else []
+        for r, level in enumerate(reversed(levels), 1):
+            for state, (up, down) in level.items():
+                tails[r, state] = (["U" + t for t in tails.get((r - 1, up), ())]
+                                   + ["D" + t for t in tails.get((r - 1, down), ())])
+        yield firsts, {state: tails[n, state] for _, state in firsts}
 
 
 def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
              cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, ...]:
-    """Text of every satisfying path of semilength ``n``, in lexicographic order."""
-    check_semilength(n, cap)
-    return joined_words(_midpoint(n, avoid_tables(quad, n)))
+    """Text of every satisfying path of semilength ``n``, in lexicographic
+    order: the last join of :func:`joins`."""
+    *_, join = joins(n, quad, cap)
+    return joined_words(join)
 
 
 def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,

@@ -12,7 +12,7 @@ from hypothesis import settings, strategies as st
 from dyckgram.families import build
 from dyckgram.intsets import IntSet, Progression, Range, RestrictionQuad, Single
 from dyckgram.oracle import enumerate_paths
-from dyckgram.paths import DyckPath
+from dyckgram.paths import DyckPath, accepts, walk
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -80,6 +80,46 @@ def features(path: DyckPath) -> PathFeatures:
     if prev == "D":
         down_runs.append(run)
     return PathFeatures(tuple(peaks), tuple(valleys), tuple(up_runs), tuple(down_runs))
+
+
+def midpoint_join(n: int, tables) -> tuple[list, dict]:
+    """The midpoint join of semilength ``n`` alone, built from scratch: the
+    definitional reference of ``oracle.joins``, which shares first halves
+    and second halves between semilengths.
+
+    The pruned first halves as (text, walker state), U before D, and each
+    reachable midpoint state's accepted second halves.  The first halves
+    (n steps) grow one step at a time, U before D, each step a walk from
+    the prefix's state; a prefix is cut once its walk dies, its height
+    goes below 0 or it has no room left to return to 0.  A forward pass
+    walks the states reachable from the midpoint, pruned the same way, and
+    a backward pass builds each state's suffixes, keeping the endings whose
+    closing down-run passes ``paths.accepts``.
+    """
+    steps = 2 * n
+
+    def step(i, state, s):
+        # the walk's state after taking s as step i + 1, or None if it is cut
+        nxt = walk(s, tables, state)
+        return nxt if nxt is not None and 0 <= nxt[0] <= steps - i - 1 else None
+
+    firsts = [("", (0, 0, ""))]
+    for i in range(n):
+        firsts = [(w + s, nxt) for w, state in firsts for s in "UD"
+                  if (nxt := step(i, state, s))]
+    # forward: the up and down successor of every reachable state per step
+    moves: list[dict] = []
+    states = {state for _, state in firsts}
+    for i in range(n, steps):
+        moves.append({state: (step(i, state, "U"), step(i, state, "D")) for state in states})
+        states = {nxt for pair in moves[-1].values() for nxt in pair if nxt}
+    # backward: the accepted suffixes from each state, U before D
+    tails = {state: [""] for state in states if accepts("", tables, state)}
+    for level in reversed(moves):
+        tails = {state: ["U" + t for t in tails.get(up, ())]
+                 + ["D" + t for t in tails.get(down, ())]
+                 for state, (up, down) in level.items()}
+    return firsts, tails
 
 
 _FLIP = str.maketrans("UD", "DU")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dyckgram import bijection, cli, verify
+from dyckgram import bijection, cli, oracle, verify
 
 
 def run(capsys, *argv):
@@ -339,10 +339,12 @@ def test_bijection_negative_semilength_exits_2(capsys):
 
 
 def test_bijection_above_cap_exits_2_before_enumerating(capsys, monkeypatch):
+    # neither side is enumerated: no path is walked and no walk listed
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerate_paths called above the cap")
+        raise AssertionError("enumeration started above the cap")
 
-    monkeypatch.setattr(bijection, "enumerate_paths", no_enumeration)
+    monkeypatch.setattr(oracle, "walk", no_enumeration)
+    monkeypatch.setattr(bijection, "_all_walks", no_enumeration)
     code, out, err = run(capsys, "bijection", "--semilength", "5", "--cap", "3")
     assert code == 2
     assert out == ""

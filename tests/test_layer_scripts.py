@@ -2,7 +2,7 @@
 
 Each script is imported by path, with scripts/ on sys.path as when it is
 run directly; the two count scripts and the series script time one
-small row, the verify script counts the midpoint joins of two instances,
+small row, the verify script counts the oracle work of two instances,
 the lowering script's synthetic grammar is lowered, and the
 CLI byte hasher runs a small subset of its command lines, so a script
 left behind by an API change fails here rather than when next run.
@@ -63,14 +63,18 @@ def test_brute_layer_row(monkeypatch):
     # the midpoint join walks one letter a call and judges each end state
     # with the empty suffix
     assert work["letters"] == work["walks"]
+    assert work["peak_mb"] > 0
 
 
 def test_verify_layer_row(monkeypatch):
-    # F1 and F2 at max_len 8, n_max 5: one midpoint join per semilength 0..5
+    # F1 and F2 at max_len 8, n_max 5: one joins pass each, to semilength 5,
+    # which walks what count_brute(5) walks
     verify_layer = _load(SCRIPTS / "verify_layer.py", monkeypatch)
     best, row = verify_layer._row(verify_pool()[:2], 8, 5, repeats=1)
     assert list(best) == ["F1", "F2"]
-    assert row["midpoint_calls"] == 2 * 6
+    assert row["joins_calls"] == 2
+    brute_layer = _load(SCRIPTS / "brute_layer.py", monkeypatch)
+    assert row["walks"] == brute_layer.brute_work([i.quad for i in verify_pool()[:2]], 5)["walks"]
     assert re.fullmatch("[0-9a-f]{16}", row["reports_sha256"])
 
 

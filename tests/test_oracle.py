@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import features, quads, sample_quads, unrestricted_paths, verify_pool
+from conftest import (features, midpoint_join, quads, sample_quads, unrestricted_paths,
+                      verify_pool)
 from dyckgram.families import build
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
@@ -86,6 +87,29 @@ def test_methods_agree_on_census_quads(monkeypatch):
     assert all(s.atoms for q in census for s in (q.peaks, q.valleys, q.up_runs, q.down_runs))
     for quad in census:
         assert count_brute(12, quad) == count_dp(12, quad), str(quad)
+
+
+def _check_joins(quad, n_max):
+    # the same first halves and the same whole suffix dict per semilength
+    # as a join built from scratch for that semilength alone
+    tables = avoid_tables(quad, n_max)
+    got = list(oracle.joins(n_max, quad, cap=n_max))
+    assert got == [midpoint_join(n, tables) for n in range(n_max + 1)], str(quad)
+
+
+def test_joins_equal_each_semilength_built_alone(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    from brute_layer import census_quads
+    for quad in census_quads():
+        _check_joins(quad, 12)
+    for inst in verify_pool():
+        _check_joins(inst.quad, 10)
+    _check_joins(RestrictionQuad(), 14)
+
+
+@given(quads, st.integers(0, 10))
+def test_joins_equal_each_semilength_built_alone_on_drawn_quads(quad, n_max):
+    _check_joins(quad, n_max)
 
 
 def test_enumeration_matches_counts_and_satisfaction():

@@ -1,12 +1,15 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from dyckgram import oracle
+from conftest import midpoint_join
+from dyckgram import oracle, verify
 from dyckgram.families import build
 from dyckgram.grammar import Grammar, GrammaticalEquation, NonTerm, check_equation, words
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import DEFAULT_ENUMERATION_CAP, count_brute, language
+from dyckgram.paths import accepts, avoid_tables, walk
 from dyckgram.verify import CheckOutcome, CountReport, count_comparison, verify_family
 
 
@@ -184,19 +187,55 @@ def test_every_single_expression_mutant_fails_a_named_check(inst, sizes):
         assert next(c for c in report.checks if c.name == word.name) == word, label
 
 
+def _pairs_listed(top, tables):
+    """Every (steps left, walker state) pair whose second halves some
+    semilength n <= top reads: the states reachable from its midpoint
+    states, pruned as the second halves are."""
+    pairs = set()
+    for n in range(top + 1):
+        states = {state for _, state in midpoint_join(n, tables)[0]}
+        for r in range(n, -1, -1):
+            pairs |= {(r, state) for state in states}
+            states = {nxt for state in states for s in "UD"
+                      if (nxt := walk(s, tables, state)) and 0 <= nxt[0] <= r - 1}
+    return pairs
+
+
 @pytest.mark.parametrize("inst, max_len, n_max", [
     (build("F3"), 20, 10), (build("F6", A=1, B=2), 20, 10),
     (build("F3"), 10, 17), (build("F6", A=1, B=2), 12, 4)], ids=str)
 def test_each_midpoint_join_is_built_once_per_call(inst, max_len, n_max, monkeypatch):
-    # brute force and the word checks read one join per semilength; above
-    # the cap brute force is skipped, so only the word checks' joins are built
-    built, inner = [], oracle._midpoint
+    # brute force and the word checks read one joins pass; above the cap
+    # brute force is skipped, so it stops at the word checks' semilength.
+    # Within it each live first half is grown once per letter, and each
+    # (steps left, state) pair walks its two successors once and, at 0
+    # steps left, is judged once
+    passes, walked, judged = [], Counter(), Counter()
+    inner = oracle.joins
 
-    def counted(n, tables):
-        built.append(n)
-        return inner(n, tables)
+    def counted_joins(n_max, *rest):
+        passes.append(n_max)
+        return inner(n_max, *rest)
 
-    monkeypatch.setattr(oracle, "_midpoint", counted)
+    def counted_walk(steps, tables, state):
+        walked[state, steps] += 1
+        return walk(steps, tables, state)
+
+    def counted_accepts(steps, tables, state):
+        judged[state, steps] += 1
+        return accepts(steps, tables, state)
+
+    for module in (oracle, verify):
+        monkeypatch.setattr(module, "joins", counted_joins)
+    monkeypatch.setattr(oracle, "walk", counted_walk)
+    monkeypatch.setattr(oracle, "accepts", counted_accepts)
     assert verify_family(inst, max_len=max_len, n_max=n_max).passed
     top = max(max_len // 2, n_max if n_max <= DEFAULT_ENUMERATION_CAP else 0)
-    assert sorted(built) == list(range(top + 1))
+    assert passes == [top]
+    tables = avoid_tables(inst.quad, top)
+    grown = Counter((state, s) for n in range(top)
+                    for _, state in midpoint_join(n, tables)[0] for s in "UD")
+    pairs = _pairs_listed(top, tables)
+    successors = Counter((state, s) for r, state in pairs if r for s in "UD")
+    assert walked == grown + successors
+    assert judged == Counter((state, "") for r, state in pairs if not r)
