@@ -17,14 +17,19 @@ wraps ``dyckgram.oracle.walk`` and ``accepts`` and reports the work done:
 the ``walk`` calls of the midpoint joins, their ``accepts`` calls, and
 the letters all of them were given; ``tracemalloc`` follows that pass,
 and ``peak_mb`` is the most memory it saw allocated at once, in MiB
-(the suffix lists ``oracle.joins`` keeps for every number of steps left
-are most of it).
+(the first halves and the two levels of suffix lists ``oracle.joins``
+keeps alive are most of it).  Last, ``fresh`` times the unrestricted
+``count_brute(n, cap=n)`` at n = 16, 18 and 20, each in a child
+interpreter of its own, and reports its wall seconds and the child's peak
+resident set (``ru_maxrss``) in MiB.
 """
 
 import hashlib
 import json
+import os
 import platform
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -38,6 +43,7 @@ from dyckgram.oracle import count_brute  # noqa: E402
 
 REPEATS = 5
 CENSUS_SEED = 9129
+FRESH_SEMILENGTHS = (16, 18, 20)
 
 
 def census_quads(count: int = 24, seed: int = CENSUS_SEED):
@@ -97,12 +103,30 @@ def _row(name: str, quads, n_max: int) -> dict:
             "work": brute_work(quads, n_max)}
 
 
+def fresh_row(n: int) -> dict:
+    """Unrestricted count_brute(n, cap=n) in a fresh child interpreter that
+    imports the same dyckgram: its wall seconds and peak RSS in MiB."""
+    code = ("import json, resource, sys, time\n"
+            "from dyckgram.oracle import count_brute\n"
+            "n = int(sys.argv[1])\n"
+            "t0 = time.perf_counter()\n"
+            "count_brute(n, cap=n)\n"
+            "print(json.dumps([time.perf_counter() - t0,\n"
+            "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(n)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    seconds, maxrss_kib = json.loads(out)
+    return {"n": n, "s": round(seconds, 6), "peak_rss_mb": round(maxrss_kib / 1024, 1)}
+
+
 def main() -> None:
     sets = (("census", census_quads(), 12), ("pool", [inst.quad for inst in verify_pool()], 10),
             ("unrestricted", [RestrictionQuad()], 14))
     rows = [_row(name, quads, n_max) for name, quads, n_max in sets]
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
-                      "rows": rows}, indent=1))
+                      "rows": rows, "fresh": [fresh_row(n) for n in FRESH_SEMILENGTHS]},
+                     indent=1))
 
 
 if __name__ == "__main__":

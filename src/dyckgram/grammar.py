@@ -142,9 +142,7 @@ class _Expander:
     one of rest, so no literal-headed suffix is ever materialised, and w1
     is at most as long as rest's letters leave room for.  ``expand`` gives
     the words of one length, one ``_product`` over that length's splits,
-    memoized; ``upto`` gives the words of every length up to a bound as
-    multisets to be summed, one ``_product`` over every pair of lengths of
-    w1 and w2, for the expressions a caller starts from.  A literal-only
+    memoized; a caller sums it over the lengths it reads.  A literal-only
     expression is its one word.  ``resolve(name, length)`` gives a
     nonterminal's words of one length; it is called once per (nonterminal,
     length), and a call that re-enters its own (nonterminal, length) is
@@ -152,11 +150,10 @@ class _Expander:
     must not be mutated.
 
     ``generated``, the figure ``cap`` bounds, counts the distinct words of
-    every multiset built: each (nonterminal, length) resolved, each
-    (expression, length) ``expand`` memoizes and each product ``upto``
-    returns; a lone nonterminal or a literal builds none.  That is the
-    memo's size plus what ``upto`` returns, and the work done to within a
-    factor of the length.
+    every multiset built: each (nonterminal, length) resolved and each
+    (expression, length) ``expand`` memoizes; a lone nonterminal or a
+    literal builds none.  That is the memo's size, and the work done to
+    within a factor of the length.
     """
 
     def __init__(self, resolve, cap: int):
@@ -233,23 +230,6 @@ class _Expander:
         self._charge(out)
         return out
 
-    def upto(self, tokens: tuple, max_len: int) -> list:
-        """Multisets that sum to the words of every length <= max_len."""
-        pre, name, lit, rest, least = self._plans.get(tokens) or self._plan(tokens)
-        if name is None:
-            return [{pre: 1}] if len(pre) <= max_len else []
-        free = max_len - len(pre) - len(lit)
-        lefts = [(l1, left) for l1 in range(free - least + 1)
-                 if (left := self.nonterminal(name, l1))]
-        if not (pre or lit or rest):
-            return [left for _, left in lefts]
-        rights = [(l2, right) for l2 in range(least, free - lefts[0][0] + 1)
-                  if (right := self.expand(rest, l2))] if lefts else []
-        out = _product(pre, lit, [(left, right) for l1, left in lefts
-                                  for l2, right in rights if l1 + l2 <= free])
-        self._charge(out)
-        return [out]
-
 
 def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
     def resolve(name: str, length: int) -> dict:
@@ -284,8 +264,9 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int,
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     tokens = NonTerm(start) if isinstance(start, str) else start
-    return WordMultiset(max_len,
-                        _union(_grammar_expander(grammar, cap).upto(tokens, max_len)))
+    expander = _grammar_expander(grammar, cap)
+    return WordMultiset(max_len, _union([expander.expand(tokens, length)
+                                         for length in range(max_len + 1)]))
 
 
 @dataclass(frozen=True)
@@ -342,8 +323,8 @@ def check_equation(eq: GrammaticalEquation,
             raise ValueError(f"nonterminal {name} needs words of semilength "
                              f"0..{max_len // 2}, got {len(by_n)} lists")
     expander = _language_expander(languages, cap)
-    lhs, rhs = (_union([part for tokens in side
-                        for part in expander.upto(tokens, max_len)])
+    lhs, rhs = (_union([expander.expand(tokens, length) for tokens in side
+                        for length in range(max_len + 1)])
                 for side in (eq.lhs, eq.rhs))
     if lhs == rhs:
         return EquationReport(True, max_len)

@@ -5,11 +5,12 @@ Two methods, deliberately independent of each other:
 * one path generator on the walker of ``paths.walk``, a midpoint join:
   pruned first halves, each joined to the second halves of its walker
   state.  :func:`joins` builds the join of every semilength up to n_max in
-  one pass and shares work between them: each semilength's first halves
-  are the live one-letter extensions of the last one's (no first half is
-  ever cut for want of room), and the list of second halves of r steps
-  from a state is built once per pass and kept, keyed by (r, state), for
-  every semilength >= r, so memory holds the lists of every r.  One join
+  three straight passes that share work between them: forward, each
+  semilength's first halves are the live one-letter extensions of the
+  last one's (no first half is ever cut for want of room); top down, each
+  walker state read with r steps left walks its two successors once;
+  bottom up, the lists of second halves of r steps are built from those
+  of r - 1 steps, and only those two levels are alive at once.  One join
   is read two ways: the language joins each pair (:func:`joined_words`),
   and brute force, a definitional count, adds up the lengths of those
   explicit lists of second halves without joining them
@@ -86,20 +87,20 @@ def joined_words(join) -> tuple[str, ...]:
 def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
           cap: int = DEFAULT_ENUMERATION_CAP):
     """The midpoint join of each semilength 0..n_max on the walker of
-    ``paths.walk``, built as it is read and unjoined: the pruned first
-    halves as (text, walker state), U before D, and each midpoint state's
-    accepted second halves.
+    ``paths.walk``, unjoined: the pruned first halves as (text, walker
+    state), U before D, and each midpoint state's accepted second halves.
 
-    Semilengths share work two ways.  The first halves of n are the live
-    one-letter extensions of those of n - 1: a prefix is cut once its walk
-    dies or its height goes below 0, never for want of room, since i <= n
-    steps reach no height above n.  A second half of r steps from a state
-    is U or D, then one of r - 1 steps, cut once its walk dies or leaves
-    0..r - 1, so its list depends only on (r, state): each pair's list is
-    built once per call, from its successors' or, at r = 0, by
-    ``paths.accepts``, and every semilength >= r reads that one list, which
-    no reader may change.  The lists of every r stay alive until the call
-    ends.
+    Three straight passes share work between semilengths.  Forward, the
+    first halves of n are the live one-letter extensions of those of
+    n - 1: a prefix is cut once its walk dies or its height goes below 0,
+    never for want of room, since i <= n steps reach no height above n.
+    A second half of r steps from a state is U or D, then one of r - 1
+    steps, cut once its walk dies or leaves 0..r - 1, so its list depends
+    only on (r, state).  Top down, each state read with r steps left walks
+    its two successors once.  Bottom up, level r's lists are built from
+    level r - 1's (at r = 0 by ``paths.accepts``), join r is yielded and
+    level r - 1 dropped, so two levels stay alive.  No reader may change
+    a list.
     """
     check_semilength(n_max, cap)
     return _joins(n_max, avoid_tables(quad, n_max))
@@ -111,28 +112,28 @@ def _joins(n_max, tables):
         nxt = walk(s, tables, state)
         return nxt if nxt is not None and 0 <= nxt[0] <= r - 1 else None
 
-    tails = {}  # (steps left, state): its accepted suffixes, U before D
-    firsts = [("", (0, 0, ""))]
-    for n in range(n_max + 1):
-        if n:
-            firsts = [(w + s, nxt) for w, state in firsts for s in "UD"
-                      if (nxt := walk(s, tables, state)) is not None and nxt[0] >= 0]
-        # forward: the successors of each (r, state) pair not yet listed;
-        # no pair with r = n can have been listed by a shorter semilength
-        levels, states = [], {state for _, state in firsts}
-        for r in range(n, 0, -1):
-            levels.append({state: (step(r, state, "U"), step(r, state, "D"))
-                           for state in states})
-            states = {nxt for pair in levels[-1].values() for nxt in pair
-                      if nxt and (r - 1, nxt) not in tails}
-        # backward: each new pair's suffixes from its successors'
-        for state in states:
-            tails[0, state] = [""] if accepts("", tables, state) else []
-        for r, level in enumerate(reversed(levels), 1):
-            for state, (up, down) in level.items():
-                tails[r, state] = (["U" + t for t in tails.get((r - 1, up), ())]
-                                   + ["D" + t for t in tails.get((r - 1, down), ())])
-        yield firsts, {state: tails[n, state] for _, state in firsts}
+    # forward: each semilength's first halves, the last one's live extensions
+    firsts = [[("", (0, 0, ""))]]
+    for _ in range(n_max):
+        firsts.append([(w + s, nxt) for w, state in firsts[-1] for s in "UD"
+                       if (nxt := walk(s, tables, state)) is not None and nxt[0] >= 0])
+    # top down: the states read with r steps left and their two successors
+    levels, states = [], set()
+    for r in range(n_max, 0, -1):
+        states.update(state for _, state in firsts[r])
+        levels.append({state: (step(r, state, "U"), step(r, state, "D"))
+                       for state in states})
+        states = {nxt for pair in levels[-1].values() for nxt in pair if nxt}
+    # bottom up: each level's suffixes from the level below, which then goes
+    states.update(state for _, state in firsts[0])
+    tails = {state: [""] if accepts("", tables, state) else [] for state in states}
+    for r in range(n_max + 1):
+        if r:
+            tails = {state: (["U" + t for t in tails.get(up, ())]
+                             + ["D" + t for t in tails.get(down, ())])
+                     for state, (up, down) in levels.pop().items()}
+        yield firsts[r], {state: tails[state] for _, state in firsts[r]}
+        firsts[r] = None
 
 
 def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,

@@ -103,22 +103,6 @@ class TruncatedSeries:
                 raise ValueError(f"coefficient of z^{n} is not a count: {c}")
         return self
 
-    def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = str(abs(c)) if (abs(c) != 1 or n == 0) else ""
-            zp = "" if n == 0 else ("z" if n == 1 else f"z^{n}")
-            body = "*".join(x for x in (mag, zp) if x)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        if not parts:
-            return f"0 + O(z^{self.order})"
-        head = parts[0].removeprefix("+ ")
-        if head.startswith("- "):
-            head = "-" + head[2:]
-        return " ".join([head] + parts[1:]) + f" + O(z^{self.order})"
-
 
 # --- polynomials in z and named unknowns -------------------------------
 

@@ -2,10 +2,11 @@
 
 Each script is imported by path, with scripts/ on sys.path as when it is
 run directly; the two count scripts and the series script time one
-small row, the verify script counts the oracle work of two instances,
-the lowering script's synthetic grammar is lowered, and the
-CLI byte hasher runs a small subset of its command lines, so a script
-left behind by an API change fails here rather than when next run.
+small row, the brute script also times one count in a child
+interpreter, the verify script counts the oracle work of two instances,
+the lowering script's synthetic grammar is lowered, and the CLI byte
+hasher runs a small subset of its command lines, so a script left
+behind by an API change fails here rather than when next run.
 """
 
 import hashlib
@@ -64,6 +65,11 @@ def test_brute_layer_row(monkeypatch):
     # with the empty suffix
     assert work["letters"] == work["walks"]
     assert work["peak_mb"] > 0
+
+
+def test_brute_layer_fresh_row(monkeypatch):
+    row = _load(SCRIPTS / "brute_layer.py", monkeypatch).fresh_row(6)
+    assert row["n"] == 6 and row["s"] > 0 and row["peak_rss_mb"] > 0
 
 
 def test_verify_layer_row(monkeypatch):

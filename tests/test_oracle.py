@@ -1,3 +1,4 @@
+import gc
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -110,6 +111,17 @@ def test_joins_equal_each_semilength_built_alone(monkeypatch):
 @given(quads, st.integers(0, 10))
 def test_joins_equal_each_semilength_built_alone_on_drawn_quads(quad, n_max):
     _check_joins(quad, n_max)
+
+
+def test_joins_keep_no_suffix_list_two_semilengths_back():
+    # while joins advances to semilength r, the suffix lists of r - 2
+    # are the caller's alone: only two levels of steps left stay alive
+    it = oracle.joins(10, cap=10)
+    for _ in range(6):
+        _, held = next(it)
+    next(it), next(it)
+    suffixes = held[min(held)]
+    assert suffixes and gc.get_referrers(suffixes) == [held]
 
 
 def test_enumeration_matches_counts_and_satisfaction():

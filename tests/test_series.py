@@ -48,12 +48,6 @@ def test_require_counts():
         S([1, -1], 3).require_counts()
 
 
-def test_rendering():
-    assert str(S([1, 0, -2], 3)) == "1 - 2*z^2 + O(z^3)"
-    assert str(S([0, 1], 3)) == "z + O(z^3)"
-    assert str(TruncatedSeries.zero(2)) == "0 + O(z^2)"
-
-
 def test_poly_arithmetic_and_rendering():
     p = Poly.const(1) + Poly.z() * Poly.var("P") ** 2
     assert str(p) == "1 + z*P^2"
