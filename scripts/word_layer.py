@@ -5,16 +5,20 @@ over the 81 verify-pool instances at max_len = 20.
 
 The pool is ``tests/conftest.verify_pool()``: F1-F3 plus the 48
 run-progression instances of acceptance criterion 05 and the 30 short-run
-instances of criterion 06, 15 grammars and 66 equations.  dyckgram is imported from PYTHONPATH, so pointing it
-at another checkout's ``src`` times that checkout with the same script.
+instances of criterion 06, 15 grammars and 66 equations.  dyckgram is
+imported from PYTHONPATH, so pointing it at another checkout's ``src``
+times that checkout with the same script.  An equation's word lists are
+built once, untimed, from one ``oracle.joins`` pass, as ``verify_family``
+builds them, so the equation times are the word engine's alone.
 Prints one JSON object: for each entry point, the time of its instances
 and a digest of every word multiset or equation report, so that two
 checkouts can be compared for equal results as well as for speed; then
-the time of each of three groups, the heavy equations (F6, F8), the light
-ones (F9-F11) and the grammars, so that a change that speeds up the large
-multisets but slows the cheap instances shows.  A time is the sum over
-the instances of each one's best of five wall times: on a shared host a
-slow phase then costs one instance one run, not a whole pass.
+the time of each of the three groups of ``verify_layer.py``, the heavy
+equations (F6, F8), the light ones (F9-F11) and the grammars, so that a
+change that speeds up the large multisets but slows the cheap instances
+shows.  A time is the sum over the instances of each one's best of five
+wall times: on a shared host a slow phase then costs one instance one
+run, not a whole pass.
 """
 
 import hashlib
@@ -22,12 +26,14 @@ import json
 import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import verify_pool  # noqa: E402
 from dyckgram.grammar import Grammar, check_equation, words  # noqa: E402
-from dyckgram.oracle import language  # noqa: E402
+from dyckgram.oracle import joined_words, joins  # noqa: E402
+from verify_layer import GROUPS  # noqa: E402
 
 MAX_LEN = 20
 REPEATS = 5
@@ -37,28 +43,27 @@ def _words(inst):
     return sorted(words(inst.body, inst.start, MAX_LEN).counts.items())
 
 
-def _equation(inst):
-    lang = [language(n, inst.quad) for n in range(MAX_LEN // 2 + 1)]
+def _equation(inst, lang):
     report = check_equation(inst.body, {inst.start: lang}, MAX_LEN)
     return (report.passed, report.witness, report.lhs_multiplicity,
             report.rhs_multiplicity)
 
 
-GROUPS = (("heavy equations (F6, F8)", ("F6", "F8")),
-          ("light equations (F9-F11)", ("F9", "F10", "F11")),
-          ("grammars", ("F1", "F2", "F3", "F5", "F7")))
-
-
 def main() -> None:
     instances = verify_pool()
-    run = {str(i): _words if isinstance(i.body, Grammar) else _equation
-           for i in instances}
+    run = {}
+    for inst in instances:
+        if isinstance(inst.body, Grammar):
+            run[str(inst)] = partial(_words, inst)
+        else:
+            lang = [joined_words(join) for join in joins(MAX_LEN // 2, inst.quad)]
+            run[str(inst)] = partial(_equation, inst, lang)
     times = {str(i): [] for i in instances}
     for _ in range(REPEATS):
         results = {}
         for inst in instances:
             t0 = time.perf_counter()
-            results[str(inst)] = run[str(inst)](inst)
+            results[str(inst)] = run[str(inst)]()
             times[str(inst)].append(time.perf_counter() - t0)
 
     def best(names):
@@ -66,7 +71,7 @@ def main() -> None:
 
     rows = []
     for name, entry in (("words", _words), ("check_equation", _equation)):
-        names = [n for n in times if run[n] is entry]
+        names = [n for n in times if run[n].func is entry]
         digest = hashlib.sha256(repr([(n, results[n]) for n in names]).encode())
         rows.append({"entry": name, "instances": len(names), "best_s": best(names),
                      "results_sha256": digest.hexdigest()[:16]})

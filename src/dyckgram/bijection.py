@@ -1,26 +1,26 @@
 """Paths without peaks or valleys at positive even height, and their
 correspondence with free walks.
 
-Such a path of semilength s is determined by what happens at its
-even-numbered steps, and that data reads off as a +-1 walk of length
+Such a path of semilength s is determined by its heights after the odd
+steps 1, 3, ..., 2s - 1, and those read off as a +-1 walk of length
 s - 1 starting at 0: the walk ends at 0 when s is odd and at -1 when s
-is even.  Pair up path steps (2k, 2k+1) for k = 1 .. s-1; the first path
-step is always U and the last always D, and each pair maps to one walk
-step:
+is even.  The invariant is that the path's height after step 2k + 1 is
+|2d + 1|, where d is the walk's height after k steps.  The first path
+step is always U and the last always D, and each pair of path steps
+(2k, 2k + 1), k = 1 .. s-1, is fixed by the height difference that walk
+step k makes:
 
-  D then U   the path returns to height 0; the walk crosses between
-             heights 0 and -1 (downward from 0, upward from -1)
-  U then U   the walk moves away from that boundary: up from height
-             >= 0, down from height <= -1
-  D then D   the walk moves toward the boundary: down from height >= 1,
-             up from height <= -2
+  U then U   +2, the walk moves away from the boundary between 0 and -1
+  D then U    0, the walk crosses that boundary and the path returns to 0
+  D then D   -2, the walk moves toward the boundary
 
 A peak or valley of the path between positions 2k+1 and 2k+2 sits at an
 odd height, and within a pair only the height-0 valley of "D then U" can
 appear, which is why every walk produces a valid restricted path.  The
-inverse reads the same table right to left.  Crossings inherit a parity
-law: the walk can step 0 -> -1 only at odd indices and -1 -> 0 only at
-even indices (walk steps counted from 1).
+inverse reads the walk back off the heights, flipping the walk's side of
+the boundary at each "D then U".  Crossings inherit a parity law: the
+walk can step 0 -> -1 only at odd indices and -1 -> 0 only at even
+indices (walk steps counted from 1).
 """
 
 from __future__ import annotations
@@ -76,26 +76,18 @@ def path_to_walk(path: DyckPath) -> Walk:
         raise NotInDomain("the empty path is counted separately, not mapped")
     if not satisfies(path, PARITY_QUAD):
         raise NotInDomain("path has a peak or valley at positive even height")
-    text = path.text
-    walk: list[int] = []
-    d = 0
-    for k in range(1, path.semilength):
-        pair = text[2 * k - 1:2 * k + 1]  # path steps 2k and 2k + 1, 1-indexed
-        if pair == "DU":
-            move = -1 if d == 0 else 1
-            if d not in (0, -1):
-                raise NotInDomain(f"crossing pair at walk height {d}")
-        elif pair == "UU":
-            move = 1 if d >= 0 else -1
-        elif pair == "DD":
-            if d in (0, -1):
-                raise NotInDomain(f"inward pair at walk height {d}")
-            move = -1 if d >= 1 else 1
-        else:
-            raise NotInDomain("peak at even height")  # unreachable after the quad check
-        walk.append(move)
-        d += move
-    return Walk(tuple(walk))
+    # heights after path steps 1, 3, ..., 2s - 1
+    odd = list(accumulate(1 if c == "U" else -1 for c in path.text))[::2]
+    walk_heights, side = [0], 1
+    for before, after in zip(odd, odd[1:]):
+        if after == before:  # D then U: the walk crosses between 0 and -1
+            side = -side
+        walk_heights.append((side * after - 1) // 2)  # side * after = 2d + 1
+    return Walk(tuple(b - a for a, b in zip(walk_heights, walk_heights[1:])))
+
+
+#: the path steps (2k, 2k + 1) of each height difference they make
+_PAIRS = {2: "UU", 0: "DU", -2: "DD"}
 
 
 def walk_to_path(walk: Walk, semilength: int | None = None) -> DyckPath:
@@ -112,18 +104,9 @@ def walk_to_path(walk: Walk, semilength: int | None = None) -> DyckPath:
         raise NotInCodomain(f"walk of length {n} must end at {expected_end}, ends at {end}")
     if semilength is not None and semilength != n + 1:
         raise NotInCodomain(f"walk of length {n} yields semilength {n + 1}, not {semilength}")
-    chars = ["U"]
-    d = 0
-    for move in walk.steps:
-        if (d == 0 and move == -1) or (d == -1 and move == 1):
-            chars.append("DU")
-        elif (d >= 0 and move == 1) or (d <= -1 and move == -1):
-            chars.append("UU")
-        else:
-            chars.append("DD")
-        d += move
-    chars.append("D")
-    return DyckPath.from_text("".join(chars))
+    odd = [abs(2 * d + 1) for d in accumulate(walk.steps, initial=0)]
+    pairs = (_PAIRS[after - before] for before, after in zip(odd, odd[1:]))
+    return DyckPath.from_text("U" + "".join(pairs) + "D")
 
 
 def _all_walks(semilength: int) -> list[Walk]:

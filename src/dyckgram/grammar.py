@@ -141,51 +141,34 @@ class _Expander:
     are empty.  Its words are pre + w1 + lit + w2 for w1 a word of N and w2
     one of rest, so no literal-headed suffix is ever materialised, and w1
     is at most as long as rest's letters leave room for.  ``expand`` gives
-    the words of one length, one ``_product`` over that length's splits,
-    memoized; a caller sums it over the lengths it reads.  A literal-only
-    expression is its one word.  ``resolve(name, length)`` gives a
-    nonterminal's words of one length; it is called once per (nonterminal,
-    length), and a call that re-enters its own (nonterminal, length) is
-    unguarded recursion.  Returned dicts may be shared with the memo and
-    must not be mutated.
+    the words of one length, one ``_product`` over that length's splits; a
+    caller sums it over the lengths it reads.  A literal-only expression
+    is its one word.  A lone nonterminal N is the one-token expression
+    ``NonTerm(N)``, whose words of one length are ``resolve(N, length)``;
+    a resolve that re-enters its own (N, length) is unguarded recursion.
+    Every other result is kept in one memo keyed by (tokens, length), so
+    a split reads N's words as the memo entry of ``NonTerm(N)``.  Returned
+    dicts may be shared with the memo and must not be mutated.
 
     ``generated``, the figure ``cap`` bounds, counts the distinct words of
-    every multiset built: each (nonterminal, length) resolved and each
-    (expression, length) ``expand`` memoizes; a lone nonterminal or a
-    literal builds none.  That is the memo's size, and the work done to
-    within a factor of the length.
+    every memo entry: each (nonterminal, length) resolved and each
+    (expression, length) split; a literal builds none.  That is the memo's
+    size, and the work done to within a factor of the length.
     """
 
     def __init__(self, resolve, cap: int):
         self.resolve = resolve  # (name, length) -> dict
         self.cap = cap
         self.generated = 0
-        self._memo: dict = {}   # (tokens, length) -> dict
-        self._words: dict = {}  # (name, length) -> dict
+        self._memo: dict = {}  # (tokens, length) -> dict
         self._active: set = set()
-        self._plans: dict = {}  # tokens -> (pre, name, lit, rest, least)
-
-    def _charge(self, words: dict) -> None:
-        self.generated += len(words)
-        if self.generated > self.cap:
-            raise ResourceLimit(self.generated, self.cap, what="generated words")
-
-    def nonterminal(self, name: str, length: int) -> dict:
-        key = (name, length)
-        out = self._words.get(key)
-        if out is None:
-            if key in self._active:
-                raise ValueError(f"unguarded recursion on nonterminal {name}")
-            self._active.add(key)
-            out = self._words[key] = self.resolve(name, length)
-            self._active.discard(key)
-            self._charge(out)
-        return out
+        self._plans: dict = {}  # tokens -> (pre, N, lit, rest, least)
 
     def _plan(self, tokens: tuple) -> tuple:
-        """(pre, name, lit, rest, least) of ``[pre] N [lit] rest``, where
-        least is the letter count of rest, a bound below its words' length;
-        (word, None, "", (), 0) for a literal-only expression."""
+        """(pre, N, lit, rest, least) of ``[pre] N [lit] rest``, with N the
+        one-token expression of the first nonterminal and least the letter
+        count of rest, a bound below its words' length; (word, None, "",
+        (), 0) for a literal-only expression."""
         i = 0
         while i < len(tokens) and type(tokens[i]) is str:
             i += 1
@@ -197,7 +180,7 @@ class _Expander:
             while j < len(tokens) and type(tokens[j]) is str:
                 j += 1
             rest = tokens[j:]
-            plan = (pre, tokens[i][0], "".join(tokens[i + 1:j]), rest,
+            plan = (pre, tokens[i:i + 1], "".join(tokens[i + 1:j]), rest,
                     sum(len(t) for t in rest if type(t) is str))
         self._plans[tokens] = plan
         return plan
@@ -207,51 +190,36 @@ class _Expander:
         out = self._memo.get(key)
         if out is not None:
             return out
-        pre, name, lit, rest, least = self._plans.get(tokens) or self._plan(tokens)
-        if name is None:
+        pre, head, lit, rest, least = self._plans.get(tokens) or self._plan(tokens)
+        if head is None:
             return {pre: 1} if len(pre) == length else {}
         if not (pre or lit or rest):
-            return self.nonterminal(name, length)
-        free = length - len(pre) - len(lit)
-        words, memo, pairs = self._words, self._memo, []
-        # with no rest, N's word takes all the free letters
-        for l1 in range(0 if rest else max(free, 0), free - least + 1):
-            left = words.get((name, l1))
-            if left is None:
-                left = self.nonterminal(name, l1)
-            if not left:
-                continue
-            right = memo.get((rest, free - l1))
-            if right is None:
-                right = self.expand(rest, free - l1)
-            if right:
-                pairs.append((left, right))
-        out = self._memo[key] = _product(pre, lit, pairs)
-        self._charge(out)
+            if key in self._active:
+                raise ValueError(f"unguarded recursion on nonterminal {tokens[0][0]}")
+            self._active.add(key)
+            out = self.resolve(tokens[0][0], length)
+            self._active.discard(key)
+        else:
+            free = length - len(pre) - len(lit)
+            memo, pairs = self._memo, []
+            # with no rest, N's word takes all the free letters
+            for l1 in range(0 if rest else max(free, 0), free - least + 1):
+                left = memo.get((head, l1))
+                if left is None:
+                    left = self.expand(head, l1)
+                if not left:
+                    continue
+                right = memo.get((rest, free - l1))
+                if right is None:
+                    right = self.expand(rest, free - l1)
+                if right:
+                    pairs.append((left, right))
+            out = _product(pre, lit, pairs)
+        self._memo[key] = out
+        self.generated += len(out)
+        if self.generated > self.cap:
+            raise ResourceLimit(self.generated, self.cap, what="generated words")
         return out
-
-
-def _grammar_expander(grammar: Grammar, cap: int) -> _Expander:
-    def resolve(name: str, length: int) -> dict:
-        if name not in grammar.rules:
-            raise ValueError(f"undefined nonterminal {name}")
-        return _union([expander.expand(tokens, length)
-                       for tokens in grammar.rules[name]])
-
-    expander = _Expander(resolve, cap)
-    return expander
-
-
-def _language_expander(languages: Mapping[str, Sequence[tuple[str, ...]]],
-                       cap: int) -> _Expander:
-    def resolve(name: str, length: int) -> dict:
-        if name not in languages:
-            raise ValueError(f"no language bound to nonterminal {name}")
-        if length % 2:
-            return {}
-        return dict.fromkeys(languages[name][length // 2], 1)
-
-    return _Expander(resolve, cap)
 
 
 def words(grammar: Grammar, start: GExpr | str, max_len: int,
@@ -264,7 +232,13 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int,
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     tokens = NonTerm(start) if isinstance(start, str) else start
-    expander = _grammar_expander(grammar, cap)
+
+    def resolve(name: str, length: int) -> dict:
+        if name not in grammar.rules:
+            raise ValueError(f"undefined nonterminal {name}")
+        return _union([expander.expand(alt, length) for alt in grammar.rules[name]])
+
+    expander = _Expander(resolve, cap)
     return WordMultiset(max_len, _union([expander.expand(tokens, length)
                                          for length in range(max_len + 1)]))
 
@@ -322,7 +296,13 @@ def check_equation(eq: GrammaticalEquation,
         if len(by_n) <= max_len // 2:
             raise ValueError(f"nonterminal {name} needs words of semilength "
                              f"0..{max_len // 2}, got {len(by_n)} lists")
-    expander = _language_expander(languages, cap)
+
+    def resolve(name: str, length: int) -> dict:
+        if name not in languages:
+            raise ValueError(f"no language bound to nonterminal {name}")
+        return {} if length % 2 else dict.fromkeys(languages[name][length // 2], 1)
+
+    expander = _Expander(resolve, cap)
     lhs, rhs = (_union([expander.expand(tokens, length) for tokens in side
                         for length in range(max_len + 1)])
                 for side in (eq.lhs, eq.rhs))

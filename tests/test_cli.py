@@ -86,6 +86,9 @@ def test_count_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert payload["passed"] is False
     assert payload["witness"] == {"n": "2", "brute": "2", "dp": "0"}
+    code, out, _ = run(capsys, "count", "--n-max", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL: methods disagree at n=2"
 
 
 def test_count_negative_n_max_exits_2(capsys):
@@ -160,6 +163,9 @@ def test_series_text(capsys):
     lines = out.splitlines()
     assert lines[0] == "P = 1 + z*P + z^2*P^2"
     assert lines[1] == "P: 1, 1, 2, 4, 9, 21"
+    # an empty --param reads as no parameters
+    assert run(capsys, "series", "--family", "F3", "--order", "6", "--param", "") == \
+        (0, out, "")
 
 
 def test_series_with_params_and_grammar_dump(capsys):

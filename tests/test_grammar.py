@@ -88,6 +88,14 @@ def test_word_budget_counts_distinct_words():
         words(build("F1").body, "P", 30, cap=1000)
 
 
+def test_word_budget_counts_every_memo_entry():
+    # P's 1 + 1 + 2 + 5 + 14 words of length <= 8, and U P D P's 22 (its
+    # rest P is P's own entry): 45 in all, a split's product charged too
+    words(CATALAN, "P", 8, cap=45)
+    with pytest.raises(ResourceLimit, match="45 exceeds cap 44"):
+        words(CATALAN, "P", 8, cap=44)
+
+
 def test_check_equation_cap():
     inst = build("F6", A=2, B=4)
     languages = {"P": _words_by_n(inst.quad, 20)}
@@ -124,6 +132,9 @@ def test_negative_max_len_is_rejected():
 def test_undefined_nonterminal():
     with pytest.raises(ValueError, match="undefined"):
         words(Grammar({"P": (NonTerm("Q"),)}), "P", 4)
+    with pytest.raises(ValueError, match="no language bound to nonterminal Q"):
+        check_equation(GrammaticalEquation((P,), (Q,)),
+                       {"P": _words_by_n(UNRESTRICTED, 4)}, 4)
 
 
 def test_unguarded_recursion():

@@ -58,6 +58,9 @@ def test_zero_rejected():
     assert e.value.value == 0
     with pytest.raises(NonPositiveValue):
         parse_set("1,0..4")
+    with pytest.raises(NonPositiveValue) as e:
+        parse_set("3..0")
+    assert e.value.value == 0
 
 
 def test_bad_progression_rejected():
