@@ -15,7 +15,9 @@ checkouts can be compared for equal reports as well as for speed and
 work; then the time of each of three groups, the heavy equations (F6,
 F8), the light ones (F9-F11) and the grammars.  A time is the sum over
 the instances of each one's best of five wall times; the calls are
-counted in a separate, untimed pass.
+counted in a separate, untimed pass, which ``tracemalloc`` follows:
+``peak_mb`` is the most memory it saw allocated at once, in MiB, so the
+word engine's memory shows next to its time.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -47,7 +50,8 @@ def _report(inst, max_len, n_max):
 
 def oracle_work(instances, max_len, n_max) -> dict:
     """``oracle.joins`` and ``oracle.walk`` calls made by one
-    ``verify_family`` call on each instance."""
+    ``verify_family`` call on each instance, and the peak of traced memory
+    over them."""
     work = {"joins_calls": 0, "walks": 0}
 
     def counting(key, fn):
@@ -59,10 +63,13 @@ def oracle_work(instances, max_len, n_max) -> dict:
     saved = oracle.joins, verify.joins, oracle.walk
     oracle.joins = verify.joins = counting("joins_calls", saved[0])
     oracle.walk = counting("walks", saved[2])
+    tracemalloc.start()
     try:
         for inst in instances:
             verify_family(inst, max_len=max_len, n_max=n_max)
+        work["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
     finally:
+        tracemalloc.stop()
         oracle.joins, verify.joins, oracle.walk = saved
     return work
 

@@ -40,7 +40,7 @@ REPEATS = 5
 
 
 def _words(inst):
-    return sorted(words(inst.body, inst.start, MAX_LEN).counts.items())
+    return sorted(words(inst.body, inst.start, MAX_LEN).items())
 
 
 def _equation(inst, lang):

@@ -18,13 +18,15 @@ words.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .oracle import ResourceLimit
 from .series import Poly, SeriesSystem
 
-DEFAULT_WORD_CAP = 10_000_000
+# the most distinct words one expander may hold in its memo
+WORD_BUDGET = 10_000_000
 
 
 class UnbalancedGrammar(ValueError):
@@ -91,15 +93,6 @@ class GrammaticalEquation:
         return f"{side(self.lhs)}  =  {side(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class WordMultiset:
-    max_len: int
-    counts: dict[str, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 def _union(parts: list) -> dict:
     """The sum of word multisets.  The largest part is copied whole and
     the others merged into it by ``dict.update``; only when two parts share
@@ -150,15 +143,16 @@ class _Expander:
     a split reads N's words as the memo entry of ``NonTerm(N)``.  Returned
     dicts may be shared with the memo and must not be mutated.
 
-    ``generated``, the figure ``cap`` bounds, counts the distinct words of
-    every memo entry: each (nonterminal, length) resolved and each
-    (expression, length) split; a literal builds none.  That is the memo's
-    size, and the work done to within a factor of the length.
+    ``generated``, the figure ``WORD_BUDGET`` bounds (read when the
+    expander is built), counts the distinct words of every memo entry:
+    each (nonterminal, length) resolved and each (expression, length)
+    split; a literal builds none.  That is the memo's size, and the work
+    done to within a factor of the length.
     """
 
-    def __init__(self, resolve, cap: int):
+    def __init__(self, resolve):
         self.resolve = resolve  # (name, length) -> dict
-        self.cap = cap
+        self.budget = WORD_BUDGET
         self.generated = 0
         self._memo: dict = {}  # (tokens, length) -> dict
         self._active: set = set()
@@ -217,13 +211,12 @@ class _Expander:
             out = _product(pre, lit, pairs)
         self._memo[key] = out
         self.generated += len(out)
-        if self.generated > self.cap:
-            raise ResourceLimit(self.generated, self.cap, what="generated words")
+        if self.generated > self.budget:
+            raise ResourceLimit(self.generated, self.budget, what="generated words")
         return out
 
 
-def words(grammar: Grammar, start: GExpr | str, max_len: int,
-          cap: int = DEFAULT_WORD_CAP) -> WordMultiset:
+def words(grammar: Grammar, start: GExpr | str, max_len: int) -> Counter:
     """Multiset of derivable words of length <= max_len.
 
     Multiplicity is the number of distinct derivations, so an unambiguous
@@ -238,38 +231,36 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int,
             raise ValueError(f"undefined nonterminal {name}")
         return _union([expander.expand(alt, length) for alt in grammar.rules[name]])
 
-    expander = _Expander(resolve, cap)
-    return WordMultiset(max_len, _union([expander.expand(tokens, length)
-                                         for length in range(max_len + 1)]))
+    expander = _Expander(resolve)
+    return Counter(_union([expander.expand(tokens, length)
+                           for length in range(max_len + 1)]))
 
 
 @dataclass(frozen=True)
 class AmbiguityReport:
     passed: bool
-    max_len: int
     witness: str | None = None
     multiplicity: int | None = None
 
 
-def check_unambiguous(grammar: Grammar, start: GExpr | str, max_len: int,
-                      cap: int = DEFAULT_WORD_CAP) -> AmbiguityReport:
-    return ambiguity(words(grammar, start, max_len, cap))
+def check_unambiguous(grammar: Grammar, start: GExpr | str,
+                      max_len: int) -> AmbiguityReport:
+    return ambiguity(words(grammar, start, max_len))
 
 
-def ambiguity(ws: WordMultiset) -> AmbiguityReport:
+def ambiguity(ws: Counter) -> AmbiguityReport:
     """Ambiguity verdict of an expanded word multiset; the witness is the
     shortest (then least) word derived more than once."""
-    bad = [w for w, c in ws.counts.items() if c != 1]
+    bad = [w for w, c in ws.items() if c != 1]
     if not bad:
-        return AmbiguityReport(True, ws.max_len)
+        return AmbiguityReport(True)
     w = min(bad, key=lambda x: (len(x), x))
-    return AmbiguityReport(False, ws.max_len, w, ws.counts[w])
+    return AmbiguityReport(False, w, ws[w])
 
 
 @dataclass(frozen=True)
 class EquationReport:
     passed: bool
-    max_len: int
     witness: str | None = None
     lhs_multiplicity: int | None = None
     rhs_multiplicity: int | None = None
@@ -277,18 +268,18 @@ class EquationReport:
 
 def check_equation(eq: GrammaticalEquation,
                    languages: Mapping[str, Sequence[tuple[str, ...]]],
-                   max_len: int,
-                   cap: int = DEFAULT_WORD_CAP) -> EquationReport:
+                   max_len: int) -> EquationReport:
     """Compare both sides as word multisets up to max_len.
 
     Nonterminals are read as languages (each word once), ``languages[name]``
     holding its words of each semilength 0..max_len // 2, or ValueError is
     raised rather than compare against missing words.  Union and
     concatenation contribute multiplicities as usual, so overlapping
-    alternatives on both sides must overlap equally for a PASS.  Each side
-    is one dict from word to multiplicity, and the two are compared with
-    ``==``; on a mismatch the witness is the shortest, then least, word
-    whose multiplicities differ.
+    alternatives on both sides must overlap equally for a PASS.  The sides
+    are expanded and compared one length at a time, shortest first, each
+    as one dict from word to multiplicity; at the first length where they
+    differ the check stops, and the witness is that length's least word
+    whose multiplicities differ, so the shortest, then least, of all.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -302,14 +293,14 @@ def check_equation(eq: GrammaticalEquation,
             raise ValueError(f"no language bound to nonterminal {name}")
         return {} if length % 2 else dict.fromkeys(languages[name][length // 2], 1)
 
-    expander = _Expander(resolve, cap)
-    lhs, rhs = (_union([expander.expand(tokens, length) for tokens in side
-                        for length in range(max_len + 1)])
-                for side in (eq.lhs, eq.rhs))
-    if lhs == rhs:
-        return EquationReport(True, max_len)
-    w = min({w for w, _ in lhs.items() ^ rhs.items()}, key=lambda x: (len(x), x))
-    return EquationReport(False, max_len, w, lhs.get(w, 0), rhs.get(w, 0))
+    expander = _Expander(resolve)
+    for length in range(max_len + 1):
+        lhs, rhs = (_union([expander.expand(tokens, length) for tokens in side])
+                    for side in (eq.lhs, eq.rhs))
+        if lhs != rhs:
+            w = min({w for w, _ in lhs.items() ^ rhs.items()})
+            return EquationReport(False, w, lhs.get(w, 0), rhs.get(w, 0))
+    return EquationReport(True)
 
 
 # --- lowering to series systems -----------------------------------------

@@ -106,7 +106,8 @@ def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
     return _joins(n_max, avoid_tables(quad, n_max))
 
 
-def _joins(n_max, tables):
+def _joins(n_max, tables, lo=0):
+    # the joins of semilengths lo..n_max: no state is read for a lower one
     def step(r, state, s):
         # the walk's state after s with r steps left, or None if it is cut
         nxt = walk(s, tables, state)
@@ -117,6 +118,7 @@ def _joins(n_max, tables):
     for _ in range(n_max):
         firsts.append([(w + s, nxt) for w, state in firsts[-1] for s in "UD"
                        if (nxt := walk(s, tables, state)) is not None and nxt[0] >= 0])
+    firsts[:lo] = [[]] * lo
     # top down: the states read with r steps left and their two successors
     levels, states = [], set()
     for r in range(n_max, 0, -1):
@@ -132,15 +134,18 @@ def _joins(n_max, tables):
             tails = {state: (["U" + t for t in tails.get(up, ())]
                              + ["D" + t for t in tails.get(down, ())])
                      for state, (up, down) in levels.pop().items()}
-        yield firsts[r], {state: tails[state] for _, state in firsts[r]}
+        if r >= lo:
+            yield firsts[r], {state: tails[state] for _, state in firsts[r]}
         firsts[r] = None
 
 
 def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
              cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, ...]:
     """Text of every satisfying path of semilength ``n``, in lexicographic
-    order: the last join of :func:`joins`."""
-    *_, join = joins(n, quad, cap)
+    order: the last join of :func:`joins`, whose passes read the states of
+    semilength n's first halves alone."""
+    check_semilength(n, cap)
+    (join,) = _joins(n, avoid_tables(quad, n), lo=n)
     return joined_words(join)
 
 

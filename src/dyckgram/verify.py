@@ -122,7 +122,7 @@ def verify_family(instance: FamilyInstance,
         checks.append(CheckOutcome(
             "grammar unambiguous", amb.passed,
             "" if amb.passed else f"{amb.witness!r} derived {amb.multiplicity} ways"))
-        got = set(derived.counts)
+        got = set(derived)
         want = {w for ws in lang for w in ws}
         ok = got == want
         detail = ""

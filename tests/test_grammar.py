@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import quads, verify_pool
+from dyckgram import grammar
 from dyckgram.families import build
 from dyckgram.grammar import (D, EPSILON, EquationReport, Grammar,
                               GrammaticalEquation, NonTerm, U, UnbalancedGrammar,
@@ -60,48 +61,71 @@ def test_to_text():
 
 def test_words_catalan():
     ws = words(CATALAN, "P", 8)
-    assert set(ws.counts.values()) == {1}
-    by_len = [sum(1 for w in ws.counts if len(w) == 2 * n) for n in range(5)]
+    assert isinstance(ws, Counter)
+    assert set(ws.values()) == {1}
+    assert ws.total() == 1 + 1 + 2 + 5 + 14
+    by_len = [sum(1 for w in ws if len(w) == 2 * n) for n in range(5)]
     assert by_len == [1, 1, 2, 5, 14]
-    assert "UUDDUD" in ws.counts
-    assert "UDD" not in ws.counts
+    assert "UUDDUD" in ws
+    assert "UDD" not in ws
 
 
 def test_words_start_expression():
     ws = words(CATALAN, seq(U, P, D), 6)
-    assert sorted(ws.counts) == ["UD", "UUDD", "UUDUDD", "UUUDDD"]
+    assert sorted(ws) == ["UD", "UUDD", "UUDUDD", "UUUDDD"]
 
 
-def test_words_cap():
+def test_words_cap(monkeypatch):
+    monkeypatch.setattr(grammar, "WORD_BUDGET", 1000)
     with pytest.raises(ResourceLimit):
-        words(CATALAN, "P", 24, cap=1000)
+        words(CATALAN, "P", 24)
 
 
-def test_word_budget_counts_distinct_words():
+def test_word_budget_counts_distinct_words(monkeypatch):
     # with eps doubled, F7(4,3) derives its 115k words of length <= 24 in
     # over 10^7 ways: the budget bounds the multisets held, not their sum
     body = build("F7", A=4, B=3).body
     doubled = Grammar({**body.rules, "P": body.rules["P"] + (EPSILON,)})
     report = check_unambiguous(doubled, "P", 24)
     assert (report.passed, report.witness, report.multiplicity) == (False, "", 2)
+    monkeypatch.setattr(grammar, "WORD_BUDGET", 1000)
     with pytest.raises(ResourceLimit):
-        words(build("F1").body, "P", 30, cap=1000)
+        words(build("F1").body, "P", 30)
 
 
-def test_word_budget_counts_every_memo_entry():
+def test_word_budget_counts_every_memo_entry(monkeypatch):
     # P's 1 + 1 + 2 + 5 + 14 words of length <= 8, and U P D P's 22 (its
     # rest P is P's own entry): 45 in all, a split's product charged too
-    words(CATALAN, "P", 8, cap=45)
+    monkeypatch.setattr(grammar, "WORD_BUDGET", 45)
+    words(CATALAN, "P", 8)
+    monkeypatch.setattr(grammar, "WORD_BUDGET", 44)
     with pytest.raises(ResourceLimit, match="45 exceeds cap 44"):
-        words(CATALAN, "P", 8, cap=44)
+        words(CATALAN, "P", 8)
 
 
-def test_check_equation_cap():
+def test_check_equation_cap(monkeypatch):
     inst = build("F6", A=2, B=4)
     languages = {"P": _words_by_n(inst.quad, 20)}
     assert check_equation(inst.body, languages, 20).passed
+    monkeypatch.setattr(grammar, "WORD_BUDGET", 1000)
     with pytest.raises(ResourceLimit):
-        check_equation(inst.body, languages, 20, cap=1000)
+        check_equation(inst.body, languages, 20)
+
+
+def test_check_equation_stops_at_the_first_length_that_differs(monkeypatch):
+    # P = eps differs at length 2; expanding P to length 20 holds the
+    # 23,714 unrestricted words of semilength <= 10, over the budget
+    languages = {"P": _words_by_n(UNRESTRICTED, 20)}
+    monkeypatch.setattr(grammar, "WORD_BUDGET", 1000)
+    with pytest.raises(ResourceLimit):
+        words(CATALAN, "P", 20)
+    report = check_equation(GrammaticalEquation((P,), (EPSILON,)), languages, 20)
+    assert report == EquationReport(False, "UD", 1, 0)
+    # the sides differ at UUDD and at UDUDUD, which is the lesser word: the
+    # shorter one is the witness
+    eq = GrammaticalEquation((P,), (EPSILON, seq(U, P, D, P), ("UUDD",),
+                                    rep(seq(U, D), 3)))
+    assert check_equation(eq, languages, 20) == EquationReport(False, "UUDD", 1, 2)
 
 
 def test_check_equation_rejects_a_short_word_list():
@@ -146,14 +170,14 @@ def test_nonterminal_head_is_guarded_by_later_letters():
     # P -> P P U D never reaches P at the word's own length; P = 1 + z P^2
     # derives (UD)^n in Catalan(n) ways
     g = Grammar({"P": (EPSILON, seq(P, P, U, D))})
-    assert words(g, "P", 10).counts == {"UD" * n: c for n, c in
-                                        enumerate((1, 1, 2, 5, 14, 42))}
+    assert words(g, "P", 10) == {"UD" * n: c for n, c in
+                                 enumerate((1, 1, 2, 5, 14, 42))}
     report = check_unambiguous(g, "P", 10)
     assert (report.witness, report.multiplicity) == ("UDUD", 2)
 
 
 def test_word_multiplicity_unambiguous():
-    counts = words(CATALAN, "P", 6).counts
+    counts = words(CATALAN, "P", 6)
     assert counts["UUDDUD"] == 1
     assert counts[""] == 1
     assert "UDD" not in counts
@@ -161,7 +185,7 @@ def test_word_multiplicity_unambiguous():
 
 def test_word_multiplicity_ambiguous():
     g = Grammar({"S": (EPSILON, seq(U, NonTerm("S"), D), seq(U, D))})
-    counts = words(g, "S", 4).counts
+    counts = words(g, "S", 4)
     assert counts["UD"] == 2
     assert counts["UUDD"] == 2
 
@@ -170,7 +194,7 @@ def test_concatenation_multiplicity():
     # a word split several ways across one concatenation counts each split
     S = NonTerm("S")
     g = Grammar({"T": (seq(S, S, S),), "S": (EPSILON, seq(U, D))})
-    assert words(g, "T", 8).counts == {"": 1, "UD": 3, "UDUD": 3, "UDUDUD": 1}
+    assert words(g, "T", 8) == {"": 1, "UD": 3, "UDUD": 3, "UDUDUD": 1}
     eq = GrammaticalEquation(lhs=(seq(P, P),), rhs=(P,))
     report = check_equation(eq, {"P": _words_by_n(UNRESTRICTED, 6)}, max_len=6)
     assert (report.witness, report.lhs_multiplicity, report.rhs_multiplicity) == \
@@ -311,12 +335,12 @@ def _reference_union(exprs, nonterminal, max_len=REFERENCE_MAX_LEN):
     return out
 
 
-def _reference_report(lhs, rhs, max_len=REFERENCE_MAX_LEN):
+def _reference_report(lhs, rhs):
     """The equation verdict as a multiset comparison of the two unions."""
     if lhs == rhs:
-        return EquationReport(True, max_len)
+        return EquationReport(True)
     w = min((w for w in lhs | rhs if lhs[w] != rhs[w]), key=lambda x: (len(x), x))
-    return EquationReport(False, max_len, w, lhs[w], rhs[w])
+    return EquationReport(False, w, lhs[w], rhs[w])
 
 
 POOL = verify_pool()
@@ -333,7 +357,7 @@ def test_words_match_reference_expander(inst):
                     for alt in rules[name]), Counter())
 
     expect = _reference_union((NonTerm(inst.start),), nonterminal)
-    assert words(inst.body, inst.start, REFERENCE_MAX_LEN).counts == dict(expect)
+    assert words(inst.body, inst.start, REFERENCE_MAX_LEN) == dict(expect)
 
 
 @pytest.mark.parametrize("inst", [i for i in POOL if not isinstance(i.body, Grammar)],
@@ -432,7 +456,7 @@ def test_random_grammars_match_reference_expander(start, alts):
                     for alt in rules[name]), Counter())
 
     expect = _reference_union((start,), nonterminal)
-    assert words(Grammar(rules), start, REFERENCE_MAX_LEN).counts == dict(expect)
+    assert words(Grammar(rules), start, REFERENCE_MAX_LEN) == dict(expect)
 
 
 # --- differential check of lowering against a letter-by-letter reference --

@@ -81,6 +81,7 @@ def test_verify_layer_row(monkeypatch):
     assert row["joins_calls"] == 2
     brute_layer = _load(SCRIPTS / "brute_layer.py", monkeypatch)
     assert row["walks"] == brute_layer.brute_work([i.quad for i in verify_pool()[:2]], 5)["walks"]
+    assert row["peak_mb"] > 0
     assert re.fullmatch("[0-9a-f]{16}", row["reports_sha256"])
 
 

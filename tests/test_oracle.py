@@ -124,6 +124,29 @@ def test_joins_keep_no_suffix_list_two_semilengths_back():
     assert suffixes and gc.get_referrers(suffixes) == [held]
 
 
+def test_language_reads_one_semilength(monkeypatch):
+    # language(n) is the last join of joins(n), but its passes read the
+    # states of semilength n's first halves alone, so it walks no more, and
+    # less on the census quads in all (where a shorter semilength's states
+    # are all reached from n's, it walks the same)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    from brute_layer import census_quads
+    walks = []
+    monkeypatch.setattr(oracle, "walk", lambda *a, walk=oracle.walk: walks.append(1) or walk(*a))
+    totals = {"joins": 0, "language": 0}
+    for quad in census_quads():
+        for n in (7, 12):
+            walks.clear()
+            *_, last = oracle.joins(n, quad, cap=n)
+            from_joins = len(walks)
+            walks.clear()
+            assert language(n, quad, cap=n) == oracle.joined_words(last), (str(quad), n)
+            assert len(walks) <= from_joins, (str(quad), n)
+            totals["joins"] += from_joins
+            totals["language"] += len(walks)
+    assert totals["language"] < totals["joins"]
+
+
 def test_enumeration_matches_counts_and_satisfaction():
     for quad in CORPUS:
         paths = enumerate_paths(7, quad)

@@ -153,7 +153,7 @@ def _word_check(inst, max_len):
         return CheckOutcome("equation multisets equal", eq.passed, "" if eq.passed else
                             f"{eq.witness!r}: lhs {eq.lhs_multiplicity}, "
                             f"rhs {eq.rhs_multiplicity}")
-    got = set(words(inst.body, inst.start, max_len).counts)
+    got = set(words(inst.body, inst.start, max_len))
     want = {w for ws in lang for w in ws}
     extra = sorted(got - want, key=lambda w: (len(w), w))[:3]
     missing = sorted(want - got, key=lambda w: (len(w), w))[:3]
