@@ -10,8 +10,10 @@ instances of ``tests/conftest.verify_pool()``; ``count --method both
 ``brute_layer.census_quads()``; ``deep``, the two command lines of the
 benchmark's ``deep`` workload (``count --method dp --n-max 64`` on the
 instance's quad and ``series --order 128``), each as text and with
-``--json``, on the 8 instances of ``tests/conftest.deep_set()``; and a
-dozen command lines that exit 2.
+``--json``, on the 8 instances of ``tests/conftest.deep_set()``; a
+dozen command lines that exit 2; and ``help``, ``--help`` for the top
+level and for each of the six subcommands, wrapped at ``COLUMNS=80``,
+which ``main`` sets for the script's own process.
 dyckgram is imported from PYTHONPATH, so pointing it at another
 checkout's ``src`` runs the same command lines on that checkout.  Prints
 one JSON object: the number of runs, and for each group its runs and a
@@ -22,6 +24,7 @@ checkouts can be compared for equal output byte for byte.
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -50,6 +53,9 @@ EXIT_2 = [
     ["identify", "--terms", "1,x,2"],
     ["bijection", "--semilength", "10", "--cap", "5"],
 ]
+
+HELP = [["--help"]] + [[command, "--help"] for command in (
+    "enumerate", "count", "series", "verify", "identify", "bijection")]
 
 
 def run(argv: list[str]) -> tuple[str, str, int]:
@@ -88,6 +94,7 @@ def groups(instances, quads, deep) -> dict[str, list[list[str]]]:
         out["count --method both" + suffix] = [c + extra for c in counts]
     out["deep"] = [argv + extra for extra in ([], ["--json"]) for argv in deep_runs]
     out["exit 2"] = EXIT_2
+    out["help"] = HELP
     return out
 
 
@@ -102,6 +109,7 @@ def digests(named: dict[str, list[list[str]]]) -> dict:
 
 
 def main() -> None:
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
     rows = digests(groups(verify_pool(), census_quads(), deep_set()))
     print(json.dumps({"python": platform.python_version(),
                       "runs": sum(r["runs"] for r in rows.values()),

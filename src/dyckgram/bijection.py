@@ -66,10 +66,6 @@ class Walk:
         return len(self.steps)
 
 
-def is_parity_path(path: DyckPath) -> bool:
-    return len(path) > 0 and satisfies(path, PARITY_QUAD)
-
-
 def path_to_walk(path: DyckPath) -> Walk:
     """Forward direction; the empty path is excluded from the domain."""
     if len(path) == 0:

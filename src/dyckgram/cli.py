@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .bijection import verify_counts
 from .families import BadParams, FAMILY_IDS, build
-from .grammar import Grammar, lower
+from .grammar import lower
 from .intsets import (BadProgression, NonPositiveValue, RestrictionQuad,
                       SetSyntaxError, parse_set)
 from .oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, language
@@ -124,15 +124,8 @@ def _cmd_count(args) -> int:
     return 0 if mismatch is None else 1
 
 
-def _build_instance(args):
-    try:
-        return build(args.family, **(args.param or {}))
-    except BadParams as e:
-        _make_parser().error(str(e))
-
-
 def _cmd_series(args) -> int:
-    instance = _build_instance(args)
+    instance = build(args.family, **args.param)
     system = lower(instance.body)
     solution = solve(system, args.order)
     coeffs = {name: solution[name].require_counts().coeffs
@@ -157,7 +150,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    instance = _build_instance(args)
+    instance = build(args.family, **args.param)
     report = verify_family(instance, max_len=args.max_len, n_max=args.n_max,
                            cap=args.cap)
     failed = next((c for c in report.checks if not c.passed), None)
@@ -278,9 +271,12 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    parser = _make_parser()
+    args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except BadParams as e:  # a usage error, reported as argparse reports one
+        parser.error(str(e))
     except (ResourceLimit, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

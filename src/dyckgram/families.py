@@ -7,7 +7,9 @@ words are exactly the restricted paths, or a grammatical equation whose
 two sides agree as word multisets.  ``build`` returns the restriction
 quad, the grammar or equation, and, where a closed form is stated for
 the family, the lowered series system transcribed independently of the
-grammar (so lowering can be tested against it).
+grammar (so lowering can be tested against it).  The start symbol is
+the lowered system's first unknown: a grammar's first rule, or an
+equation's subject.
 
 The paper's two algebraic closed forms, for F1 and F2, are stated as the
 integer polynomials in z and P that they satisfy (``F1_IDENTITY``,
@@ -29,19 +31,22 @@ The catalogue:
   F9   both run kinds avoid 1..r                    equation
   F10  up-runs avoid 1..m, down-runs avoid 1..n     equation
   F11  up-runs avoid 1..r, down-runs avoid k+1..r   equation
+
+F5..F8 are one family, built by ``_run_progression`` from one
+run-progression system: up-runs or down-runs avoid ap(A, B), stated as a
+grammar when B < A and as an equation when A <= B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .grammar import (D, EPSILON, GExpr, Grammar, GrammaticalEquation, NonTerm,
                       U, rep, seq)
 from .intsets import IntSet, Progression, Range, RestrictionQuad
 from .sequences import SeqId
 from .series import Poly, SeriesSystem
-
-FAMILY_IDS = ("F1", "F2", "F3", "F5", "F6", "F7", "F8", "F9", "F10", "F11")
 
 _P = NonTerm("P")
 
@@ -60,7 +65,6 @@ class FamilyInstance:
     params: dict[str, int]
     quad: RestrictionQuad
     body: Grammar | GrammaticalEquation
-    start: str = "P"
     # lowered system as stated in closed form, or None to derive by lowering
     stated_system: SeriesSystem | None = None
     # (sequence, offset): count at semilength n should equal reference(seq, n + offset)
@@ -152,64 +156,36 @@ def _f3() -> FamilyInstance:
                           count_reference=(SeqId.MOTZKIN, 0))
 
 
-def _f5(A: int, B: int) -> FamilyInstance:
-    if not 1 <= B < A:
-        raise BadParams("F5", {"A": A, "B": B}, "1 <= B < A")
-    alts: list[GExpr] = []
-    for k in range(A):
-        if k != B:
-            alts.append(seq(rep(U, k), rep(seq(D, _P), k)))
-    alts.append(seq(rep(U, A), rep(seq(_P, D), A), _P))
-    g = Grammar({"P": tuple(alts)})
-    quad = RestrictionQuad(up_runs=IntSet((Progression(A, B),)))
-    return FamilyInstance("F5", {"A": A, "B": B}, quad, g,
-                          stated_system=_run_progression_system(A, B))
+def _run_progression(family: str, runs: str, below: bool,
+                     A: int, B: int) -> FamilyInstance:
+    """F5-F8: the runs of one kind (``runs``, the quad field) avoid ap(A, B).
 
-
-def _f6(A: int, B: int) -> FamilyInstance:
-    if not 1 <= A <= B:
-        raise BadParams("F6", {"A": A, "B": B}, "1 <= A <= B")
-    lhs = (_P, seq(rep(U, B), rep(seq(D, _P), B)))
-    rhs = tuple(seq(rep(U, k), rep(seq(D, _P), k)) for k in range(A))
-    rhs = rhs + (seq(rep(U, A), rep(seq(_P, D), A), _P),)
-    eq = GrammaticalEquation(lhs, rhs)
-    quad = RestrictionQuad(up_runs=IntSet((Progression(A, B),)))
-    ref = None
-    if A == 1 and B == 3:
-        ref = (SeqId.MOTZKIN, 0)
-    elif A == 1 and B == 2:
-        ref = (SeqId.ALL_ONES, 0)
-    return FamilyInstance("F6", {"A": A, "B": B}, quad, eq,
+    The k-th summand is U^k (D P)^k for up-runs and (U P)^(k-1) U D^k P
+    for down-runs (epsilon at k = 0); the long summand is U^A (P D)^A P or
+    (U P)^A D^A P.  P is the summands k < A plus the long summand, less
+    the B-th summand, as ``_run_progression_system`` states: with B < A
+    (``below``; F5, F7) a grammar that leaves the B-th summand out, with
+    A <= B (F6, F8) an equation that adds it to P's side.
+    """
+    params = {"A": A, "B": B}
+    if not (1 <= B < A if below else 1 <= A <= B):
+        raise BadParams(family, params, "1 <= B < A" if below else "1 <= A <= B")
+    if runs == "up_runs":
+        def summand(k: int) -> GExpr:
+            return seq(rep(U, k), rep(seq(D, _P), k))
+        long = seq(rep(U, A), rep(seq(_P, D), A), _P)
+    else:
+        def summand(k: int) -> GExpr:
+            return seq(rep(seq(U, _P), k - 1), U, rep(D, k), _P) if k else EPSILON
+        long = seq(rep(seq(U, _P), A), rep(D, A), _P)
+    rhs = tuple(summand(k) for k in range(A) if k != B) + (long,)
+    body = Grammar({"P": rhs}) if below else GrammaticalEquation((_P, summand(B)), rhs)
+    ref = {("F6", 1, 3): (SeqId.MOTZKIN, 0),
+           ("F6", 1, 2): (SeqId.ALL_ONES, 0)}.get((family, A, B))
+    quad = RestrictionQuad(**{runs: IntSet((Progression(A, B),))})
+    return FamilyInstance(family, params, quad, body,
                           stated_system=_run_progression_system(A, B),
                           count_reference=ref)
-
-
-def _f7(A: int, B: int) -> FamilyInstance:
-    if not 1 <= B < A:
-        raise BadParams("F7", {"A": A, "B": B}, "1 <= B < A")
-    alts: list[GExpr] = [EPSILON]
-    for k in range(1, A):
-        if k != B:
-            alts.append(seq(rep(seq(U, _P), k - 1), U, rep(D, k), _P))
-    alts.append(seq(rep(seq(U, _P), A), rep(D, A), _P))
-    g = Grammar({"P": tuple(alts)})
-    quad = RestrictionQuad(down_runs=IntSet((Progression(A, B),)))
-    return FamilyInstance("F7", {"A": A, "B": B}, quad, g,
-                          stated_system=_run_progression_system(A, B))
-
-
-def _f8(A: int, B: int) -> FamilyInstance:
-    if not 1 <= A <= B:
-        raise BadParams("F8", {"A": A, "B": B}, "1 <= A <= B")
-    lhs = (_P, seq(rep(seq(U, _P), B - 1), U, rep(D, B), _P))
-    rhs: tuple[GExpr, ...] = (EPSILON,)
-    for k in range(1, A):
-        rhs = rhs + (seq(rep(seq(U, _P), k - 1), U, rep(D, k), _P),)
-    rhs = rhs + (seq(rep(seq(U, _P), A), rep(D, A), _P),)
-    eq = GrammaticalEquation(lhs, rhs)
-    quad = RestrictionQuad(down_runs=IntSet((Progression(A, B),)))
-    return FamilyInstance("F8", {"A": A, "B": B}, quad, eq,
-                          stated_system=_run_progression_system(A, B))
 
 
 def _f9(r: int) -> FamilyInstance:
@@ -256,14 +232,16 @@ _BUILDERS = {
     "F1": (_f1, ()),
     "F2": (_f2, ()),
     "F3": (_f3, ()),
-    "F5": (_f5, ("A", "B")),
-    "F6": (_f6, ("A", "B")),
-    "F7": (_f7, ("A", "B")),
-    "F8": (_f8, ("A", "B")),
+    "F5": (partial(_run_progression, "F5", "up_runs", True), ("A", "B")),
+    "F6": (partial(_run_progression, "F6", "up_runs", False), ("A", "B")),
+    "F7": (partial(_run_progression, "F7", "down_runs", True), ("A", "B")),
+    "F8": (partial(_run_progression, "F8", "down_runs", False), ("A", "B")),
     "F9": (_f9, ("r",)),
     "F10": (_f10, ("m", "n")),
     "F11": (_f11, ("r", "k")),
 }
+
+FAMILY_IDS = tuple(_BUILDERS)
 
 
 def build(family: str, **params: int) -> FamilyInstance:
@@ -274,20 +252,3 @@ def build(family: str, **params: int) -> FamilyInstance:
         raise BadParams(family, params,
                         f"parameters {names}" if names else "no parameters")
     return fn(*(params[name] for name in names))
-
-
-def downrun_variant_sides(instance: FamilyInstance) -> tuple[Poly, Poly]:
-    """Down-run closed form with the union index started at k = 0.
-
-    This variant keeps the explicit constant 1 for the empty path *and*
-    lets the sum contribute its k = 0 term, so its right-hand side
-    over-counts the empty path once: RHS - LHS = 1 exactly, when the true
-    counting series is substituted for P.
-    """
-    if instance.family not in ("F7", "F8"):
-        raise ValueError(f"no k=0 variant for family {instance.family}")
-    A, B = instance.params["A"], instance.params["B"]
-    phi = _run_progression_system(A, B).equations["P"]
-    # F8's phi subtracts z^B P^B; the variant adds it back on both sides
-    back = _zP(B, B) if B >= A else Poly.zero()
-    return _pvar() + back, Poly.const(1) + phi + back

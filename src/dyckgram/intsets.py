@@ -211,10 +211,6 @@ class RestrictionQuad:
         return (self.peaks.is_empty() and self.valleys.is_empty()
                 and self.up_runs.is_empty() and self.down_runs.is_empty())
 
-    def swapped_runs(self) -> "RestrictionQuad":
-        """Same quad with the two run-length sets exchanged."""
-        return RestrictionQuad(self.peaks, self.valleys, self.down_runs, self.up_runs)
-
     def __str__(self) -> str:
         parts = []
         for name, s in (("peaks", self.peaks), ("valleys", self.valleys),

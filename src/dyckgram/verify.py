@@ -78,8 +78,10 @@ def verify_family(instance: FamilyInstance,
                          f"above --cap {cap}; lower --max-len or raise --cap")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    dp = count_dp(n_max, instance.quad)  # its budget fails before any other work
     checks: list[CheckOutcome] = []
     system = lower(instance.body)
+    start = system.unknowns[0]  # a grammar's first rule, an equation's subject
 
     if instance.stated_system is not None:
         ok = system == instance.stated_system
@@ -97,9 +99,9 @@ def verify_family(instance: FamilyInstance,
         if n <= half:
             lang.append(joined_words(join))
     counts = {"brute": tuple(pairs)} if brute else {}
-    counts["dp"] = count_dp(n_max, instance.quad)
+    counts["dp"] = dp
     notes = []
-    solution = solve(system, n_max + 1)[instance.start]
+    solution = solve(system, n_max + 1)[start]
     try:
         solution.require_counts()
     except ValueError as e:  # an equation's system subtracts: it can go negative
@@ -117,7 +119,7 @@ def verify_family(instance: FamilyInstance,
         mismatch is None and "series" in counts, "; ".join(notes)))
 
     if isinstance(instance.body, Grammar):
-        derived = words(instance.body, instance.start, max_len)
+        derived = words(instance.body, start, max_len)
         amb = ambiguity(derived)
         checks.append(CheckOutcome(
             "grammar unambiguous", amb.passed,
@@ -132,7 +134,7 @@ def verify_family(instance: FamilyInstance,
             detail = f"extra={extra} missing={missing}"
         checks.append(CheckOutcome("grammar words = oracle language", ok, detail))
     else:
-        eq = check_equation(instance.body, {instance.start: lang}, max_len)
+        eq = check_equation(instance.body, {start: lang}, max_len)
         detail = ""
         if not eq.passed:
             detail = (f"{eq.witness!r}: lhs {eq.lhs_multiplicity}, "

@@ -9,10 +9,12 @@ from itertools import accumulate
 
 from hypothesis import settings, strategies as st
 
-from dyckgram.families import build
+from dyckgram.bijection import PARITY_QUAD
+from dyckgram.families import FamilyInstance, build
 from dyckgram.intsets import IntSet, Progression, Range, RestrictionQuad, Single
 from dyckgram.oracle import enumerate_paths
-from dyckgram.paths import DyckPath, accepts, walk
+from dyckgram.paths import DyckPath, accepts, satisfies, walk
+from dyckgram.series import Poly
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -133,6 +135,37 @@ def reverse_complement(path: DyckPath) -> DyckPath:
     places.
     """
     return DyckPath(path.text[::-1].translate(_FLIP))
+
+
+def swapped_runs(quad: RestrictionQuad) -> RestrictionQuad:
+    """The same quad with the two run-length sets exchanged: the quad that
+    ``reverse_complement`` of a path satisfies when the path satisfies
+    ``quad``."""
+    return RestrictionQuad(quad.peaks, quad.valleys, quad.down_runs, quad.up_runs)
+
+
+def is_parity_path(path: DyckPath) -> bool:
+    """In the domain of ``bijection.path_to_walk``: nonempty, with no peak
+    or valley at positive even height."""
+    return len(path) > 0 and satisfies(path, PARITY_QUAD)
+
+
+def downrun_variant_sides(instance: FamilyInstance) -> tuple[Poly, Poly]:
+    """Down-run closed form with the union index started at k = 0.
+
+    This variant keeps the explicit constant 1 for the empty path *and*
+    lets the sum contribute its k = 0 term, so its right-hand side
+    over-counts the empty path once: RHS - LHS = 1 exactly, when the true
+    counting series is substituted for P.  It is read off the instance's
+    stated system P = phi.
+    """
+    if instance.family not in ("F7", "F8"):
+        raise ValueError(f"no k=0 variant for family {instance.family}")
+    A, B = instance.params["A"], instance.params["B"]
+    phi = instance.stated_system.equations["P"]
+    # F8's phi subtracts z^B P^B; the variant adds it back on both sides
+    back = Poly.z(B) * Poly.var("P", B) if B >= A else Poly.zero()
+    return Poly.var("P") + back, Poly.const(1) + phi + back
 
 
 _atoms = st.one_of(

@@ -9,10 +9,11 @@ elapsed time is asserted too.
 import time
 from math import comb
 
-from conftest import run_progression_sweep, sample_quads, short_run_sweep
+from conftest import (downrun_variant_sides, run_progression_sweep, sample_quads,
+                      short_run_sweep, swapped_runs)
 
 from dyckgram.bijection import PARITY_QUAD, verify_counts
-from dyckgram.families import F2_IDENTITY, build, downrun_variant_sides
+from dyckgram.families import F2_IDENTITY, build
 from dyckgram.grammar import (D, EPSILON, Grammar, NonTerm, U, lower, seq)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import count_brute, count_dp
@@ -34,7 +35,7 @@ def _counts_all_ways(instance, n_max, order=None):
     order = order or n_max + 1
     brute = count_brute(n_max, instance.quad)
     dp = count_dp(n_max, instance.quad)
-    sol = solve(lower(instance.body), order)[instance.start].require_counts()
+    sol = solve(lower(instance.body), order)["P"].require_counts()
     return brute, dp, sol.coeffs[:n_max + 1]
 
 
@@ -168,7 +169,7 @@ def test_criterion_09_run_swap_symmetry():
     failures = []
     for quad in sample_quads(20, seed=9129):
         direct = count_dp(9, quad)
-        swapped = count_dp(9, quad.swapped_runs())
+        swapped = count_dp(9, swapped_runs(quad))
         if direct != swapped:
             failures.append(f"{quad}: {direct} != {swapped}")
     _report(9, failures, t0)

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import is_parity_path
 from dyckgram.bijection import (PARITY_QUAD, NotInCodomain, NotInDomain, Walk,
-                                is_parity_path, path_to_walk, verify_counts,
-                                walk_to_path)
+                                path_to_walk, verify_counts, walk_to_path)
 from dyckgram.oracle import enumerate_paths
 from dyckgram.paths import DyckPath, satisfies
 from dyckgram.sequences import SeqId, reference

@@ -406,6 +406,19 @@ def test_dp_n_max_over_budget_exits_2_before_counting(capsys, monkeypatch):
                    f"{oracle.DP_MAX_SEMILENGTH}\n")
 
 
+def test_verify_dp_budget_exits_2_before_lowering_or_joining(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify started work above the DP budget")
+
+    monkeypatch.setattr(oracle, "walk", no_work)
+    monkeypatch.setattr(verify, "lower", no_work)
+    code, out, err = run(capsys, "verify", "--family", "F6", "--param", "A=1,B=6",
+                         "--n-max", "501", "--max-len", "32")
+    assert code == 2
+    assert out == ""
+    assert err == "error: requested DP semilength 501 exceeds cap 500\n"
+
+
 def test_series_order_over_budget_exits_2_before_solving(capsys):
     from dyckgram import series
     from dyckgram.families import build

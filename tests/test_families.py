@@ -1,7 +1,8 @@
 import pytest
 
+from conftest import catalogue, downrun_variant_sides
 from dyckgram.families import (F1_IDENTITY, F2_IDENTITY, FAMILY_IDS, BadParams,
-                               build, downrun_variant_sides)
+                               build)
 from dyckgram.grammar import Grammar, GrammaticalEquation, lower
 from dyckgram.oracle import count_dp
 from dyckgram.sequences import GEN_CATALAN_IDENTITY, SeqId
@@ -175,3 +176,40 @@ def test_family_ids_all_buildable():
              "F9": dict(r=1), "F10": dict(m=1, n=1), "F11": dict(r=1, k=1)}
     for family in FAMILY_IDS:
         build(family, **needs.get(family, {}))
+
+
+def _stated_run_progression_text(family, A, B):
+    """F5-F8's body as ``to_text`` writes it, spelled out from the stated
+    summands with string operations alone."""
+    def spell(*letters):
+        return " ".join(letters) or "eps"
+
+    if family in ("F5", "F6"):
+        def summand(k):
+            return spell(*["U"] * k, *["D", "P"] * k)
+        long = spell(*["U"] * A, *["P", "D"] * A, "P")
+    else:
+        def summand(k):
+            return spell(*["U", "P"] * (k - 1), "U", *["D"] * k, "P") if k else "eps"
+        long = spell(*["U", "P"] * A, *["D"] * A, "P")
+    rhs = [summand(k) for k in range(A) if k != B] + [long]
+    if B < A:
+        return "\n".join(f"P -> {alt}" for alt in rhs)
+    return f"P | {summand(B)}  =  " + " | ".join(rhs)
+
+
+def test_run_progression_bodies_over_the_catalogue():
+    run_progression = [i for i in catalogue() if i.family in ("F5", "F6", "F7", "F8")]
+    assert len(run_progression) == 84
+    for inst in run_progression:
+        A, B = inst.params["A"], inst.params["B"]
+        assert inst.body.to_text() == _stated_run_progression_text(inst.family, A, B), str(inst)
+
+
+@pytest.mark.parametrize("family,A,B,constraint", [
+    ("F5", 1, 2, "1 <= B < A"), ("F6", 2, 1, "1 <= A <= B"),
+    ("F7", 1, 2, "1 <= B < A"), ("F8", 2, 1, "1 <= A <= B")])
+def test_run_progression_bad_params_text(family, A, B, constraint):
+    with pytest.raises(BadParams) as e:
+        build(family, A=A, B=B)
+    assert str(e.value) == f"{family}{{'A': {A}, 'B': {B}}}: requires {constraint}"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from conftest import int_sets, sample_quads
+from conftest import int_sets, sample_quads, swapped_runs
 from dyckgram.intsets import (BadProgression, IntSet, NonPositiveValue,
                               Progression, Range, RestrictionQuad, SetSyntaxError,
                               Single, parse_set)
@@ -125,7 +125,7 @@ def test_quad_parse_and_emptiness():
 
 def test_quad_swapped_runs():
     q = RestrictionQuad.parse(up_runs="2", down_runs="3..")
-    s = q.swapped_runs()
+    s = swapped_runs(q)
     assert s.up_runs == q.down_runs and s.down_runs == q.up_runs
     assert s.peaks == q.peaks and s.valleys == q.valleys
 

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (features, midpoint_join, quads, sample_quads, unrestricted_paths,
-                      verify_pool)
+from conftest import (features, midpoint_join, quads, sample_quads, swapped_runs,
+                      unrestricted_paths, verify_pool)
 from dyckgram.families import build
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
@@ -167,7 +167,7 @@ def test_one_sweep_reads_every_semilength_as_a_sweep_to_it_would():
 def test_dp_matches_series_beyond_brute_force_reach():
     n = 400
     for inst in (build("F1"), build("F2"), build("F3"), build("F6", A=1, B=3)):
-        series = solve(lower(inst.body), n + 1)[inst.start].coeffs
+        series = solve(lower(inst.body), n + 1)["P"].coeffs
         assert count_dp(n, inst.quad) == series, str(inst)
     assert count_dp(n) == tuple(comb(2 * k, k) // (k + 1) for k in range(n + 1))
 
@@ -178,7 +178,7 @@ def test_dp_matches_series_where_run_classes_wrap():
     pool = verify_pool()
     assert len(pool) == 81
     for inst in pool:
-        series = solve(lower(inst.body), 61)[inst.start].coeffs
+        series = solve(lower(inst.body), 61)["P"].coeffs
         assert count_dp(60, inst.quad) == series, str(inst)
 
 
@@ -282,12 +282,12 @@ def test_dp_edge_cases():
 @given(quads, st.integers(0, 6))
 @settings(max_examples=40)
 def test_counting_respects_mirror_symmetry(quad, n):
-    assert count_dp(n, quad)[n] == count_dp(n, quad.swapped_runs())[n]
+    assert count_dp(n, quad)[n] == count_dp(n, swapped_runs(quad))[n]
 
 
 def test_mirror_symmetry_at_depth_ten():
     for quad in CORPUS[:6]:
-        assert count_dp(10, quad) == count_dp(10, quad.swapped_runs())
+        assert count_dp(10, quad) == count_dp(10, swapped_runs(quad))
 
 
 def test_enumeration_cap():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import (PathFeatures, dyck_paths, features, heights, quads,
-                      reverse_complement, sample_quads, unrestricted_paths)
+                      reverse_complement, sample_quads, swapped_runs, unrestricted_paths)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.paths import (DyckPath, NegativePrefix, UnbalancedPath, InvalidPath,
                             avoid_tables, satisfies)
@@ -113,7 +113,7 @@ def test_reverse_complement_mirrors_features(path):
 @given(dyck_paths(max_semilength=6), quads)
 def test_satisfaction_transfers_through_mirror(path, quad):
     assert satisfies(path, quad) == satisfies(reverse_complement(path),
-                                              quad.swapped_runs())
+                                              swapped_runs(quad))
 
 
 def test_all_paths_of_small_semilengths_are_catalan_many():

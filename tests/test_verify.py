@@ -149,11 +149,11 @@ def _word_check(inst, max_len):
     call per semilength, apart from the brute-force count."""
     lang = [language(n, inst.quad) for n in range(max_len // 2 + 1)]
     if not isinstance(inst.body, Grammar):
-        eq = check_equation(inst.body, {inst.start: lang}, max_len)
+        eq = check_equation(inst.body, {"P": lang}, max_len)
         return CheckOutcome("equation multisets equal", eq.passed, "" if eq.passed else
                             f"{eq.witness!r}: lhs {eq.lhs_multiplicity}, "
                             f"rhs {eq.rhs_multiplicity}")
-    got = set(words(inst.body, inst.start, max_len))
+    got = set(words(inst.body, "P", max_len))
     want = {w for ws in lang for w in ws}
     extra = sorted(got - want, key=lambda w: (len(w), w))[:3]
     missing = sorted(want - got, key=lambda w: (len(w), w))[:3]
