@@ -8,8 +8,9 @@ run-progression instances of acceptance criterion 05 and the 30 short-run
 instances of criterion 06, 15 grammars and 66 equations.  dyckgram is
 imported from PYTHONPATH, so pointing it at another checkout's ``src``
 times that checkout with the same script.  An equation's word lists are
-built once, untimed, from one ``oracle.joins`` pass, as ``verify_family``
-builds them, so the equation times are the word engine's alone.
+built once, untimed, as codes of one ``oracle.joins`` pass
+(``oracle.joined_codes``), as ``verify_family`` builds them, so the
+equation times are the word engine's alone.
 Prints one JSON object: for each entry point, the time of its instances
 and a digest of every word multiset or equation report, so that two
 checkouts can be compared for equal results as well as for speed; then
@@ -32,7 +33,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import verify_pool  # noqa: E402
 from dyckgram.grammar import Grammar, check_equation, words  # noqa: E402
-from dyckgram.oracle import joined_words, joins  # noqa: E402
+from dyckgram.oracle import joined_codes, joins  # noqa: E402
 from verify_layer import GROUPS  # noqa: E402
 
 MAX_LEN = 20
@@ -56,7 +57,8 @@ def main() -> None:
         if isinstance(inst.body, Grammar):
             run[str(inst)] = partial(_words, inst)
         else:
-            lang = [joined_words(join) for join in joins(MAX_LEN // 2, inst.quad)]
+            lang = [joined_codes(join, n)
+                    for n, join in enumerate(joins(MAX_LEN // 2, inst.quad))]
             run[str(inst)] = partial(_equation, inst, lang)
     times = {str(i): [] for i in instances}
     for _ in range(REPEATS):

@@ -142,7 +142,7 @@ def verify_counts(max_semilength: int,
     """
     rows = []
     for m, join in enumerate(joins(max_semilength, PARITY_QUAD, cap)):
-        paths = [DyckPath.from_text(w) for w in joined_words(join)]
+        paths = [DyckPath.from_text(w) for w in joined_words(join, m)]
         expected = reference(SeqId.PARITY_BINOM, m)
         if m == 0:
             # the empty path, outside the mapped sets

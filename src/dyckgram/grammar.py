@@ -9,6 +9,10 @@ asserts that two unions of expressions generate the same multiset of
 words, where each nonterminal is interpreted not through rewrite rules
 but as the language of an externally supplied restriction quad.
 
+The word expander carries each word of a known length as its code
+(``paths.encode``), and only a caller that reads text (``words``, a
+witness) has it decoded.
+
 Lowering sends a grammar (or equation) to a polynomial fixed-point
 system.  Each expression is one monomial, read off its tokens: z to the
 number of its U letters times its nonterminals (D contributes 1), and a
@@ -22,11 +26,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import oracle
 from .oracle import ResourceLimit
+from .paths import decode, encode
 from .series import Poly, SeriesSystem
-
-# the most distinct words one expander may hold in its memo
-WORD_BUDGET = 10_000_000
 
 
 class UnbalancedGrammar(ValueError):
@@ -113,37 +116,47 @@ def _union(parts: list) -> dict:
     return out
 
 
-def _product(pre: str, lit: str, pairs: list) -> dict:
-    """pre + w1 + lit + w2, counts multiplied, for each (left, right) pair
-    of multisets and each w1 of left and w2 of right.  A left's words share
-    one length, so one pair's words are all distinct; only words of two
-    pairs can coincide, and then the pairs' products are summed."""
-    out = {h + w2: c1 * c2 for left, right in pairs for w1, c1 in left.items()
-           for h in (pre + w1 + lit,) for w2, c2 in right.items()}
-    if len(out) < sum(len(left) * len(right) for left, right in pairs):
-        out = _union([_product(pre, lit, [pair]) for pair in pairs])
+def _product(pairs: list) -> dict:
+    """The codes of pre + w1 + lit + w2, counts multiplied, for each
+    (base, shift, left, right) of multisets and each w1 of left and w2 of
+    right: base | w1 << shift | w2, where base holds pre and lit shifted
+    into place and shift is the letter count of lit + w2.  The outer loop
+    runs over the smaller multiset of a pair.  A left's words share one
+    length, so one pair's words are all distinct; only words of two pairs
+    can coincide, and then the pairs' products are summed."""
+    out = {h | w2: c1 * c2 for base, shift, left, right in pairs
+           if len(left) <= len(right) for w1, c1 in left.items()
+           for h in (base | w1 << shift,) for w2, c2 in right.items()}
+    out.update({h | w1 << shift: c1 * c2 for base, shift, left, right in pairs
+                if len(left) > len(right) for w2, c2 in right.items()
+                for h in (base | w2,) for w1, c1 in left.items()})
+    if len(out) < sum(len(left) * len(right) for _, _, left, right in pairs):
+        out = _union([_product([pair]) for pair in pairs])
     return out
 
 
 class _Expander:
-    """Word multisets of expressions (token tuples), memoized and budgeted.
+    """Word multisets of expressions (token tuples), memoized and budgeted;
+    a multiset of one length maps each word's code to its multiplicity.
 
     An expression with a nonterminal reads as ``[pre] N [lit] rest``: an
     optional leading literal, its first nonterminal N, the literal after N
     if any, and the remaining tokens, which start with a nonterminal or
     are empty.  Its words are pre + w1 + lit + w2 for w1 a word of N and w2
     one of rest, so no literal-headed suffix is ever materialised, and w1
-    is at most as long as rest's letters leave room for.  ``expand`` gives
-    the words of one length, one ``_product`` over that length's splits; a
-    caller sums it over the lengths it reads.  A literal-only expression
-    is its one word.  A lone nonterminal N is the one-token expression
-    ``NonTerm(N)``, whose words of one length are ``resolve(N, length)``;
-    a resolve that re-enters its own (N, length) is unguarded recursion.
+    is at most as long as rest's letters leave room for.  A literal is
+    planned as (code, letter count), so a word is built by shifts and ors.
+    ``expand`` gives the words of one length, one ``_product`` over that
+    length's splits; a caller reads it length by length.  A literal-only
+    expression is its one word.  A lone nonterminal N is the one-token
+    expression ``NonTerm(N)``, whose words of one length are
+    ``resolve(N, length)``; a resolve that re-enters its own (N, length) is
+    unguarded recursion.
     Every other result is kept in one memo keyed by (tokens, length), so
     a split reads N's words as the memo entry of ``NonTerm(N)``.  Returned
     dicts may be shared with the memo and must not be mutated.
 
-    ``generated``, the figure ``WORD_BUDGET`` bounds (read when the
+    ``generated``, the figure ``oracle.WORD_BUDGET`` bounds (read when the
     expander is built), counts the distinct words of every memo entry:
     each (nonterminal, length) resolved and each (expression, length)
     split; a literal builds none.  That is the memo's size, and the work
@@ -152,30 +165,31 @@ class _Expander:
 
     def __init__(self, resolve):
         self.resolve = resolve  # (name, length) -> dict
-        self.budget = WORD_BUDGET
+        self.budget = oracle.WORD_BUDGET
         self.generated = 0
         self._memo: dict = {}  # (tokens, length) -> dict
         self._active: set = set()
-        self._plans: dict = {}  # tokens -> (pre, N, lit, rest, least)
+        self._plans: dict = {}  # tokens -> (pre, plen, N, lit, llen, rest, least)
 
     def _plan(self, tokens: tuple) -> tuple:
-        """(pre, N, lit, rest, least) of ``[pre] N [lit] rest``, with N the
-        one-token expression of the first nonterminal and least the letter
-        count of rest, a bound below its words' length; (word, None, "",
-        (), 0) for a literal-only expression."""
+        """(pre, plen, N, lit, llen, rest, least) of ``[pre] N [lit] rest``:
+        the literals as codes and letter counts, N the one-token expression
+        of the first nonterminal and least the letter count of rest, a bound
+        below its words' length; (word, its length, None, 0, 0, (), 0) for
+        a literal-only expression."""
         i = 0
         while i < len(tokens) and type(tokens[i]) is str:
             i += 1
         pre = "".join(tokens[:i])
         if i == len(tokens):
-            plan = (pre, None, "", (), 0)
+            plan = (encode(pre), len(pre), None, 0, 0, (), 0)
         else:
             j = i + 1
             while j < len(tokens) and type(tokens[j]) is str:
                 j += 1
-            rest = tokens[j:]
-            plan = (pre, tokens[i:i + 1], "".join(tokens[i + 1:j]), rest,
-                    sum(len(t) for t in rest if type(t) is str))
+            lit, rest = "".join(tokens[i + 1:j]), tokens[j:]
+            plan = (encode(pre), len(pre), tokens[i:i + 1], encode(lit), len(lit),
+                    rest, sum(len(t) for t in rest if type(t) is str))
         self._plans[tokens] = plan
         return plan
 
@@ -184,17 +198,18 @@ class _Expander:
         out = self._memo.get(key)
         if out is not None:
             return out
-        pre, head, lit, rest, least = self._plans.get(tokens) or self._plan(tokens)
+        pre, plen, head, lit, llen, rest, least = (self._plans.get(tokens)
+                                                   or self._plan(tokens))
         if head is None:
-            return {pre: 1} if len(pre) == length else {}
-        if not (pre or lit or rest):
+            return {pre: 1} if plen == length else {}
+        if not (plen or llen or rest):
             if key in self._active:
                 raise ValueError(f"unguarded recursion on nonterminal {tokens[0][0]}")
             self._active.add(key)
             out = self.resolve(tokens[0][0], length)
             self._active.discard(key)
         else:
-            free = length - len(pre) - len(lit)
+            free = length - plen - llen
             memo, pairs = self._memo, []
             # with no rest, N's word takes all the free letters
             for l1 in range(0 if rest else max(free, 0), free - least + 1):
@@ -203,12 +218,14 @@ class _Expander:
                     left = self.expand(head, l1)
                 if not left:
                     continue
-                right = memo.get((rest, free - l1))
+                l2 = free - l1
+                right = memo.get((rest, l2))
                 if right is None:
-                    right = self.expand(rest, free - l1)
+                    right = self.expand(rest, l2)
                 if right:
-                    pairs.append((left, right))
-            out = _product(pre, lit, pairs)
+                    pairs.append((pre << length - plen | lit << l2, llen + l2,
+                                  left, right))
+            out = _product(pairs)
         self._memo[key] = out
         self.generated += len(out)
         if self.generated > self.budget:
@@ -220,8 +237,17 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int) -> Counter:
     """Multiset of derivable words of length <= max_len.
 
     Multiplicity is the number of distinct derivations, so an unambiguous
-    grammar yields all-1 counts.
+    grammar yields all-1 counts.  The text of :func:`word_codes`.
     """
+    return Counter({decode(code, length): c
+                    for length, ws in enumerate(word_codes(grammar, start, max_len))
+                    for code, c in ws.items()})
+
+
+def word_codes(grammar: Grammar, start: GExpr | str, max_len: int) -> list[dict]:
+    """The derivable words of each length 0..max_len, as dicts from code
+    (``paths.encode``) to number of derivations.  The dicts may be shared
+    with the expander's memo and must not be mutated."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     tokens = NonTerm(start) if isinstance(start, str) else start
@@ -232,8 +258,7 @@ def words(grammar: Grammar, start: GExpr | str, max_len: int) -> Counter:
         return _union([expander.expand(alt, length) for alt in grammar.rules[name]])
 
     expander = _Expander(resolve)
-    return Counter(_union([expander.expand(tokens, length)
-                           for length in range(max_len + 1)]))
+    return [expander.expand(tokens, length) for length in range(max_len + 1)]
 
 
 @dataclass(frozen=True)
@@ -245,17 +270,19 @@ class AmbiguityReport:
 
 def check_unambiguous(grammar: Grammar, start: GExpr | str,
                       max_len: int) -> AmbiguityReport:
-    return ambiguity(words(grammar, start, max_len))
+    return ambiguity(word_codes(grammar, start, max_len))
 
 
-def ambiguity(ws: Counter) -> AmbiguityReport:
-    """Ambiguity verdict of an expanded word multiset; the witness is the
-    shortest (then least) word derived more than once."""
-    bad = [w for w, c in ws.items() if c != 1]
-    if not bad:
-        return AmbiguityReport(True)
-    w = min(bad, key=lambda x: (len(x), x))
-    return AmbiguityReport(False, w, ws[w])
+def ambiguity(derived: Sequence[Mapping[int, int]]) -> AmbiguityReport:
+    """Ambiguity verdict of the word codes of each length, as
+    :func:`word_codes` gives them; the witness is the least word of the
+    shortest length derived more than once, and only it is decoded."""
+    for length, ws in enumerate(derived):
+        bad = [w for w, c in ws.items() if c != 1]
+        if bad:
+            w = min(bad)
+            return AmbiguityReport(False, decode(w, length), ws[w])
+    return AmbiguityReport(True)
 
 
 @dataclass(frozen=True)
@@ -267,19 +294,22 @@ class EquationReport:
 
 
 def check_equation(eq: GrammaticalEquation,
-                   languages: Mapping[str, Sequence[tuple[str, ...]]],
+                   languages: Mapping[str, Sequence[tuple[int, ...]]],
                    max_len: int) -> EquationReport:
     """Compare both sides as word multisets up to max_len.
 
     Nonterminals are read as languages (each word once), ``languages[name]``
-    holding its words of each semilength 0..max_len // 2, or ValueError is
-    raised rather than compare against missing words.  Union and
+    holding one tuple per semilength 0..max_len // 2 of the codes
+    (``paths.encode``) of its words of that semilength, such as
+    ``oracle.joined_codes`` gives, or ValueError is raised rather than
+    compare against missing words.  Union and
     concatenation contribute multiplicities as usual, so overlapping
     alternatives on both sides must overlap equally for a PASS.  The sides
     are expanded and compared one length at a time, shortest first, each
-    as one dict from word to multiplicity; at the first length where they
-    differ the check stops, and the witness is that length's least word
-    whose multiplicities differ, so the shortest, then least, of all.
+    as one dict from code to multiplicity; at the first length where they
+    differ the check stops, and the witness is the text of that length's
+    least word whose multiplicities differ, so the shortest, then least, of
+    all.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -299,7 +329,7 @@ def check_equation(eq: GrammaticalEquation,
                     for side in (eq.lhs, eq.rhs))
         if lhs != rhs:
             w = min({w for w, _ in lhs.items() ^ rhs.items()})
-            return EquationReport(False, w, lhs.get(w, 0), rhs.get(w, 0))
+            return EquationReport(False, decode(w, length), lhs.get(w, 0), rhs.get(w, 0))
     return EquationReport(True)
 
 

@@ -10,11 +10,14 @@ Two methods, deliberately independent of each other:
   last one's (no first half is ever cut for want of room); top down, each
   walker state read with r steps left walks its two successors once;
   bottom up, the lists of second halves of r steps are built from those
-  of r - 1 steps, and only those two levels are alive at once.  One join
-  is read two ways: the language joins each pair (:func:`joined_words`),
-  and brute force, a definitional count, adds up the lengths of those
-  explicit lists of second halves without joining them
-  (:func:`pair_count`); it reads no run class or height slot of the DP;
+  of r - 1 steps, and only those two levels are alive at once.  Halves
+  are carried as codes (``paths.encode``), their length being the
+  semilength: a D-led second half is the very int of the shorter one.
+  One join is read two ways: the language joins each pair
+  (:func:`joined_codes`, and :func:`joined_words` as text), and brute
+  force, a definitional count, adds up the lengths of those explicit
+  lists of second halves without joining them (:func:`pair_count`); it
+  reads no run class or height slot of the DP;
 * a dynamic program over run states (height, run direction, run class),
   where peak/valley and run-length checks fire at direction changes and
   the final pending down-run is checked when the path closes.  A run's
@@ -34,20 +37,25 @@ Two methods, deliberately independent of each other:
 Both counters return a tuple whose entry n is the count at semilength n,
 for n = 0 .. n_max.  Counts are exact Python integers throughout.  Brute
 force and enumeration are guarded by an enumeration cap on the
-semilength; the DP by the fixed budget ``DP_MAX_SEMILENGTH``, which it
-checks before it allocates anything.
+semilength, and no caller joins more than ``WORD_BUDGET`` words
+(:func:`check_joined`, read off :func:`pair_count` first); the DP by the
+fixed budget ``DP_MAX_SEMILENGTH``, which it checks before it allocates
+anything.
 """
 
 from __future__ import annotations
 
 from .intsets import IntSet, RestrictionQuad
-from .paths import DyckPath, accepts, avoid_tables, walk
+from .paths import BITS, DyckPath, accepts, avoid_tables, decode, walk
 
 DEFAULT_ENUMERATION_CAP = 16
 # the DP holds up to ~n_max classes of (n_max + 1) * (2 * n_max + 1) bits;
 # at n_max = 500, up-runs avoiding 500 and down-runs 499 (500 classes each)
 # took 19 s and 94 MB (2 cores, Python 3.11.7), the unrestricted quad 0.15 s
 DP_MAX_SEMILENGTH = 500
+# the most words one call may join, and the most distinct words one
+# grammar expander may hold in its memo
+WORD_BUDGET = 10_000_000
 
 _EMPTY_QUAD = RestrictionQuad()
 
@@ -72,23 +80,43 @@ def check_semilength(n: int, cap: int) -> None:
         raise ResourceLimit(n, cap)
 
 
+def check_joined(words: int) -> None:
+    """Raise ResourceLimit if ``words`` joined words exceed ``WORD_BUDGET``;
+    a caller checks a join's :func:`pair_count` before it joins a word."""
+    if words > WORD_BUDGET:
+        raise ResourceLimit(words, WORD_BUDGET, what="joined words")
+
+
 def pair_count(join) -> int:
     """The (first half, second half) pairs of a midpoint join, never joined."""
     firsts, tails = join
     return sum(len(tails[state]) for _, state in firsts)
 
 
-def joined_words(join) -> tuple[str, ...]:
-    """The words of a midpoint join; its order is lexicographic (U < D)."""
+def joined_codes(join, n: int) -> tuple[int, ...]:
+    """The codes of the words of semilength ``n``'s midpoint join, U-led
+    first (descending)."""
     firsts, tails = join
-    return tuple(a + b for a, state in firsts for b in tails[state])
+    return tuple([h | b for a, state in firsts for h in (a << n,) for b in tails[state]])
+
+
+def joined_words(join, n: int) -> tuple[str, ...]:
+    """The words of semilength ``n``'s midpoint join, lexicographic with
+    U < D; each half is decoded once, never each word.  A second half is
+    one int in the lists of many states, so it is decoded once for all."""
+    firsts, tails = join
+    seconds = {t: decode(t, n) for t in {t for ts in tails.values() for t in ts}}
+    text = {state: [seconds[t] for t in ts] for state, ts in tails.items()}
+    return tuple([a + b for code, state in firsts for a in (decode(code, n),)
+                  for b in text[state]])
 
 
 def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
           cap: int = DEFAULT_ENUMERATION_CAP):
     """The midpoint join of each semilength 0..n_max on the walker of
-    ``paths.walk``, unjoined: the pruned first halves as (text, walker
-    state), U before D, and each midpoint state's accepted second halves.
+    ``paths.walk``, unjoined: the pruned first halves as (code, walker
+    state), U before D, and each midpoint state's accepted second halves,
+    each half the code (``paths.encode``) of its semilength's letters.
 
     Three straight passes share work between semilengths.  Forward, the
     first halves of n are the live one-letter extensions of those of
@@ -98,9 +126,10 @@ def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
     steps, cut once its walk dies or leaves 0..r - 1, so its list depends
     only on (r, state).  Top down, each state read with r steps left walks
     its two successors once.  Bottom up, level r's lists are built from
-    level r - 1's (at r = 0 by ``paths.accepts``), join r is yielded and
-    level r - 1 dropped, so two levels stay alive.  No reader may change
-    a list.
+    level r - 1's (at r = 0 by ``paths.accepts``): a U-led half is the new
+    int 1 << (r - 1) | t, a D-led one the very int t, so it allocates
+    nothing.  Join r is yielded and level r - 1 dropped, so two levels
+    stay alive.  No reader may change a list.
     """
     check_semilength(n_max, cap)
     return _joins(n_max, avoid_tables(quad, n_max))
@@ -114,9 +143,10 @@ def _joins(n_max, tables, lo=0):
         return nxt if nxt is not None and 0 <= nxt[0] <= r - 1 else None
 
     # forward: each semilength's first halves, the last one's live extensions
-    firsts = [[("", (0, 0, ""))]]
+    firsts = [[(0, (0, 0, ""))]]
     for _ in range(n_max):
-        firsts.append([(w + s, nxt) for w, state in firsts[-1] for s in "UD"
+        firsts.append([(w << 1 | bit, nxt) for w, state in firsts[-1]
+                       for s, bit in BITS
                        if (nxt := walk(s, tables, state)) is not None and nxt[0] >= 0])
     firsts[:lo] = [[]] * lo
     # top down: the states read with r steps left and their two successors
@@ -128,11 +158,11 @@ def _joins(n_max, tables, lo=0):
         states = {nxt for pair in levels[-1].values() for nxt in pair if nxt}
     # bottom up: each level's suffixes from the level below, which then goes
     states.update(state for _, state in firsts[0])
-    tails = {state: [""] if accepts("", tables, state) else [] for state in states}
+    tails = {state: [0] if accepts("", tables, state) else [] for state in states}
     for r in range(n_max + 1):
         if r:
-            tails = {state: (["U" + t for t in tails.get(up, ())]
-                             + ["D" + t for t in tails.get(down, ())])
+            u = 1 << r - 1  # U ahead of r - 1 letters, as ``paths.encode`` puts it
+            tails = {state: [u | t for t in tails.get(up, ())] + tails.get(down, [])
                      for state, (up, down) in levels.pop().items()}
         if r >= lo:
             yield firsts[r], {state: tails[state] for _, state in firsts[r]}
@@ -143,10 +173,12 @@ def language(n: int, quad: RestrictionQuad = _EMPTY_QUAD,
              cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[str, ...]:
     """Text of every satisfying path of semilength ``n``, in lexicographic
     order: the last join of :func:`joins`, whose passes read the states of
-    semilength n's first halves alone."""
+    semilength n's first halves alone.  More than ``WORD_BUDGET`` paths
+    raise ResourceLimit before any is joined."""
     check_semilength(n, cap)
     (join,) = _joins(n, avoid_tables(quad, n), lo=n)
-    return joined_words(join)
+    check_joined(pair_count(join))
+    return joined_words(join, n)
 
 
 def enumerate_paths(n: int, quad: RestrictionQuad = _EMPTY_QUAD,

@@ -1,8 +1,14 @@
 """Dyck paths: U/D words that never go below height 0 and end there.
 
-A path is its validated text, the string every walker in the package
-reads (:func:`accepts`, the oracle scans, the grammar expanders).  Sizes
-are semilengths (half the number of steps).  The feature vocabulary:
+A path is its validated text, the string the walker reads
+(:func:`walk`, :func:`accepts`) and every caller is shown.  Inside the
+enumerators (the oracle's joins, the grammar's word expander) a word of
+known length L is carried as its code (:func:`encode`, :func:`decode`):
+the int whose L binary digits, most significant first, are the word's
+letters, U = 1 and D = 0.  The length travels beside the code, so a
+D-led word is the code of its suffix, and at one length code order is
+text order, as "D" < "U".  Sizes are semilengths (half the number of
+steps).  The feature vocabulary:
 
   peak      a UD factor; its height is the height just after the U
   valley    a DU factor; its height is the height just after the D
@@ -70,6 +76,22 @@ class DyckPath:
 
     def __len__(self) -> int:
         return len(self.text)
+
+
+BITS = (("U", 1), ("D", 0))  # each letter and its binary digit in a code
+
+
+def encode(text: str) -> int:
+    """The code of a U/D word (module docstring)."""
+    for letter, bit in BITS:
+        text = text.replace(letter, str(bit))
+    return int(text or "0", 2)
+
+
+def decode(code: int, length: int) -> str:
+    """The U/D word of ``length`` letters whose code is ``code``, the
+    inverse of :func:`encode`."""
+    return bin(code | 1 << length)[3:].replace("1", "U").replace("0", "D")
 
 
 def avoid_tables(quad: RestrictionQuad, bound: int) -> tuple[list[bool], ...]:

@@ -6,7 +6,8 @@ against the path oracle, a three-way count comparison (brute force, DP,
 solved generating function; DP and series alone above the brute-force
 cap), and the reference-sequence comparison for families with a known
 count formula.  Brute force and the word checks read one oracle midpoint
-join per semilength.
+join per semilength, the word checks as codes (``paths.encode``) of
+each length, so a word is shown as text only in a failure's detail.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import FamilyInstance
-from .grammar import Grammar, ambiguity, check_equation, lower, words
-from .oracle import (DEFAULT_ENUMERATION_CAP, check_cap, count_brute, count_dp,
-                     joined_words, joins, pair_count)
+from .grammar import Grammar, ambiguity, check_equation, lower, word_codes
+from .oracle import (DEFAULT_ENUMERATION_CAP, check_cap, check_joined, count_brute,
+                     count_dp, joined_codes, joins, pair_count)
+from .paths import decode
 from .sequences import reference
 from .series import solve
 
@@ -91,13 +93,17 @@ def verify_family(instance: FamilyInstance,
     # beyond the brute-force cap the DP and the series still check each other
     brute = n_max <= cap
     top, half = n_max if brute else -1, max_len // 2
-    # one midpoint join per semilength: the brute row's pairs, the checks' words
-    pairs, lang = [], []
+    # one midpoint join per semilength: the brute row's pairs, the checks'
+    # words, all of which are counted against the budget before any is joined
+    pairs, lang, joined = [], [], 0
     for n, join in enumerate(joins(max(top, half), instance.quad, cap)):
+        count = pair_count(join)
         if n <= top:
-            pairs.append(pair_count(join))
+            pairs.append(count)
         if n <= half:
-            lang.append(joined_words(join))
+            joined += count
+            check_joined(joined)
+            lang.append(joined_codes(join, n))
     counts = {"brute": tuple(pairs)} if brute else {}
     counts["dp"] = dp
     notes = []
@@ -119,20 +125,7 @@ def verify_family(instance: FamilyInstance,
         mismatch is None and "series" in counts, "; ".join(notes)))
 
     if isinstance(instance.body, Grammar):
-        derived = words(instance.body, start, max_len)
-        amb = ambiguity(derived)
-        checks.append(CheckOutcome(
-            "grammar unambiguous", amb.passed,
-            "" if amb.passed else f"{amb.witness!r} derived {amb.multiplicity} ways"))
-        got = set(derived)
-        want = {w for ws in lang for w in ws}
-        ok = got == want
-        detail = ""
-        if not ok:
-            extra = sorted(got - want, key=lambda w: (len(w), w))[:3]
-            missing = sorted(want - got, key=lambda w: (len(w), w))[:3]
-            detail = f"extra={extra} missing={missing}"
-        checks.append(CheckOutcome("grammar words = oracle language", ok, detail))
+        checks += _grammar_checks(word_codes(instance.body, start, max_len), lang)
     else:
         eq = check_equation(instance.body, {start: lang}, max_len)
         detail = ""
@@ -150,3 +143,22 @@ def verify_family(instance: FamilyInstance,
             "" if ok else f"expected {expect}, got {report.counts['dp']}"))
 
     return FamilyReport(instance, tuple(checks), report)
+
+
+def _grammar_checks(derived, lang) -> list[CheckOutcome]:
+    """The ambiguity and language checks of a grammar's word codes of each
+    length (``grammar.word_codes``) against the oracle's of each
+    semilength, compared one length at a time.  The extra and missing words
+    are the first three by (length, word)."""
+    amb = ambiguity(derived)
+    extra, missing = [], []
+    for length, ws in enumerate(derived):
+        want = set() if length % 2 else set(lang[length // 2])
+        if ws.keys() != want:
+            for found, new in ((extra, ws.keys() - want), (missing, want - ws.keys())):
+                found += [decode(w, length) for w in sorted(new)[:3 - len(found)]]
+    ok = not (extra or missing)
+    return [CheckOutcome("grammar unambiguous", amb.passed, "" if amb.passed else
+                         f"{amb.witness!r} derived {amb.multiplicity} ways"),
+            CheckOutcome("grammar words = oracle language", ok,
+                         "" if ok else f"extra={extra} missing={missing}")]

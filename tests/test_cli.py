@@ -419,6 +419,28 @@ def test_verify_dp_budget_exits_2_before_lowering_or_joining(capsys, monkeypatch
     assert err == "error: requested DP semilength 501 exceeds cap 500\n"
 
 
+def test_joined_word_budget_exits_2_before_any_word_is_joined(capsys, monkeypatch):
+    def no_join(*args):
+        raise AssertionError("a word was joined over the budget")
+
+    monkeypatch.setattr(oracle, "joined_words", no_join)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 41)
+    # semilength 5 has 42 paths
+    code, out, err = run(capsys, "enumerate", "-n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: requested joined words 42 exceeds cap 41\n"
+    # F3's words of semilength 0..4 number 1 + 1 + 2 + 4 + 9: each
+    # semilength fits, their running total does not, and semilength 4's
+    # words are never joined
+    joined = []
+    monkeypatch.setattr(verify, "joined_codes", lambda join, n: joined.append(n) or ())
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 16)
+    code, out, err = run(capsys, "verify", "--family", "F3", "--max-len", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: requested joined words 17 exceeds cap 16\n"
+    assert joined == [0, 1, 2, 3]
+
+
 def test_series_order_over_budget_exits_2_before_solving(capsys):
     from dyckgram import series
     from dyckgram.families import build

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import quads, verify_pool
-from dyckgram import grammar
+from dyckgram import oracle
 from dyckgram.families import build
-from dyckgram.grammar import (D, EPSILON, EquationReport, Grammar,
+from dyckgram.grammar import (D, EPSILON, AmbiguityReport, EquationReport, Grammar,
                               GrammaticalEquation, NonTerm, U, UnbalancedGrammar,
                               check_equation, check_unambiguous, equation_sides,
                               lower, render, rep, seq, words)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import ResourceLimit, language
+from dyckgram.paths import encode
 from dyckgram.series import Poly, SeriesSystem, solve
 
 P = NonTerm("P")
@@ -25,9 +26,9 @@ UNRESTRICTED = RestrictionQuad.parse()
 
 
 def _words_by_n(quad, max_len):
-    """A quad's oracle language at each semilength 0..max_len // 2, the
-    per-nonterminal argument of ``check_equation``."""
-    return [language(n, quad) for n in range(max_len // 2 + 1)]
+    """The codes of a quad's oracle language at each semilength
+    0..max_len // 2, the per-nonterminal argument of ``check_equation``."""
+    return [tuple(map(encode, language(n, quad))) for n in range(max_len // 2 + 1)]
 
 
 def test_render():
@@ -76,7 +77,7 @@ def test_words_start_expression():
 
 
 def test_words_cap(monkeypatch):
-    monkeypatch.setattr(grammar, "WORD_BUDGET", 1000)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 1000)
     with pytest.raises(ResourceLimit):
         words(CATALAN, "P", 24)
 
@@ -88,7 +89,7 @@ def test_word_budget_counts_distinct_words(monkeypatch):
     doubled = Grammar({**body.rules, "P": body.rules["P"] + (EPSILON,)})
     report = check_unambiguous(doubled, "P", 24)
     assert (report.passed, report.witness, report.multiplicity) == (False, "", 2)
-    monkeypatch.setattr(grammar, "WORD_BUDGET", 1000)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 1000)
     with pytest.raises(ResourceLimit):
         words(build("F1").body, "P", 30)
 
@@ -96,9 +97,9 @@ def test_word_budget_counts_distinct_words(monkeypatch):
 def test_word_budget_counts_every_memo_entry(monkeypatch):
     # P's 1 + 1 + 2 + 5 + 14 words of length <= 8, and U P D P's 22 (its
     # rest P is P's own entry): 45 in all, a split's product charged too
-    monkeypatch.setattr(grammar, "WORD_BUDGET", 45)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 45)
     words(CATALAN, "P", 8)
-    monkeypatch.setattr(grammar, "WORD_BUDGET", 44)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 44)
     with pytest.raises(ResourceLimit, match="45 exceeds cap 44"):
         words(CATALAN, "P", 8)
 
@@ -107,7 +108,7 @@ def test_check_equation_cap(monkeypatch):
     inst = build("F6", A=2, B=4)
     languages = {"P": _words_by_n(inst.quad, 20)}
     assert check_equation(inst.body, languages, 20).passed
-    monkeypatch.setattr(grammar, "WORD_BUDGET", 1000)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 1000)
     with pytest.raises(ResourceLimit):
         check_equation(inst.body, languages, 20)
 
@@ -116,7 +117,7 @@ def test_check_equation_stops_at_the_first_length_that_differs(monkeypatch):
     # P = eps differs at length 2; expanding P to length 20 holds the
     # 23,714 unrestricted words of semilength <= 10, over the budget
     languages = {"P": _words_by_n(UNRESTRICTED, 20)}
-    monkeypatch.setattr(grammar, "WORD_BUDGET", 1000)
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 1000)
     with pytest.raises(ResourceLimit):
         words(CATALAN, "P", 20)
     report = check_equation(GrammaticalEquation((P,), (EPSILON,)), languages, 20)
@@ -208,6 +209,9 @@ def test_check_unambiguous():
     assert not report.passed
     assert report.witness == "UD"
     assert report.multiplicity == 2
+    # both first letters at one length: the D-led word is the least
+    both = Grammar({"P": (seq(U, D), seq(D, U), seq(D, U), seq(U, D))})
+    assert check_unambiguous(both, "P", 2) == AmbiguityReport(False, "DU", 2)
 
 
 def test_check_equation_passes():
@@ -222,6 +226,9 @@ def test_check_equation_finds_witness():
     assert not report.passed
     assert report.witness == "UD"
     assert (report.lhs_multiplicity, report.rhs_multiplicity) == (1, 0)
+    # both first letters at one length: the D-led word is the least
+    eq = GrammaticalEquation((seq(D, U),), (seq(U, D),))
+    assert check_equation(eq, {}, 2) == EquationReport(False, "DU", 1, 0)
 
 
 def test_equation_to_text():

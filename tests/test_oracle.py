@@ -15,7 +15,7 @@ from dyckgram.intsets import RestrictionQuad
 from dyckgram import oracle
 from dyckgram.oracle import (ResourceLimit, count_brute, count_dp,
                              enumerate_paths, language)
-from dyckgram.paths import accepts, avoid_tables, satisfies, walk
+from dyckgram.paths import accepts, avoid_tables, decode, encode, satisfies, walk
 from dyckgram.series import solve
 
 # a fixed corpus mixing family quads with arbitrary ones
@@ -92,10 +92,17 @@ def test_methods_agree_on_census_quads(monkeypatch):
 
 def _check_joins(quad, n_max):
     # the same first halves and the same whole suffix dict per semilength
-    # as a join built from scratch for that semilength alone
+    # as a join built from scratch for that semilength alone, as codes,
+    # and the same texts once decoded
     tables = avoid_tables(quad, n_max)
     got = list(oracle.joins(n_max, quad, cap=n_max))
-    assert got == [midpoint_join(n, tables) for n in range(n_max + 1)], str(quad)
+    want = [midpoint_join(n, tables) for n in range(n_max + 1)]
+    assert got == [([(encode(a), state) for a, state in firsts],
+                    {state: list(map(encode, ts)) for state, ts in tails.items()})
+                   for firsts, tails in want], str(quad)
+    assert [([(decode(a, n), state) for a, state in firsts],
+             {state: [decode(t, n) for t in ts] for state, ts in tails.items()})
+            for n, (firsts, tails) in enumerate(got)] == want, str(quad)
 
 
 def test_joins_equal_each_semilength_built_alone(monkeypatch):
@@ -140,7 +147,7 @@ def test_language_reads_one_semilength(monkeypatch):
             *_, last = oracle.joins(n, quad, cap=n)
             from_joins = len(walks)
             walks.clear()
-            assert language(n, quad, cap=n) == oracle.joined_words(last), (str(quad), n)
+            assert language(n, quad, cap=n) == oracle.joined_words(last, n), (str(quad), n)
             assert len(walks) <= from_joins, (str(quad), n)
             totals["joins"] += from_joins
             totals["language"] += len(walks)

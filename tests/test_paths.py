@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import (PathFeatures, dyck_paths, features, heights, quads,
                       reverse_complement, sample_quads, swapped_runs, unrestricted_paths)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.paths import (DyckPath, NegativePrefix, UnbalancedPath, InvalidPath,
-                            avoid_tables, satisfies)
+                            avoid_tables, decode, encode, satisfies)
 
 
 def P(text: str) -> DyckPath:
@@ -46,6 +46,24 @@ def test_rejects_other_letters():
         P("UX")
     with pytest.raises(InvalidPath, match=r"^unexpected character 'X' at index 1$"):
         DyckPath("UX")
+
+
+_UD_TEXT = st.text("UD", max_size=24)
+
+
+@given(_UD_TEXT, _UD_TEXT)
+def test_codes_round_trip_and_keep_text_order_at_one_length(t, other):
+    assert decode(encode(t), len(t)) == t
+    assert encode(t) < 2 ** len(t)
+    u = (other + "D" * len(t))[:len(t)]  # another word of t's length
+    assert (encode(t) < encode(u)) == (t < u)
+
+
+def test_code_examples():
+    assert encode("") == 0 and decode(0, 0) == ""
+    assert encode("UDD") == 0b100 and decode(0b100, 3) == "UDD"
+    assert encode("DDU") == encode("U") == 1
+    assert decode(1, 3) == "DDU" and decode(1, 1) == "U"
 
 
 def test_heights():

@@ -6,10 +6,11 @@ import pytest
 from conftest import midpoint_join
 from dyckgram import oracle, verify
 from dyckgram.families import build
-from dyckgram.grammar import Grammar, GrammaticalEquation, NonTerm, check_equation, words
+from dyckgram.grammar import (D, U, Grammar, GrammaticalEquation, NonTerm, check_equation,
+                              seq, words)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import DEFAULT_ENUMERATION_CAP, count_brute, language
-from dyckgram.paths import accepts, avoid_tables, walk
+from dyckgram.paths import accepts, avoid_tables, encode, walk
 from dyckgram.verify import CheckOutcome, CountReport, count_comparison, verify_family
 
 
@@ -86,6 +87,19 @@ def test_wrong_quad_is_caught():
     assert "missing=" in lang.detail
 
 
+def test_grammar_witnesses_where_both_first_letters_occur():
+    # DUUD and UDDU added twice each: at length 4 the extra words and the
+    # ambiguous ones begin with D and with U, and D-led words come first
+    good = build("F3")
+    extra = (seq(U, D, D, U), seq(D, U, U, D)) * 2
+    rules = good.body.rules
+    bad = replace(good, body=Grammar({**rules, "P": rules["P"] + extra}))
+    report = verify_family(bad, max_len=10, n_max=5)
+    assert outcome(report, "grammar unambiguous").detail == "'DUUD' derived 2 ways"
+    assert outcome(report, "grammar words = oracle language").detail == \
+        "extra=['DUUD', 'UDDU', 'UDDUUD'] missing=[]"
+
+
 def test_wrong_reference_is_caught():
     from dyckgram.sequences import SeqId
     bad = replace(build("F3"), count_reference=(SeqId.CATALAN, 0))
@@ -149,7 +163,8 @@ def _word_check(inst, max_len):
     call per semilength, apart from the brute-force count."""
     lang = [language(n, inst.quad) for n in range(max_len // 2 + 1)]
     if not isinstance(inst.body, Grammar):
-        eq = check_equation(inst.body, {"P": lang}, max_len)
+        codes = [tuple(map(encode, ws)) for ws in lang]
+        eq = check_equation(inst.body, {"P": codes}, max_len)
         return CheckOutcome("equation multisets equal", eq.passed, "" if eq.passed else
                             f"{eq.witness!r}: lhs {eq.lhs_multiplicity}, "
                             f"rhs {eq.rhs_multiplicity}")
