@@ -4,7 +4,7 @@
 
 The sets: 24 seeded census-style quads (every avoid-set holds one or two
 atoms, as in the benchmark's ``census`` workload) at n <= 12, the quads
-of the 81 verify-pool instances (``tests/conftest.verify_pool()``: F1-F3
+of the 81 verify-pool instances (``dyckgram.families.verify_pool()``: F1-F3
 and acceptance criteria 05 and 06) at n <= 10, and the unrestricted quad at
 n <= 14.  dyckgram is imported from PYTHONPATH, so pointing it at
 another checkout's ``src`` times that checkout with the same script.
@@ -35,11 +35,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import verify_pool  # noqa: E402
-from dyckgram import oracle  # noqa: E402
-from dyckgram.intsets import RestrictionQuad  # noqa: E402
-from dyckgram.oracle import count_brute  # noqa: E402
+from dyckgram import oracle
+from dyckgram.families import build, verify_pool
+from dyckgram.intsets import RestrictionQuad
+from dyckgram.oracle import count_brute
 
 REPEATS = 5
 CENSUS_SEED = 9129
@@ -121,7 +120,8 @@ def fresh_row(n: int) -> dict:
 
 
 def main() -> None:
-    sets = (("census", census_quads(), 12), ("pool", [inst.quad for inst in verify_pool()], 10),
+    pool = [build(f, **p).quad for f, p in verify_pool()]
+    sets = (("census", census_quads(), 12), ("pool", pool, 10),
             ("unrestricted", [RestrictionQuad()], 14))
     rows = [_row(name, quads, n_max) for name, quads, n_max in sets]
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,

@@ -5,12 +5,12 @@
 Each command line runs in-process through ``dyckgram.cli.main``, and its
 stdout, stderr and exit status are captured.  The groups: ``verify`` and
 ``series --dump-grammar``, each as text and with ``--json``, on the 81
-instances of ``tests/conftest.verify_pool()``; ``count --method both
+instances of ``dyckgram.families.verify_pool()``; ``count --method both
 --n-max 12``, as text and with ``--json``, on the 24 seeded quads of
 ``brute_layer.census_quads()``; ``deep``, the two command lines of the
 benchmark's ``deep`` workload (``count --method dp --n-max 64`` on the
 instance's quad and ``series --order 128``), each as text and with
-``--json``, on the 8 instances of ``tests/conftest.deep_set()``; a
+``--json``, on the 8 instances of ``dyckgram.families.deep_set()``; a
 dozen command lines that exit 2; and ``help``, ``--help`` for the top
 level and for each of the six subcommands, wrapped at ``COLUMNS=80``,
 which ``main`` sets for the script's own process.
@@ -26,14 +26,11 @@ import io
 import json
 import os
 import platform
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from brute_layer import census_quads  # noqa: E402
-from conftest import deep_set, verify_pool  # noqa: E402
-from dyckgram import cli  # noqa: E402
+from brute_layer import census_quads
+from dyckgram import cli
+from dyckgram.families import build, deep_set, verify_pool
 
 CENSUS_N_MAX = 12
 DEEP_N_MAX = 64
@@ -68,9 +65,9 @@ def run(argv: list[str]) -> tuple[str, str, int]:
     return out.getvalue(), err.getvalue(), code
 
 
-def _family_args(inst) -> list[str]:
-    params = ",".join(f"{k}={v}" for k, v in inst.params.items())
-    return ["--family", inst.family] + (["--param", params] if params else [])
+def _family_args(family: str, params: dict) -> list[str]:
+    joined = ",".join(f"{k}={v}" for k, v in params.items())
+    return ["--family", family] + (["--param", joined] if joined else [])
 
 
 def _quad_args(quad) -> list[str]:
@@ -79,12 +76,15 @@ def _quad_args(quad) -> list[str]:
 
 
 def groups(instances, quads, deep) -> dict[str, list[list[str]]]:
-    families = [_family_args(inst) for inst in instances]
+    """The command lines of each group; ``instances`` and ``deep`` are
+    (family, params) pairs, as ``dyckgram.families`` lists them."""
+    families = [_family_args(*pair) for pair in instances]
     counts = [["count", "--method", "both", "--n-max", str(CENSUS_N_MAX)]
               + _quad_args(quad) for quad in quads]
-    deep_runs = [argv for inst in deep for argv in (
-        ["count", "--method", "dp", "--n-max", str(DEEP_N_MAX)] + _quad_args(inst.quad),
-        ["series", *_family_args(inst), "--order", str(DEEP_ORDER)])]
+    deep_runs = [argv for family, params in deep for argv in (
+        ["count", "--method", "dp", "--n-max", str(DEEP_N_MAX)]
+        + _quad_args(build(family, **params).quad),
+        ["series", *_family_args(family, params), "--order", str(DEEP_ORDER)])]
     out = {}
     for suffix in ("", " --json"):
         extra = suffix.split()

@@ -1,5 +1,5 @@
 """Time the run-state DP (``oracle.count_dp``) alone: on the 8 instances
-of the benchmark's ``deep`` workload (``tests/conftest.deep_set()``) at
+of the benchmark's ``deep`` workload (``dyckgram.families.deep_set()``) at
 n = 64, and on three quads at n = 200 and 400.
 
     PYTHONPATH=src python3 scripts/dp_layer.py
@@ -15,14 +15,11 @@ time is that instance's best of five, as in ``word_layer.py``.
 import hashlib
 import json
 import platform
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import deep_set  # noqa: E402
-from dyckgram.intsets import RestrictionQuad  # noqa: E402
-from dyckgram.oracle import count_dp  # noqa: E402
+from dyckgram.families import build, deep_set
+from dyckgram.intsets import RestrictionQuad
+from dyckgram.oracle import count_dp
 
 DEEP_N = 64
 QUADS = (RestrictionQuad.parse(),
@@ -44,7 +41,8 @@ def _row(quad: RestrictionQuad, n: int) -> dict:
 
 
 def main() -> None:
-    rows = [{"instance": str(inst), **_row(inst.quad, DEEP_N)} for inst in deep_set()]
+    rows = [{"instance": str(inst), **_row(inst.quad, DEEP_N)}
+            for inst in (build(f, **p) for f, p in deep_set())]
     rows += [_row(quad, n) for quad in QUADS for n in SEMILENGTHS]
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
                       "rows": rows}, indent=1))

@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 scripts/language_layer.py
 
 The sets: the quads of the 81 verify-pool instances
-(``tests/conftest.verify_pool()``: F1-F3 and acceptance criteria 05 and
+(``dyckgram.families.verify_pool()``: F1-F3 and acceptance criteria 05 and
 06) at n <= 10, the 24 seeded census-style quads of
 ``brute_layer.census_quads`` at n <= 12, and the unrestricted quad at
 n <= 14.  dyckgram is imported from PYTHONPATH, so
@@ -19,21 +19,19 @@ languages as well as for speed.
 import hashlib
 import json
 import platform
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from brute_layer import census_quads  # noqa: E402
-from conftest import verify_pool  # noqa: E402
-from dyckgram.intsets import RestrictionQuad  # noqa: E402
-from dyckgram.oracle import language  # noqa: E402
+from brute_layer import census_quads
+from dyckgram.families import build, verify_pool
+from dyckgram.intsets import RestrictionQuad
+from dyckgram.oracle import language
 
 REPEATS = 5
 
 
 def main() -> None:
-    sets = (("pool", [inst.quad for inst in verify_pool()], 10), ("census", census_quads(), 12),
+    pool = [build(f, **p).quad for f, p in verify_pool()]
+    sets = (("pool", pool, 10), ("census", census_quads(), 12),
             ("unrestricted", [RestrictionQuad()], 14))
     rows = []
     for name, quads, n_max in sets:

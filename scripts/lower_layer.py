@@ -3,7 +3,7 @@ synthetic one-rule grammars with 1,000, 4,000 and 16,000 alternatives.
 
     PYTHONPATH=src python3 scripts/lower_layer.py
 
-The pool is ``tests/conftest.verify_pool()``: F1-F3 plus the 48
+The pool is ``dyckgram.families.verify_pool()``: F1-F3 plus the 48
 run-progression instances of acceptance criterion 05 and the 30 short-run
 instances of criterion 06, 15 grammars and 66 equations.  Alternative i of a synthetic rule is U P^a D Q^b R^c,
 (a, b, c) being the i-th triple of range(26)^3, so every alternative is a
@@ -17,14 +17,11 @@ can be compared for equal systems as well as for speed.
 import hashlib
 import json
 import platform
-import sys
 import time
 from itertools import islice, product
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import verify_pool  # noqa: E402
-from dyckgram.grammar import EPSILON, D, Grammar, NonTerm, U, lower, rep, seq  # noqa: E402
+from dyckgram.families import build, verify_pool
+from dyckgram.grammar import EPSILON, D, Grammar, NonTerm, U, lower, rep, seq
 
 REPEATS = 3
 SYNTHETIC_SIZES = (1_000, 4_000, 16_000)
@@ -38,7 +35,7 @@ def synthetic(size: int) -> Grammar:
 
 
 def main() -> None:
-    sets = [("pool", [inst.body for inst in verify_pool()])]
+    sets = [("pool", [build(f, **p).body for f, p in verify_pool()])]
     sets += [(f"one rule, {size} alternatives", [synthetic(size)])
              for size in SYNTHETIC_SIZES]
     rows = []

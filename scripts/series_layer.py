@@ -1,6 +1,6 @@
 """Time the series solver (``series.solve``) alone: on the 8 instances of
 the benchmark's ``deep`` workload at order 128, and on the 117 catalogue
-instances (``tests/conftest.catalogue()``) at order 64.
+instances (``dyckgram.families.catalogue()``) at order 64.
 
     PYTHONPATH=src python3 scripts/series_layer.py
 
@@ -17,14 +17,11 @@ equal coefficients as well as for speed.
 import hashlib
 import json
 import platform
-import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import catalogue, deep_set  # noqa: E402
-from dyckgram.grammar import lower  # noqa: E402
-from dyckgram.series import solve  # noqa: E402
+from dyckgram.families import build, catalogue, deep_set
+from dyckgram.grammar import lower
+from dyckgram.series import solve
 
 DEEP_ORDER = 128
 CATALOGUE_ORDER = 64
@@ -49,9 +46,11 @@ def _row(instances, order: int) -> dict:
 
 
 def main() -> None:
-    rows = [{"instance": str(inst), **_row([inst], DEEP_ORDER)} for inst in deep_set()]
-    rows.append({"instance": "catalogue", "instances": len(catalogue()),
-                 **_row(catalogue(), CATALOGUE_ORDER)})
+    rows = [{"instance": str(inst), **_row([inst], DEEP_ORDER)}
+            for inst in (build(f, **p) for f, p in deep_set())]
+    instances = [build(f, **p) for f, p in catalogue()]
+    rows.append({"instance": "catalogue", "instances": len(instances),
+                 **_row(instances, CATALOGUE_ORDER)})
     print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
                       "rows": rows}, indent=1))
 

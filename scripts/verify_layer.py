@@ -3,7 +3,7 @@ max_len = 20, n_max = 10, and count the oracle work it does.
 
     PYTHONPATH=src python3 scripts/verify_layer.py
 
-The pool is ``tests/conftest.verify_pool()``: F1-F3 plus the 48
+The pool is ``dyckgram.families.verify_pool()``: F1-F3 plus the 48
 run-progression instances of acceptance criterion 05 and the 30 short-run
 instances of criterion 06, 15 grammars and 66 equations.  dyckgram is
 imported from PYTHONPATH, so pointing it at another checkout's ``src``
@@ -23,15 +23,12 @@ word engine's memory shows next to its time.
 import hashlib
 import json
 import platform
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import verify_pool  # noqa: E402
-from dyckgram import oracle, verify  # noqa: E402
-from dyckgram.verify import verify_family  # noqa: E402
+from dyckgram import oracle, verify
+from dyckgram.families import build, verify_pool
+from dyckgram.verify import verify_family
 
 MAX_LEN = 20
 N_MAX = 10
@@ -92,7 +89,7 @@ def _row(instances, max_len, n_max, repeats=REPEATS):
 
 
 def main() -> None:
-    best, row = _row(verify_pool(), MAX_LEN, N_MAX)
+    best, row = _row([build(f, **p) for f, p in verify_pool()], MAX_LEN, N_MAX)
     rows = [row]
     for group, families in GROUPS:
         names = [n for n in best if n.split("(")[0] in families]

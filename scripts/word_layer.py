@@ -3,7 +3,7 @@ over the 81 verify-pool instances at max_len = 20.
 
     PYTHONPATH=src python3 scripts/word_layer.py
 
-The pool is ``tests/conftest.verify_pool()``: F1-F3 plus the 48
+The pool is ``dyckgram.families.verify_pool()``: F1-F3 plus the 48
 run-progression instances of acceptance criterion 05 and the 30 short-run
 instances of criterion 06, 15 grammars and 66 equations.  dyckgram is
 imported from PYTHONPATH, so pointing it at another checkout's ``src``
@@ -25,16 +25,13 @@ run, not a whole pass.
 import hashlib
 import json
 import platform
-import sys
 import time
 from functools import partial
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import verify_pool  # noqa: E402
-from dyckgram.grammar import Grammar, check_equation, words  # noqa: E402
-from dyckgram.oracle import joined_codes, joins  # noqa: E402
-from verify_layer import GROUPS  # noqa: E402
+from dyckgram.families import build, verify_pool
+from dyckgram.grammar import Grammar, check_equation, words
+from dyckgram.oracle import joined_codes, joins
+from verify_layer import GROUPS
 
 MAX_LEN = 20
 REPEATS = 5
@@ -51,7 +48,7 @@ def _equation(inst, lang):
 
 
 def main() -> None:
-    instances = verify_pool()
+    instances = [build(f, **p) for f, p in verify_pool()]
     run = {}
     for inst in instances:
         if isinstance(inst.body, Grammar):

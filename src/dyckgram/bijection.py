@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from itertools import accumulate, product
 
 from .intsets import IntSet, Progression, RestrictionQuad
-from .oracle import DEFAULT_ENUMERATION_CAP, joined_words, joins
+from .oracle import (DEFAULT_ENUMERATION_CAP, check_joined, joined_words, joins,
+                     pair_count)
 from .paths import DyckPath, satisfies
 from .sequences import SeqId, reference
 
@@ -138,10 +139,14 @@ def verify_counts(max_semilength: int,
     binomial reference ``SeqId.PARITY_BINOM``, the walk count matches it
     too, the forward map is injective onto the full walk set, and both
     composites are identities.  The paths are read off one pass of
-    ``oracle.joins``.
+    ``oracle.joins``.  After the cap check, the 2^(m - 1) +-1 sequences
+    tried and each m's paths are held to ``oracle.WORD_BUDGET`` before any is listed.
     """
+    passes = joins(max_semilength, PARITY_QUAD, cap)  # checks the cap
+    check_joined(1 << max_semilength >> 1, what="walk candidates")
     rows = []
-    for m, join in enumerate(joins(max_semilength, PARITY_QUAD, cap)):
+    for m, join in enumerate(passes):
+        check_joined(pair_count(join))
         paths = [DyckPath.from_text(w) for w in joined_words(join, m)]
         expected = reference(SeqId.PARITY_BINOM, m)
         if m == 0:

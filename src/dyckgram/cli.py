@@ -82,26 +82,18 @@ def _quad_json(quad: RestrictionQuad) -> dict:
             "up_runs": str(quad.up_runs), "down_runs": str(quad.down_runs)}
 
 
-def _emit(payload: dict, as_json: bool, text_lines) -> None:
-    """Print ``payload`` as JSON, or else each of ``text_lines``; that is
-    iterated only for text, so a generator builds no line under --json."""
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+# Each command returns (payload, text lines) and ``main`` prints one of
+# them.  The lines are iterated only for text, so a generator builds no
+# line under --json.
 
-
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     quad = _quad_from(args)
     paths = language(args.n, quad, args.cap)
-    payload = {"command": "enumerate", "n": str(args.n),
-               "quad": _quad_json(quad), "paths": paths}
-    _emit(payload, args.json, paths)
-    return 0
+    return {"command": "enumerate", "n": str(args.n),
+            "quad": _quad_json(quad), "paths": paths}, paths
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     quad = _quad_from(args)
     methods = ("brute", "dp") if args.method == "both" else (args.method,)
     report = count_comparison(args.n_max, quad, methods, args.cap)
@@ -120,11 +112,10 @@ def _cmd_count(args) -> int:
             yield f"{n}\t" + "\t".join(str(c) for c in report.row(n))
         if mismatch is not None:
             yield f"FAIL: methods disagree at n={mismatch}"
-    _emit(payload, args.json, lines())
-    return 0 if mismatch is None else 1
+    return payload, lines()
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     instance = build(args.family, **args.param)
     system = lower(instance.body)
     solution = solve(system, args.order)
@@ -145,11 +136,10 @@ def _cmd_series(args) -> int:
         yield from payload["system"]
         for name, cs in payload["coefficients"].items():
             yield f"{name}: " + ", ".join(cs)
-    _emit(payload, args.json, lines())
-    return 0
+    return payload, lines()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     instance = build(args.family, **args.param)
     report = verify_family(instance, max_len=args.max_len, n_max=args.n_max,
                            cap=args.cap)
@@ -171,19 +161,16 @@ def _cmd_verify(args) -> int:
             yield (("PASS " if c.passed else "FAIL ") + c.name
                    + (f" ({c.detail})" if c.detail else ""))
         yield "PASS" if report.passed else "FAIL"
-    _emit(payload, args.json, lines())
-    return 0 if report.passed else 1
+    return payload, lines()
 
 
-def _cmd_identify(args) -> int:
+def _cmd_identify(args):
     matches = [sid.value for sid in identify(args.terms)]
-    payload = {"command": "identify",
-               "terms": [str(t) for t in args.terms], "matches": matches}
-    _emit(payload, args.json, matches)
-    return 0
+    return {"command": "identify",
+            "terms": [str(t) for t in args.terms], "matches": matches}, matches
 
 
-def _cmd_bijection(args) -> int:
+def _cmd_bijection(args):
     report = verify_counts(args.semilength, cap=args.cap)
     payload = {"command": "bijection", "max_semilength": str(args.semilength),
                "rows": [{"semilength": str(r.semilength),
@@ -194,9 +181,7 @@ def _cmd_bijection(args) -> int:
     lines = [f"m={r.semilength}\tpaths={r.path_count}\twalks={r.walk_count}"
              f"\texpected={r.expected}\troundtrip={'ok' if r.round_trip_ok else 'BAD'}"
              for r in report.rows]
-    lines.append("PASS" if report.passed else "FAIL")
-    _emit(payload, args.json, lines)
-    return 0 if report.passed else 1
+    return payload, lines + ["PASS" if report.passed else "FAIL"]
 
 
 @lru_cache(maxsize=1)  # built on first use, then reused by every main() call
@@ -274,12 +259,18 @@ def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        payload, lines = args.run(args)
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
     except BadParams as e:  # a usage error, reported as argparse reports one
         parser.error(str(e))
     except (ResourceLimit, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0 if payload.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -252,3 +252,47 @@ def build(family: str, **params: int) -> FamilyInstance:
         raise BadParams(family, params,
                         f"parameters {names}" if names else "no parameters")
     return fn(*(params[name] for name in names))
+
+
+# The instance sets the catalogue's claims are checked on.  Each call
+# returns a fresh list of (family, params) pairs, in a fixed order, for
+# ``build``: reading a set builds nothing.
+
+def run_progression_sweep() -> list[tuple[str, dict[str, int]]]:
+    """The 48 F5-F8 instances of acceptance criterion 05 (A <= 4, B <= 6)."""
+    out = []
+    for a in range(1, 5):
+        out += [(f, {"A": a, "B": b}) for b in range(1, a) for f in ("F5", "F7")]
+        out += [(f, {"A": a, "B": b}) for b in range(a, 7) for f in ("F6", "F8")]
+    return out
+
+
+def short_run_sweep() -> list[tuple[str, dict[str, int]]]:
+    """The 30 F9-F11 instances of acceptance criterion 06."""
+    out = [("F9", {"r": r}) for r in range(1, 5)]
+    out += [("F10", {"m": m, "n": n}) for m in range(1, 5) for n in range(1, 5)]
+    out += [("F11", {"r": r, "k": k}) for r in range(1, 5) for k in range(1, r + 1)]
+    return out
+
+
+def verify_pool() -> list[tuple[str, dict[str, int]]]:
+    """F1-F3 and the instances of acceptance criteria 05 and 06 (81 in all)."""
+    return [("F1", {}), ("F2", {}), ("F3", {})] + run_progression_sweep() + short_run_sweep()
+
+
+def deep_set() -> list[tuple[str, dict[str, int]]]:
+    """The 8 instances of the benchmark's ``deep`` workload, one per family
+    with a stated system."""
+    return [("F1", {}), ("F2", {}), ("F3", {}), ("F5", {"A": 4, "B": 2}),
+            ("F6", {"A": 2, "B": 4}), ("F7", {"A": 4, "B": 2}),
+            ("F8", {"A": 3, "B": 5}), ("F9", {"r": 1})]
+
+
+def catalogue() -> list[tuple[str, dict[str, int]]]:
+    """F1-F3, F5-F8 for A <= 6 and B <= 7, and the F9-F11 instances of
+    acceptance criterion 06 (117 in all)."""
+    out = [("F1", {}), ("F2", {}), ("F3", {})]
+    for a in range(1, 7):
+        for b in range(1, 8):
+            out += [(f, {"A": a, "B": b}) for f in (("F5", "F7") if b < a else ("F6", "F8"))]
+    return out + short_run_sweep()

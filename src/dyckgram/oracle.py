@@ -80,11 +80,11 @@ def check_semilength(n: int, cap: int) -> None:
         raise ResourceLimit(n, cap)
 
 
-def check_joined(words: int) -> None:
-    """Raise ResourceLimit if ``words`` joined words exceed ``WORD_BUDGET``;
+def check_joined(words: int, what: str = "joined words") -> None:
+    """Raise ResourceLimit if ``words`` words (named by ``what``) exceed ``WORD_BUDGET``;
     a caller checks a join's :func:`pair_count` before it joins a word."""
     if words > WORD_BUDGET:
-        raise ResourceLimit(words, WORD_BUDGET, what="joined words")
+        raise ResourceLimit(words, WORD_BUDGET, what=what)
 
 
 def pair_count(join) -> int:

@@ -10,7 +10,7 @@ from itertools import accumulate
 from hypothesis import settings, strategies as st
 
 from dyckgram.bijection import PARITY_QUAD
-from dyckgram.families import FamilyInstance, build
+from dyckgram.families import FamilyInstance
 from dyckgram.intsets import IntSet, Progression, Range, RestrictionQuad, Single
 from dyckgram.oracle import enumerate_paths
 from dyckgram.paths import DyckPath, accepts, satisfies, walk
@@ -198,44 +198,3 @@ def sample_quads(count: int, seed: int) -> list[RestrictionQuad]:
 
     return [RestrictionQuad(int_set(), int_set(), int_set(), int_set())
             for _ in range(count)]
-
-
-def run_progression_sweep():
-    """The 48 F5-F8 instances of acceptance criterion 05."""
-    out = []
-    for a in range(1, 5):
-        out += [build(f, A=a, B=b) for b in range(1, a) for f in ("F5", "F7")]
-        out += [build(f, A=a, B=b) for b in range(a, 7) for f in ("F6", "F8")]
-    return out
-
-
-def short_run_sweep():
-    """The 30 F9-F11 instances of acceptance criterion 06."""
-    out = [build("F9", r=r) for r in range(1, 5)]
-    out += [build("F10", m=m, n=n) for m in range(1, 5) for n in range(1, 5)]
-    out += [build("F11", r=r, k=k) for r in range(1, 5) for k in range(1, r + 1)]
-    return out
-
-
-def verify_pool():
-    """F1-F3 and the instances of acceptance criteria 05 and 06 (81 in all)."""
-    return ([build("F1"), build("F2"), build("F3")]
-            + run_progression_sweep() + short_run_sweep())
-
-
-def deep_set():
-    """The 8 instances of the benchmark's ``deep`` workload, one per family
-    with a stated system."""
-    return (build("F1"), build("F2"), build("F3"), build("F5", A=4, B=2),
-            build("F6", A=2, B=4), build("F7", A=4, B=2), build("F8", A=3, B=5),
-            build("F9", r=1))
-
-
-def catalogue():
-    """F1-F3, F5-F8 for A <= 6 and B <= 7, and the F9-F11 instances of
-    acceptance criterion 06 (117 in all)."""
-    instances = [build("F1"), build("F2"), build("F3")]
-    for a in range(1, 7):
-        for b in range(1, 8):
-            instances += [build(f, A=a, B=b) for f in (("F5", "F7") if b < a else ("F6", "F8"))]
-    return instances + short_run_sweep()

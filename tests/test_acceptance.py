@@ -9,11 +9,10 @@ elapsed time is asserted too.
 import time
 from math import comb
 
-from conftest import (downrun_variant_sides, run_progression_sweep, sample_quads,
-                      short_run_sweep, swapped_runs)
+from conftest import downrun_variant_sides, sample_quads, swapped_runs
 
 from dyckgram.bijection import PARITY_QUAD, verify_counts
-from dyckgram.families import F2_IDENTITY, build
+from dyckgram.families import F2_IDENTITY, build, run_progression_sweep, short_run_sweep
 from dyckgram.grammar import (D, EPSILON, Grammar, NonTerm, U, lower, seq)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import count_brute, count_dp
@@ -118,7 +117,7 @@ def test_criterion_04_parity_walk_correspondence():
 def test_criterion_05_run_progression_sweep():
     t0 = time.perf_counter()
     failures = []
-    instances = run_progression_sweep()
+    instances = [build(f, **p) for f, p in run_progression_sweep()]
     if len(instances) != 48:
         failures.append(f"expected 48 instances, built {len(instances)}")
     _sweep(instances, failures)
@@ -128,7 +127,7 @@ def test_criterion_05_run_progression_sweep():
 def test_criterion_06_short_run_sweep():
     t0 = time.perf_counter()
     failures = []
-    instances = short_run_sweep()
+    instances = [build(f, **p) for f, p in short_run_sweep()]
     if len(instances) != 30:
         failures.append(f"expected 30 instances, built {len(instances)}")
     _sweep(instances, failures)

@@ -39,16 +39,21 @@ def test_enumerate_json_round_trip(capsys):
     ["count", "--n-max", "4"], ["series", "--family", "F3", "--order", "6"],
     ["verify", "--family", "F3", "--max-len", "6", "--n-max", "3"]], ids=lambda a: a[0])
 def test_text_lines_are_built_only_for_text(capsys, monkeypatch, argv):
-    emit, states = cli._emit, []
+    # each command's (payload, text lines), as main is given them
+    parser, results = cli._make_parser(), []
+    parse = parser.parse_args
 
-    def recording(payload, as_json, text_lines):
-        emit(payload, as_json, text_lines)
-        states.append(inspect.getgeneratorstate(text_lines))
+    def recording_parse(args):
+        parsed = parse(args)
+        command = parsed.run
+        parsed.run = lambda a: results.append(command(a)) or results[-1]
+        return parsed
 
-    monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr(parser, "parse_args", recording_parse)
     assert run(capsys, *argv, "--json")[0] == 0
     assert run(capsys, *argv)[0] == 0
-    assert states == [inspect.GEN_CREATED, inspect.GEN_CLOSED]
+    assert [inspect.getgeneratorstate(lines) for _, lines in results] == [
+        inspect.GEN_CREATED, inspect.GEN_CLOSED]
 
 
 def test_count_text(capsys):
@@ -439,6 +444,24 @@ def test_joined_word_budget_exits_2_before_any_word_is_joined(capsys, monkeypatc
     assert (code, out) == (2, "")
     assert err == "error: requested joined words 17 exceeds cap 16\n"
     assert joined == [0, 1, 2, 3]
+
+
+def test_bijection_budget_exits_2_before_anything_is_enumerated(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("enumerated over the budget")
+
+    # semilength 10 tries the 2^9 +-1 sequences of 9 steps
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 512)
+    assert run(capsys, "bijection", "--semilength", "10")[0] == 0
+    monkeypatch.setattr(bijection, "_all_walks", never)
+    monkeypatch.setattr(bijection, "joined_words", never)
+    for budget, argv, err in [
+            (511, ["10"], "walk candidates 512 exceeds cap 511"),
+            (511, ["10", "--cap", "5"], "semilength 10 exceeds cap 5"),  # the cap first
+            (0, ["0"], "joined words 1 exceeds cap 0")]:  # no walk, one path
+        monkeypatch.setattr(oracle, "WORD_BUDGET", budget)
+        assert run(capsys, "bijection", "--semilength", *argv) == (
+            2, "", f"error: requested {err}\n")
 
 
 def test_series_order_over_budget_exits_2_before_solving(capsys):

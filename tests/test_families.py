@@ -1,8 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from conftest import catalogue, downrun_variant_sides
+from conftest import downrun_variant_sides
+from dyckgram import families
 from dyckgram.families import (F1_IDENTITY, F2_IDENTITY, FAMILY_IDS, BadParams,
-                               build)
+                               build, catalogue, deep_set, verify_pool)
 from dyckgram.grammar import Grammar, GrammaticalEquation, lower
 from dyckgram.oracle import count_dp
 from dyckgram.sequences import GEN_CATALAN_IDENTITY, SeqId
@@ -37,6 +41,27 @@ def test_build_dispatch_errors():
 def test_parameter_constraints(family, params):
     with pytest.raises(BadParams):
         build(family, **params)
+
+
+@pytest.mark.parametrize("name,size", [
+    ("run_progression_sweep", 48), ("short_run_sweep", 30), ("verify_pool", 81),
+    ("deep_set", 8), ("catalogue", 117)])
+def test_instance_sets(name, size):
+    pairs = getattr(families, name)()
+    assert len({str(build(f, **p)) for f, p in pairs}) == len(pairs) == size
+    # each call builds its pairs afresh, so a reader's change reaches no other
+    pairs[0][1]["x"] = 0
+    assert "x" not in getattr(families, name)()[0][1]
+
+
+def test_benchmark_sets_are_the_catalogue_sets():
+    # benchmark/workloads.py keeps its own copies, loaded here by path
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.verify_pool() == verify_pool()
+    assert list(workloads.DEEP_SET) == deep_set()
 
 
 def test_str():
@@ -199,7 +224,7 @@ def _stated_run_progression_text(family, A, B):
 
 
 def test_run_progression_bodies_over_the_catalogue():
-    run_progression = [i for i in catalogue() if i.family in ("F5", "F6", "F7", "F8")]
+    run_progression = [build(f, **p) for f, p in catalogue() if f in ("F5", "F6", "F7", "F8")]
     assert len(run_progression) == 84
     for inst in run_progression:
         A, B = inst.params["A"], inst.params["B"]

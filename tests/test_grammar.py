@@ -6,9 +6,9 @@ from time import perf_counter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import quads, verify_pool
+from conftest import quads
 from dyckgram import oracle
-from dyckgram.families import build
+from dyckgram.families import build, verify_pool
 from dyckgram.grammar import (D, EPSILON, AmbiguityReport, EquationReport, Grammar,
                               GrammaticalEquation, NonTerm, U, UnbalancedGrammar,
                               check_equation, check_unambiguous, equation_sides,
@@ -350,7 +350,7 @@ def _reference_report(lhs, rhs):
     return EquationReport(False, w, lhs[w], rhs[w])
 
 
-POOL = verify_pool()
+POOL = [build(f, **p) for f, p in verify_pool()]
 
 
 @pytest.mark.parametrize("inst", [i for i in POOL if isinstance(i.body, Grammar)],

@@ -6,18 +6,21 @@ small row, the brute script also times one count in a child
 interpreter, the verify script counts the oracle work of two instances,
 the lowering script's synthetic grammar is lowered, and the CLI byte
 hasher runs a small subset of its command lines, so a script left
-behind by an API change fails here rather than when next run.
+behind by an API change fails here rather than when next run.  Every
+script also imports with src/ alone, as the scripts never import tests.
 """
 
 import hashlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import deep_set, verify_pool
-from dyckgram.families import build
+from dyckgram.families import build, deep_set, verify_pool
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
 
@@ -42,6 +45,18 @@ def test_there_are_layer_scripts():
 @pytest.mark.parametrize("path", LAYER_SCRIPTS, ids=lambda p: p.stem)
 def test_layer_script_imports(path, monkeypatch):
     assert callable(_load(path, monkeypatch).main)
+
+
+def test_scripts_need_only_src():
+    # a child interpreter in scripts/, as a script is run, with src/ alone on
+    # PYTHONPATH and the test-only hypothesis blocked
+    names = sorted(p.stem for p in SCRIPTS.glob("*.py"))
+    code = ("import importlib, sys; sys.modules['hypothesis'] = None\n"
+            "for name in sys.argv[1:]: importlib.import_module(name)")
+    done = subprocess.run([sys.executable, "-c", code, *names], cwd=SCRIPTS, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")},
+                          capture_output=True)
+    assert (len(names), done.returncode, done.stderr) == (8, 0, "")
 
 
 def test_dp_layer_row(monkeypatch):
@@ -76,11 +91,12 @@ def test_verify_layer_row(monkeypatch):
     # F1 and F2 at max_len 8, n_max 5: one joins pass each, to semilength 5,
     # which walks what count_brute(5) walks
     verify_layer = _load(SCRIPTS / "verify_layer.py", monkeypatch)
-    best, row = verify_layer._row(verify_pool()[:2], 8, 5, repeats=1)
+    pool = [build(f, **p) for f, p in verify_pool()[:2]]
+    best, row = verify_layer._row(pool, 8, 5, repeats=1)
     assert list(best) == ["F1", "F2"]
     assert row["joins_calls"] == 2
     brute_layer = _load(SCRIPTS / "brute_layer.py", monkeypatch)
-    assert row["walks"] == brute_layer.brute_work([i.quad for i in verify_pool()[:2]], 5)["walks"]
+    assert row["walks"] == brute_layer.brute_work([i.quad for i in pool], 5)["walks"]
     assert row["peak_mb"] > 0
     assert re.fullmatch("[0-9a-f]{16}", row["reports_sha256"])
 

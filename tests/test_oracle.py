@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (features, midpoint_join, quads, sample_quads, swapped_runs,
-                      unrestricted_paths, verify_pool)
-from dyckgram.families import build
+                      unrestricted_paths)
+from dyckgram.families import build, verify_pool
 from dyckgram.grammar import lower
 from dyckgram.intsets import RestrictionQuad
 from dyckgram import oracle
@@ -110,8 +110,8 @@ def test_joins_equal_each_semilength_built_alone(monkeypatch):
     from brute_layer import census_quads
     for quad in census_quads():
         _check_joins(quad, 12)
-    for inst in verify_pool():
-        _check_joins(inst.quad, 10)
+    for family, params in verify_pool():
+        _check_joins(build(family, **params).quad, 10)
     _check_joins(RestrictionQuad(), 14)
 
 
@@ -182,9 +182,7 @@ def test_dp_matches_series_beyond_brute_force_reach():
 def test_dp_matches_series_where_run_classes_wrap():
     # at n = 60 every run class of these quads wraps round its period many
     # times; at the brute-force depths most never leave the identity range
-    pool = verify_pool()
-    assert len(pool) == 81
-    for inst in pool:
+    for inst in (build(f, **p) for f, p in verify_pool()):
         series = solve(lower(inst.body), 61)["P"].coeffs
         assert count_dp(60, inst.quad) == series, str(inst)
 
@@ -262,7 +260,7 @@ def _reference_dp(n_max, quad=RestrictionQuad()):
 def test_dp_matches_the_per_state_reference():
     far = [RestrictionQuad.parse(up_runs="ap(7,300)"),
            RestrictionQuad.parse(up_runs="3,999", down_runs="998")]
-    corpus = ([inst.quad for inst in verify_pool()] + CORPUS + far
+    corpus = ([build(f, **p).quad for f, p in verify_pool()] + CORPUS + far
               + sample_quads(20, 9129) + sample_quads(60, 77))
     for quad in corpus:
         for n in (0, 1, 2, 7, 20, 64):

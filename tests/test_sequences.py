@@ -22,6 +22,8 @@ def test_reference_anchors():
 def test_negative_index_rejected():
     with pytest.raises(ValueError):
         reference(SeqId.CATALAN, -1)
+    with pytest.raises(ValueError, match="unknown sequence"):
+        reference("catalan", 3)
 
 
 def test_gen_catalan_recurrence_inline():

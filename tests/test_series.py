@@ -4,7 +4,7 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import catalogue
+from dyckgram.families import build, catalogue
 from dyckgram.grammar import lower
 from dyckgram.series import (NotContractive, OrderMismatch, Poly, SeriesSystem,
                              TruncatedSeries, solve)
@@ -54,6 +54,9 @@ def test_poly_arithmetic_and_rendering():
     assert p.unknowns() == {"P"}
     q = (Poly.var("P") + Poly.z()) ** 2
     assert str(q) == "P^2 + 2*z*P + z^2"
+    assert str(Poly.zero()) == "0"
+    with pytest.raises(ValueError):
+        q ** -1
 
 
 def test_poly_var_exponents():
@@ -68,6 +71,8 @@ def test_poly_eval():
     p = Poly.const(2) + Poly.z(2) * Poly.var("X")
     x = S([1, 1], 5)
     assert p.eval({"X": x}, 5).coeffs == (2, 0, 1, 1, 0)
+    # a monomial of z-degree at least the order adds nothing
+    assert (p + Poly.z(5)).eval({"X": x}, 5).coeffs == (2, 0, 1, 1, 0)
 
 
 def test_solve_catalan():
@@ -97,7 +102,7 @@ def test_solution_is_a_fixed_point():
 
 def test_solution_is_a_fixed_point_of_every_catalogue_system():
     # checked by Poly.eval's full series products, not by the online recurrence
-    for inst in catalogue():
+    for inst in (build(f, **p) for f, p in catalogue()):
         system = lower(inst.body)
         sol = solve(system, 64)
         for name in system.unknowns:
@@ -163,7 +168,7 @@ def _assert_matches_reference(system, orders=ORDERS):
 
 
 def test_solve_matches_the_reference_on_every_catalogue_system():
-    for inst in catalogue():
+    for inst in (build(f, **p) for f, p in catalogue()):
         _assert_matches_reference(lower(inst.body))
 
 
