@@ -14,9 +14,11 @@ then costs one quad one run, not a whole pass) and a digest of every
 count sequence, so that two checkouts can be compared for equal counts as
 well as for speed.  After the timed repeats, one untimed pass per set
 wraps ``dyckgram.oracle.walk`` and ``accepts`` and reports the work done:
-the ``walk`` calls of the midpoint joins, their ``accepts`` calls, and
-the letters all of them were given; ``tracemalloc`` follows that pass,
-and ``peak_mb`` is the most memory it saw allocated at once, in MiB
+the ``walk`` calls of the midpoint joins (``oracle.joins`` walks each
+(walker state, letter) pair it reads once per call, so these are the
+distinct transitions of each quad's join, summed), their ``accepts``
+calls, and the letters all of them were given; ``tracemalloc`` follows
+that pass, and ``peak_mb`` is the most memory it saw allocated at once, in MiB
 (the first halves and the two levels of suffix lists ``oracle.joins``
 keeps alive are most of it).  Last, ``fresh`` times the unrestricted
 ``count_brute(n, cap=n)`` at n = 16, 18 and 20, each in a child

@@ -5,14 +5,16 @@ Two methods, deliberately independent of each other:
 * one path generator on the walker of ``paths.walk``, a midpoint join:
   pruned first halves, each joined to the second halves of its walker
   state.  :func:`joins` builds the join of every semilength up to n_max in
-  three straight passes that share work between them: forward, each
-  semilength's first halves are the live one-letter extensions of the
-  last one's (no first half is ever cut for want of room); top down, each
-  walker state read with r steps left walks its two successors once;
-  bottom up, the lists of second halves of r steps are built from those
-  of r - 1 steps, and only those two levels are alive at once.  Halves
-  are carried as codes (``paths.encode``), their length being the
-  semilength: a D-led second half is the very int of the shorter one.
+  three straight passes that share work between them, and walks each
+  state's two successors once per call, into a table that all three
+  passes read: forward, each semilength's first halves are the live
+  one-letter extensions of the last one's (no first half is ever cut for
+  want of room); top down, the walker states read with r steps left, each
+  successor cut once it leaves 0..r - 1; bottom up, the lists of second
+  halves of r steps are built from those of r - 1 steps, and only those
+  two levels are alive at once.  Halves are carried as codes
+  (``paths.encode``), their length being the semilength: a D-led second
+  half is the very int of the shorter one.
   One join is read two ways: the language joins each pair
   (:func:`joined_codes`, and :func:`joined_words` as text), and brute
   force, a definitional count, adds up the lengths of those explicit
@@ -46,7 +48,7 @@ anything.
 from __future__ import annotations
 
 from .intsets import IntSet, RestrictionQuad
-from .paths import BITS, DyckPath, accepts, avoid_tables, decode, walk
+from .paths import DyckPath, accepts, avoid_tables, decode, walk
 
 DEFAULT_ENUMERATION_CAP = 16
 # the DP holds up to ~n_max classes of (n_max + 1) * (2 * n_max + 1) bits;
@@ -118,16 +120,18 @@ def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
     state), U before D, and each midpoint state's accepted second halves,
     each half the code (``paths.encode``) of its semilength's letters.
 
-    Three straight passes share work between semilengths.  Forward, the
-    first halves of n are the live one-letter extensions of those of
-    n - 1: a prefix is cut once its walk dies or its height goes below 0,
-    never for want of room, since i <= n steps reach no height above n.
-    A second half of r steps from a state is U or D, then one of r - 1
-    steps, cut once its walk dies or leaves 0..r - 1, so its list depends
-    only on (r, state).  Top down, each state read with r steps left walks
-    its two successors once.  Bottom up, level r's lists are built from
-    level r - 1's (at r = 0 by ``paths.accepts``): a U-led half is the new
-    int 1 << (r - 1) | t, a D-led one the very int t, so it allocates
+    Three straight passes share work between semilengths, and each
+    state's two successors are walked once per call, when a pass first
+    reads the state.  Forward, the first halves of n are the live
+    one-letter extensions of those of n - 1: a prefix is cut once its walk
+    dies or its height goes below 0, never for want of room, since i <= n
+    steps reach no height above n.  A second half of r steps from a state
+    is U or D, then one of r - 1 steps, cut once its walk dies or leaves
+    0..r - 1, so its list depends only on (r, state).  Top down, the states
+    read with r steps left are those of the first halves of r and the
+    uncut successors of level r + 1.  Bottom up, level r's lists are built
+    from level r - 1's (at r = 0 by ``paths.accepts``): a U-led half is the
+    new int 1 << (r - 1) | t, a D-led one the very int t, so it allocates
     nothing.  Join r is yielded and level r - 1 dropped, so two levels
     stay alive.  No reader may change a list.
     """
@@ -135,35 +139,65 @@ def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
     return _joins(n_max, avoid_tables(quad, n_max))
 
 
+class _Successors(dict):
+    """Each walker state read: its (U successor, D successor) under
+    ``tables``, walked by ``paths.walk`` the first time it is read, a
+    successor None once its walk dies.  Only walker states, so brute force
+    shares nothing with the DP; one table per :func:`joins` call."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def __missing__(self, state):
+        pair = self[state] = walk("U", self.tables, state), walk("D", self.tables, state)
+        return pair
+
+
 def _joins(n_max, tables, lo=0):
     # the joins of semilengths lo..n_max: no state is read for a lower one
-    def step(r, state, s):
-        # the walk's state after s with r steps left, or None if it is cut
-        nxt = walk(s, tables, state)
-        return nxt if nxt is not None and 0 <= nxt[0] <= r - 1 else None
-
+    moves = _Successors(tables)
     # forward: each semilength's first halves, the last one's live extensions
     firsts = [[(0, (0, 0, ""))]]
     for _ in range(n_max):
-        firsts.append([(w << 1 | bit, nxt) for w, state in firsts[-1]
-                       for s, bit in BITS
-                       if (nxt := walk(s, tables, state)) is not None and nxt[0] >= 0])
+        grown = []
+        for w, state in firsts[-1]:
+            up, down = moves[state]
+            w <<= 1  # then U's digit 1 or D's 0, as ``paths.encode`` puts them
+            if up:
+                grown.append((w | 1, up))
+            if down and down[0] >= 0:
+                grown.append((w, down))
+        firsts.append(grown)
     firsts[:lo] = [[]] * lo
-    # top down: the states read with r steps left and their two successors
+    # top down: the states read with r steps left; their successors are cut
+    # once they leave 0..r - 1
     levels, states = [], set()
     for r in range(n_max, 0, -1):
         states.update(state for _, state in firsts[r])
-        levels.append({state: (step(r, state, "U"), step(r, state, "D"))
-                       for state in states})
-        states = {nxt for pair in levels[-1].values() for nxt in pair if nxt}
+        levels.append(states)
+        states = set()
+        for state in levels[-1]:
+            up, down = moves[state]
+            if up and up[0] < r:
+                states.add(up)
+            if down and down[0] >= 0:
+                states.add(down)
     # bottom up: each level's suffixes from the level below, which then goes
     states.update(state for _, state in firsts[0])
     tails = {state: [0] if accepts("", tables, state) else [] for state in states}
     for r in range(n_max + 1):
         if r:
             u = 1 << r - 1  # U ahead of r - 1 letters, as ``paths.encode`` puts it
-            tails = {state: [u | t for t in tails.get(up, ())] + tails.get(down, [])
-                     for state, (up, down) in levels.pop().items()}
+            below, tails = tails, {}
+            for state in levels.pop():
+                # level r - 1 holds the successors the top-down pass kept,
+                # and no state outside 0..r - 1, so none it cut
+                up, down = moves[state]
+                ups = below.get(up)
+                suffixes = [u | t for t in ups] if ups else []
+                suffixes += below.get(down, ())  # a copy: no list is shared
+                tails[state] = suffixes
+            del below
         if r >= lo:
             yield firsts[r], {state: tails[state] for _, state in firsts[r]}
         firsts[r] = None

@@ -78,14 +78,9 @@ class DyckPath:
         return len(self.text)
 
 
-BITS = (("U", 1), ("D", 0))  # each letter and its binary digit in a code
-
-
 def encode(text: str) -> int:
     """The code of a U/D word (module docstring)."""
-    for letter, bit in BITS:
-        text = text.replace(letter, str(bit))
-    return int(text or "0", 2)
+    return int(text.replace("U", "1").replace("D", "0") or "0", 2)
 
 
 def decode(code: int, length: int) -> str:

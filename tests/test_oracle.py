@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -133,25 +134,52 @@ def test_joins_keep_no_suffix_list_two_semilengths_back():
 
 def test_language_reads_one_semilength(monkeypatch):
     # language(n) is the last join of joins(n), but its passes read the
-    # states of semilength n's first halves alone, so it walks no more, and
-    # less on the census quads in all (where a shorter semilength's states
-    # are all reached from n's, it walks the same)
+    # states of semilength n's first halves alone.  A state is walked once
+    # per call, and joins(n) reads every state language(n) reads, so the
+    # language walks no more; on the census quads it judges fewer end
+    # states in all
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
     from brute_layer import census_quads
-    walks = []
-    monkeypatch.setattr(oracle, "walk", lambda *a, walk=oracle.walk: walks.append(1) or walk(*a))
-    totals = {"joins": 0, "language": 0}
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(oracle, "walk", counting("walk", walk))
+    monkeypatch.setattr(oracle, "accepts", counting("accepts", accepts))
+    totals = {"joins": Counter(), "language": Counter()}
     for quad in census_quads():
         for n in (7, 12):
-            walks.clear()
+            calls.clear()
             *_, last = oracle.joins(n, quad, cap=n)
-            from_joins = len(walks)
-            walks.clear()
+            from_joins = Counter(calls)
+            calls.clear()
             assert language(n, quad, cap=n) == oracle.joined_words(last, n), (str(quad), n)
-            assert len(walks) <= from_joins, (str(quad), n)
+            assert calls["walk"] <= from_joins["walk"], (str(quad), n)
             totals["joins"] += from_joins
-            totals["language"] += len(walks)
-    assert totals["language"] < totals["joins"]
+            totals["language"] += calls
+    assert totals["language"]["accepts"] < totals["joins"]["accepts"]
+
+
+def test_a_join_leaves_nothing_behind_in_the_module():
+    # the successor table is a local of one call: brute force and the
+    # language leave the module's names bound to the same objects, and
+    # its containers as they were
+    def snapshot():
+        return {name: (value, value.copy() if isinstance(value, (dict, list, set)) else None)
+                for name, value in vars(oracle).items()}
+
+    before = snapshot()
+    for quad in CORPUS[:4]:
+        count_brute(10, quad)
+        language(8, quad)
+    after = snapshot()
+    assert after.keys() == before.keys()
+    assert all(after[name][0] is value and after[name][1] == held
+               for name, (value, held) in before.items())
 
 
 def test_enumeration_matches_counts_and_satisfaction():
