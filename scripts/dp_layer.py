@@ -6,9 +6,10 @@ n = 64, and on three quads at n = 200 and 400.
 
 dyckgram is imported from PYTHONPATH, so pointing it at another
 checkout's ``src`` times that checkout with the same script.  Prints one
-JSON object: for each quad and n, the best of five wall times in seconds
-and a digest of the count sequence, so that two checkouts can be compared
-for equal counts as well as for speed.  Each row is one instance, so its
+JSON object: for each quad and n, the best of five wall times in seconds,
+the ``tracemalloc`` peak in KiB of one more, untimed call, and a digest of
+the count sequence, so that two checkouts can be compared for equal counts
+as well as for speed and memory.  Each row is one instance, so its
 time is that instance's best of five, as in ``word_layer.py``.
 """
 
@@ -16,6 +17,7 @@ import hashlib
 import json
 import platform
 import time
+import tracemalloc
 
 from dyckgram.families import build, deep_set
 from dyckgram.intsets import RestrictionQuad
@@ -35,8 +37,13 @@ def _row(quad: RestrictionQuad, n: int) -> dict:
         t0 = time.perf_counter()
         counts = count_dp(n, quad)
         best = min(best, time.perf_counter() - t0)
+    tracemalloc.start()
+    count_dp(n, quad)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     digest = hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()
-    return {"quad": str(quad), "n": n, "best_s": round(best, 4),
+    return {"quad": str(quad), "n": n, "best_s": round(best, 6),
+            "peak_kib": -(-peak // 1024),  # rounded up, so never 0
             "counts_sha256": digest[:16]}
 
 

@@ -80,7 +80,7 @@ def _pvar(k: int = 1) -> Poly:
 
 
 def _zP(zdeg: int, pexp: int) -> Poly:
-    return Poly.z(zdeg) * (Poly.var("P") ** pexp)
+    return Poly(((zdeg, (("P", pexp),) if pexp else (), 1),))
 
 
 def _run_progression_system(A: int, B: int) -> SeriesSystem:

@@ -27,14 +27,16 @@ Two methods, deliberately independent of each other:
   residue mod p above it, or, if that comes first, one class for every
   length above the largest avoided one up to n_max; so the states per
   height stay bounded however long the runs grow (the transfer-matrix
-  view).  Each (run direction, run class) is one Python int whose W-bit
-  slot h counts the prefixes at height h, W = 2*n_max + 1: a slot counts
+  view).  After i steps every height has the parity of i, so each (run
+  direction, run class) is one Python int whose W-bit slot j counts the
+  prefixes at height 2j + (i mod 2), W = 2*n_max + 1: a slot counts
   distinct prefixes of at most 2*n_max - 1 steps, so it never carries
-  into the next.  A step is a few shifts and masks per class: a run that
-  goes on shifts its int up or down one slot, and a peak or valley masks
-  off the avoided heights of the runs it ends.  One left-to-right sweep
-  over 2*n_max steps reads off every semilength n as slot 0 of the
-  closing down-runs after step 2n.
+  into the next.  A step is a few shifts and masks per class: an up-run
+  moves up one slot from an odd height and a down-run down one from an
+  even height (height 0 drops out), each staying put otherwise, and a
+  peak or valley masks off the avoided heights of the runs it ends, one
+  mask per parity.  One left-to-right sweep over 2*n_max steps reads off
+  every semilength n as slot 0 of the closing down-runs after step 2n.
 
 Both counters return a tuple whose entry n is the count at semilength n,
 for n = 0 .. n_max.  Counts are exact Python integers throughout.  Brute
@@ -47,13 +49,15 @@ anything.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .intsets import IntSet, RestrictionQuad
 from .paths import DyckPath, accepts, avoid_tables, decode, walk
 
 DEFAULT_ENUMERATION_CAP = 16
-# the DP holds up to ~n_max classes of (n_max + 1) * (2 * n_max + 1) bits;
+# the DP holds up to ~n_max classes of (n_max // 2 + 1) * (2 * n_max + 1) bits;
 # at n_max = 500, up-runs avoiding 500 and down-runs 499 (500 classes each)
-# took 19 s and 94 MB (2 cores, Python 3.11.7), the unrestricted quad 0.15 s
+# took 6.5 s and 59 MB (2 cores, Python 3.11.7), the unrestricted quad 0.05 s
 DP_MAX_SEMILENGTH = 500
 # the most words one call may join, and the most distinct words one
 # grammar expander may hold in its memo
@@ -263,39 +267,47 @@ def count_dp(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD) -> tuple[int, ...]
     up_nxt = _run_successors(quad.up_runs, up_t)
     down_nxt = _run_successors(quad.down_runs, down_t)
     total_steps = 2 * n_max
-    # ups[r] / downs[r]: W-bit slot h counts the prefixes at height h in an
-    # up / down run of class r; a slot never carries (module docstring)
+    # ups[r] / downs[r]: after i steps W-bit slot j counts the prefixes at
+    # height 2j + i % 2 in an up / down run of class r (module docstring)
     w = 2 * n_max + 1
     slot = (1 << w) - 1
-    not_peak = sum(slot << w * h for h in range(n_max + 1) if not peak_t[h])
-    not_valley = sum(slot << w * h for h in range(n_max + 1) if not valley_t[h])
+    # not_peak[q] / not_valley[q]: every slot but those of the avoided
+    # heights of parity q, where no peak / valley may be
+    full = (1 << w * (n_max // 2 + 1)) - 1
+    not_peak, not_valley = [full, full], [full, full]
+    for masks, avoided in ((not_peak, peak_t), (not_valley, valley_t)):
+        for h in compress(range(n_max + 1), avoided):
+            masks[h % 2] -= slot << w * (h // 2)
     counts = [1]
     ups, downs = [0] * len(up_nxt), [0] * len(down_nxt)
-    ups[1] = 1 << w  # one step: height 1, an up-run of class 1
+    ups[1] = 1  # one step: height 1 (slot 0), an up-run of class 1
     # a down slot at height 0 is a complete path that may still carry on,
     # as valleys at height 0 are never avoided
     for i in range(1, total_steps):
-        # step i + 1 may end no higher than it can still return to 0 from
-        room = (1 << w * (min(total_steps - i - 1, n_max) + 1)) - 1
+        q = i % 2  # the parity of the heights after i steps
+        # room: the slots of step i + 1's parity up to the highest height,
+        # min(total_steps - i - 1, n_max), it can still return to 0 from
+        room = (1 << w * ((min(total_steps - i, n_max + 1) + q) // 2)) - 1
         new_ups, new_downs = [0] * len(ups), [0] * len(downs)
         peaks = valleys = 0  # the runs whose class may end at this step
         # a run that cannot go on is skipped before its successor is looked
         # up, so a cut-short successor list is never read past its end
         for r, v in enumerate(ups):
             if v:
-                if u := (v << w) & room:  # the up-run goes on
+                if u := (v << w if q else v) & room:  # the up-run goes on
                     new_ups[up_nxt[r]] += u
                 if not up_t[r]:
                     peaks += v
         for r, v in enumerate(downs):
             if v:
-                if d := v >> w:  # the down-run goes on; height 0 drops out
+                if d := v if q else v >> w:  # the down-run goes on; height 0 drops out
                     new_downs[down_nxt[r]] += d
                 if not down_t[r]:
                     valleys += v
-        new_downs[1] += (peaks & not_peak) >> w
-        new_ups[1] += ((valleys & not_valley) << w) & room
+        peaks, valleys = peaks & not_peak[q], valleys & not_valley[q]
+        new_downs[1] += peaks if q else peaks >> w
+        new_ups[1] += (valleys << w if q else valleys) & room
         ups, downs = new_ups, new_downs
-        if i % 2:  # i + 1 steps taken: read off semilength (i + 1) / 2
+        if q:  # i + 1 steps taken: read off semilength (i + 1) / 2
             counts.append(sum(v & slot for r, v in enumerate(downs) if not down_t[r]))
     return tuple(counts)

@@ -62,6 +62,7 @@ def test_scripts_need_only_src():
 def test_dp_layer_row(monkeypatch):
     row = _load(SCRIPTS / "dp_layer.py", monkeypatch)._row(RestrictionQuad(), 3)
     assert row["counts_sha256"] == hashlib.sha256(b"1,1,2,5").hexdigest()[:16]
+    assert type(row["peak_kib"]) is int and row["peak_kib"] > 0
 
 
 def test_series_layer_row(monkeypatch):

@@ -293,6 +293,15 @@ def test_dp_matches_the_per_state_reference():
     for quad in corpus:
         for n in (0, 1, 2, 7, 20, 64):
             assert count_dp(n, quad) == _reference_dp(n, quad), (str(quad), n)
+    # peaks, then valleys, avoiding only even heights (ap(2,2)) or only odd
+    # ones (ap(2,1)), alone and with a run restriction: a peak or valley
+    # mask read at the wrong parity of the step's heights changes the counts
+    parities = [RestrictionQuad.parse(**{turn: heights}, **runs)
+                for turn in ("peaks", "valleys") for heights in ("ap(2,2)", "ap(2,1)")
+                for runs in ({}, {"down_runs": "2"})]
+    for quad in parities:
+        for n in (*range(6), 63, 64):
+            assert count_dp(n, quad) == _reference_dp(n, quad), (str(quad), n)
 
 
 @given(quads, st.integers(0, 12))
