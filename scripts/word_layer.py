@@ -11,21 +11,24 @@ times that checkout with the same script.  An equation's word lists are
 built once, untimed, as codes of one ``oracle.joins`` pass
 (``oracle.joined_codes``), as ``verify_family`` builds them, so the
 equation times are the word engine's alone.
-Prints one JSON object: for each entry point, the time of its instances
-and a digest of every word multiset or equation report, so that two
-checkouts can be compared for equal results as well as for speed; then
-the time of each of the three groups of ``verify_layer.py``, the heavy
-equations (F6, F8), the light ones (F9-F11) and the grammars, so that a
-change that speeds up the large multisets but slows the cheap instances
-shows.  A time is the sum over the instances of each one's best of five
-wall times: on a shared host a slow phase then costs one instance one
-run, not a whole pass.
+Prints one JSON object: for each entry point, the time of its instances,
+a digest of every word multiset or equation report, so that two
+checkouts can be compared for equal results as well as for speed, and
+``peak_mb``, the most memory ``tracemalloc`` saw allocated at once over
+one more, untimed pass of its instances, in MiB, so the word engine's
+memory shows next to its time; then the time of each of the three groups
+of ``verify_layer.py``, the heavy equations (F6, F8), the light ones
+(F9-F11) and the grammars, so that a change that speeds up the large
+multisets but slows the cheap instances shows.  A time is the sum over
+the instances of each one's best of five wall times: on a shared host a
+slow phase then costs one instance one run, not a whole pass.
 """
 
 import hashlib
 import json
 import platform
 import time
+import tracemalloc
 from functools import partial
 
 from dyckgram.families import build, verify_pool
@@ -37,46 +40,68 @@ MAX_LEN = 20
 REPEATS = 5
 
 
-def _words(inst):
-    return sorted(words(inst.body, "P", MAX_LEN).items())
+def _words(inst, max_len):
+    return sorted(words(inst.body, "P", max_len).items())
 
 
-def _equation(inst, lang):
-    report = check_equation(inst.body, {"P": lang}, MAX_LEN)
+def _equation(inst, lang, max_len):
+    report = check_equation(inst.body, {"P": lang}, max_len)
     return (report.passed, report.witness, report.lhs_multiplicity,
             report.rhs_multiplicity)
 
 
-def main() -> None:
-    instances = [build(f, **p) for f, p in verify_pool()]
-    run = {}
+def calls(instances, max_len) -> dict:
+    """For each entry point, each of its instances' calls by name: a
+    grammar's ``words``, an equation's ``check_equation`` on word lists
+    built here, untimed."""
+    out = {"words": {}, "check_equation": {}}
     for inst in instances:
         if isinstance(inst.body, Grammar):
-            run[str(inst)] = partial(_words, inst)
+            out["words"][str(inst)] = partial(_words, inst, max_len)
         else:
             lang = [joined_codes(join, n)
-                    for n, join in enumerate(joins(MAX_LEN // 2, inst.quad))]
-            run[str(inst)] = partial(_equation, inst, lang)
-    times = {str(i): [] for i in instances}
-    for _ in range(REPEATS):
+                    for n, join in enumerate(joins(max_len // 2, inst.quad))]
+            out["check_equation"][str(inst)] = partial(_equation, inst, lang, max_len)
+    return out
+
+
+def _row(entry, named, repeats=REPEATS):
+    """Each instance's best time, and the entry point's row: the sum of
+    those times, a digest of the results and the ``tracemalloc`` peak of
+    one more, untimed pass."""
+    times = {name: [] for name in named}
+    for _ in range(repeats):
         results = {}
-        for inst in instances:
+        for name, call in named.items():
             t0 = time.perf_counter()
-            results[str(inst)] = run[str(inst)]()
-            times[str(inst)].append(time.perf_counter() - t0)
+            results[name] = call()
+            times[name].append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        for call in named.values():
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    best = {name: min(ts) for name, ts in times.items()}
+    digest = hashlib.sha256(repr(list(results.items())).encode())
+    return best, {"entry": entry, "instances": len(named),
+                  "best_s": round(sum(best.values()), 3),
+                  "results_sha256": digest.hexdigest()[:16],
+                  "peak_mb": round(peak / 2 ** 20, 3)}
 
-    def best(names):
-        return round(sum(min(times[n]) for n in names), 3)
 
-    rows = []
-    for name, entry in (("words", _words), ("check_equation", _equation)):
-        names = [n for n in times if run[n].func is entry]
-        digest = hashlib.sha256(repr([(n, results[n]) for n in names]).encode())
-        rows.append({"entry": name, "instances": len(names), "best_s": best(names),
-                     "results_sha256": digest.hexdigest()[:16]})
+def main() -> None:
+    best, rows = {}, []
+    instances = [build(f, **p) for f, p in verify_pool()]
+    for entry, named in calls(instances, MAX_LEN).items():
+        entry_best, row = _row(entry, named)
+        best.update(entry_best)
+        rows.append(row)
     for group, families in GROUPS:
-        names = [n for n in times if n.split("(")[0] in families]
-        rows.append({"group": group, "instances": len(names), "best_s": best(names)})
+        names = [n for n in best if n.split("(")[0] in families]
+        rows.append({"group": group, "instances": len(names),
+                     "best_s": round(sum(best[n] for n in names), 3)})
     print(json.dumps({"python": platform.python_version(), "max_len": MAX_LEN,
                       "repeats": REPEATS, "rows": rows}, indent=1))
 

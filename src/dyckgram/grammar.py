@@ -11,7 +11,8 @@ but as the language of an externally supplied restriction quad.
 
 The word expander carries each word of a known length as its code
 (``paths.encode``), and only a caller that reads text (``words``, a
-witness) has it decoded.
+witness) has it decoded.  It holds a grammar's words as dicts from code to
+multiplicity and an equation's as lists of codes, one per derivation.
 
 Lowering sends a grammar (or equation) to a polynomial fixed-point
 system.  Each expression is one monomial, read off its tokens: z to the
@@ -135,9 +136,21 @@ def _product(pairs: list) -> dict:
     return out
 
 
+def _codes(pairs: list) -> list:
+    """:func:`_product` over lists of codes, a word once per derivation:
+    pairs that share a word need no merge, so one list holds them all."""
+    return ([h | w2 for base, shift, left, right in pairs if len(left) <= len(right)
+             for w1 in left for h in (base | w1 << shift,) for w2 in right]
+            + [h | w1 << shift for base, shift, left, right in pairs
+               if len(left) > len(right) for w2 in right for h in (base | w2,)
+               for w1 in left])
+
+
 class _Expander:
-    """Word multisets of expressions (token tuples), memoized and budgeted;
-    a multiset of one length maps each word's code to its multiplicity.
+    """Word multisets of expressions (token tuples), memoized and budgeted.
+    The caller picks their form by the product it passes: ``_product``
+    (``word_codes``) maps each word's code to its multiplicity, ``_codes``
+    (``check_equation``) lists the codes, a word once per derivation.
 
     An expression with a nonterminal reads as ``[pre] N [lit] rest``: an
     optional leading literal, its first nonterminal N, the literal after N
@@ -146,28 +159,33 @@ class _Expander:
     one of rest, so no literal-headed suffix is ever materialised, and w1
     is at most as long as rest's letters leave room for.  A literal is
     planned as (code, letter count), so a word is built by shifts and ors.
-    ``expand`` gives the words of one length, one ``_product`` over that
+    ``expand`` gives the words of one length, one product over that
     length's splits; a caller reads it length by length.  A literal-only
-    expression is its one word.  A lone nonterminal N is the one-token
+    expression is its one word, ``{code: 1}`` in either form (a dict
+    iterates over its codes).  A lone nonterminal N is the one-token
     expression ``NonTerm(N)``, whose words of one length are
     ``resolve(N, length)``; a resolve that re-enters its own (N, length) is
     unguarded recursion.
     Every other result is kept in one memo keyed by (tokens, length), so
     a split reads N's words as the memo entry of ``NonTerm(N)``.  Returned
-    dicts may be shared with the memo and must not be mutated.
+    multisets may be shared with the memo and must not be mutated.
 
     ``generated``, the figure ``oracle.WORD_BUDGET`` bounds (read when the
-    expander is built), counts the distinct words of every memo entry:
-    each (nonterminal, length) resolved and each (expression, length)
-    split; a literal builds none.  That is the memo's size, and the work
-    done to within a factor of the length.
+    expander is built), adds up the size of every memo entry, each
+    (nonterminal, length) resolved and each (expression, length) split; a
+    literal builds none.  A dict's size is its distinct words, a list's its
+    codes with their repeats.  Repeats stay few in an equation, whose
+    nonterminals are bound languages: a side lists a word at most once per
+    way of factoring it.  A grammar's recursion compounds them (F7(4,3)
+    with eps doubled has over 10^7 derivations), so grammars keep counts.
     """
 
-    def __init__(self, resolve):
-        self.resolve = resolve  # (name, length) -> dict
+    def __init__(self, resolve, product):
+        self.resolve = resolve  # (name, length) -> multiset
+        self.product = product
         self.budget = oracle.WORD_BUDGET
         self.generated = 0
-        self._memo: dict = {}  # (tokens, length) -> dict
+        self._memo: dict = {}  # (tokens, length) -> multiset
         self._active: set = set()
         self._plans: dict = {}  # tokens -> (pre, plen, N, lit, llen, rest, least)
 
@@ -225,7 +243,7 @@ class _Expander:
                 if right:
                     pairs.append((pre << length - plen | lit << l2, llen + l2,
                                   left, right))
-            out = _product(pairs)
+            out = self.product(pairs)
         self._memo[key] = out
         self.generated += len(out)
         if self.generated > self.budget:
@@ -257,7 +275,7 @@ def word_codes(grammar: Grammar, start: GExpr | str, max_len: int) -> list[dict]
             raise ValueError(f"undefined nonterminal {name}")
         return _union([expander.expand(alt, length) for alt in grammar.rules[name]])
 
-    expander = _Expander(resolve)
+    expander = _Expander(resolve, _product)
     return [expander.expand(tokens, length) for length in range(max_len + 1)]
 
 
@@ -306,10 +324,10 @@ def check_equation(eq: GrammaticalEquation,
     concatenation contribute multiplicities as usual, so overlapping
     alternatives on both sides must overlap equally for a PASS.  The sides
     are expanded and compared one length at a time, shortest first, each
-    as one dict from code to multiplicity; at the first length where they
-    differ the check stops, and the witness is the text of that length's
-    least word whose multiplicities differ, so the shortest, then least, of
-    all.
+    as one sorted list of codes, a word once per derivation; at the first
+    length where they differ the check stops, the sides are counted, and
+    the witness is the text of that length's least word whose
+    multiplicities differ, so the shortest, then least, of all.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -318,16 +336,17 @@ def check_equation(eq: GrammaticalEquation,
             raise ValueError(f"nonterminal {name} needs words of semilength "
                              f"0..{max_len // 2}, got {len(by_n)} lists")
 
-    def resolve(name: str, length: int) -> dict:
+    def resolve(name: str, length: int) -> Sequence[int]:
         if name not in languages:
             raise ValueError(f"no language bound to nonterminal {name}")
-        return {} if length % 2 else dict.fromkeys(languages[name][length // 2], 1)
+        return () if length % 2 else languages[name][length // 2]
 
-    expander = _Expander(resolve)
+    expander = _Expander(resolve, _codes)
     for length in range(max_len + 1):
-        lhs, rhs = (_union([expander.expand(tokens, length) for tokens in side])
+        lhs, rhs = (sorted([w for tokens in side for w in expander.expand(tokens, length)])
                     for side in (eq.lhs, eq.rhs))
         if lhs != rhs:
+            lhs, rhs = Counter(lhs), Counter(rhs)
             w = min({w for w, _ in lhs.items() ^ rhs.items()})
             return EquationReport(False, decode(w, length), lhs.get(w, 0), rhs.get(w, 0))
     return EquationReport(True)

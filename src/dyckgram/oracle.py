@@ -59,8 +59,8 @@ DEFAULT_ENUMERATION_CAP = 16
 # at n_max = 500, up-runs avoiding 500 and down-runs 499 (500 classes each)
 # took 6.5 s and 59 MB (2 cores, Python 3.11.7), the unrestricted quad 0.05 s
 DP_MAX_SEMILENGTH = 500
-# the most words one call may join, and the most distinct words one
-# grammar expander may hold in its memo
+# the most words one call may join, and the most words one word expander
+# may hold in its memo (distinct for a grammar, with repeats for an equation)
 WORD_BUDGET = 10_000_000
 
 _EMPTY_QUAD = RestrictionQuad()

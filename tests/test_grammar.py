@@ -104,6 +104,23 @@ def test_word_budget_counts_every_memo_entry(monkeypatch):
         words(CATALAN, "P", 8)
 
 
+def test_equation_budget_counts_every_code_held(monkeypatch):
+    # P P = P | U P D P P over the unrestricted quad, to length 4.  An
+    # equation's memo holds each word once per derivation.  P holds its
+    # 1 + 0 + 1 + 0 + 2 words of length 0..4; P P the pairs of P's words,
+    # 1 + 0 + 2 + 0 + 5 (at length 4 eps.UDUD, UD.UD, UDUD.eps, eps.UUDD
+    # and UUDD.eps); U P D P P, U a D b for a word a of P and a code b of
+    # P P, 0 + 0 + 1 + 0 + 3 (UD; UDUD from b = eps.UD and b = UD.eps,
+    # UUDD from a = UD).  16 in all, where distinct words would be 11.
+    eq = GrammaticalEquation((seq(P, P),), (P, seq(U, P, D, P, P)))
+    languages = {"P": _words_by_n(UNRESTRICTED, 4)}
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 16)
+    assert check_equation(eq, languages, 4).passed
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 15)
+    with pytest.raises(ResourceLimit, match="16 exceeds cap 15"):
+        check_equation(eq, languages, 4)
+
+
 def test_check_equation_cap(monkeypatch):
     inst = build("F6", A=2, B=4)
     languages = {"P": _words_by_n(inst.quad, 20)}
@@ -404,7 +421,8 @@ def test_equation_reports_match_reference_expander(inst):
 # Random token tuples over U, D, P and Q.  The examples pin the shapes the
 # catalogue lacks: literal-only, a leading literal before a lone P, a
 # trailing literal, adjacent nonterminals (splits that collide, so counts
-# must add) and epsilon.
+# must add) and epsilon; and P P = P | U P D P P, true only when each side
+# counts a word once per split.
 LITERAL_ONLY, LEAD_LONE, TRAILING, ADJACENT, INNER_ADJACENT = (
     seq(U, U, D), seq(U, U, P), seq(P, D, U), seq(P, P), seq(U, P, P, D))
 _exprs = st.lists(st.sampled_from((U, D, P, Q, seq(U, D))), max_size=5).map(
@@ -417,6 +435,7 @@ _sides = st.lists(_exprs, min_size=1, max_size=3).map(tuple)
          UNRESTRICTED)
 @example((ADJACENT, INNER_ADJACENT), (seq(P, Q, P), P, seq(U, D, P)),
          UNRESTRICTED, RestrictionQuad.parse(peaks="2"))
+@example((ADJACENT,), (P, seq(U, P, D, P, P)), UNRESTRICTED, UNRESTRICTED)
 def test_random_equations_match_reference_expander(lhs, rhs, quad_p, quad_q):
     languages = {"P": quad_p, "Q": quad_q}
     words_by_n = {name: _words_by_n(quad, REFERENCE_MAX_LEN)

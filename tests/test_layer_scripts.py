@@ -4,8 +4,9 @@ Each script is imported by path, with scripts/ on sys.path as when it is
 run directly; the two count scripts and the series script time one
 small row, the brute script also times one count in a child
 interpreter, the verify script counts the oracle work of two instances,
-the lowering script's synthetic grammar is lowered, and the CLI byte
-hasher runs a small subset of its command lines, so a script left
+the word script times three and takes their memory peak, the lowering
+script's synthetic grammar is lowered, and the CLI byte hasher runs a
+small subset of its command lines, so a script left
 behind by an API change fails here rather than when next run.  Every
 script also imports with src/ alone, as the scripts never import tests.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from dyckgram.families import build, deep_set, verify_pool
-from dyckgram.grammar import lower
+from dyckgram.grammar import lower, words
 from dyckgram.intsets import RestrictionQuad
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -100,6 +101,24 @@ def test_verify_layer_row(monkeypatch):
     assert row["walks"] == brute_layer.brute_work([i.quad for i in pool], 5)["walks"]
     assert row["peak_mb"] > 0
     assert re.fullmatch("[0-9a-f]{16}", row["reports_sha256"])
+
+
+def test_word_layer_row(monkeypatch):
+    # one grammar and two equations, heavy and light, at max_len 8
+    word_layer = _load(SCRIPTS / "word_layer.py", monkeypatch)
+    pool = [build(f, **p) for f, p in (verify_pool()[i] for i in (0, 3, 54))]
+    named = word_layer.calls(pool, 8)
+    assert {entry: list(calls) for entry, calls in named.items()} == {
+        "words": ["F1"], "check_equation": [str(pool[1]), str(pool[2])]}
+    best, row = word_layer._row("words", named["words"], repeats=1)
+    assert list(best) == ["F1"]
+    want = repr([("F1", sorted(words(pool[0].body, "P", 8).items()))])
+    assert row["results_sha256"] == hashlib.sha256(want.encode()).hexdigest()[:16]
+    best, row = word_layer._row("check_equation", named["check_equation"], repeats=1)
+    assert list(row) == ["entry", "instances", "best_s", "results_sha256", "peak_mb"]
+    assert (row["entry"], row["instances"]) == ("check_equation", 2)
+    assert re.fullmatch("[0-9a-f]{16}", row["results_sha256"])
+    assert row["peak_mb"] > 0
 
 
 def test_lower_layer_synthetic(monkeypatch):
