@@ -14,13 +14,14 @@ then costs one quad one run, not a whole pass) and a digest of every
 count sequence, so that two checkouts can be compared for equal counts as
 well as for speed.  After the timed repeats, one untimed pass per set
 wraps ``dyckgram.oracle.walk`` and ``accepts`` and reports the work done:
-the ``walk`` calls of the midpoint joins (``oracle.joins`` walks each
-(walker state, letter) pair it reads once per call, so these are the
-distinct transitions of each quad's join, summed), their ``accepts``
-calls, and the letters all of them were given; ``tracemalloc`` follows
-that pass, and ``peak_mb`` is the most memory it saw allocated at once, in MiB
-(the first halves and the two levels of suffix lists ``oracle.joins``
-keeps alive are most of it).  Last, ``fresh`` times the unrestricted
+the ``walk`` calls of the midpoint joins (``oracle.joins`` interns each
+walker state it meets as an int id and walks each (id, letter) pair it
+reads once per call, so these are the distinct transitions of each
+quad's join, summed), their ``accepts`` calls, and the letters all of
+them were given; ``tracemalloc`` follows that pass, and ``peak_mb`` is
+the most memory it saw allocated at once, in MiB (the first halves'
+code and id lists and the two id-indexed levels of suffix lists
+``oracle.joins`` keeps alive are most of it).  Last, ``fresh`` times the unrestricted
 ``count_brute(n, cap=n)`` at n = 16, 18 and 20, each in a child
 interpreter of its own, and reports its wall seconds and the child's peak
 resident set (``ru_maxrss``) in MiB.

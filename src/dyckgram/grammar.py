@@ -343,8 +343,11 @@ def check_equation(eq: GrammaticalEquation,
 
     expander = _Expander(resolve, _codes)
     for length in range(max_len + 1):
-        lhs, rhs = (sorted([w for tokens in side for w in expander.expand(tokens, length)])
-                    for side in (eq.lhs, eq.rhs))
+        lhs, rhs = [], []
+        for side, codes in ((eq.lhs, lhs), (eq.rhs, rhs)):
+            for tokens in side:
+                codes += expander.expand(tokens, length)
+            codes.sort()
         if lhs != rhs:
             lhs, rhs = Counter(lhs), Counter(rhs)
             w = min({w for w, _ in lhs.items() ^ rhs.items()})

@@ -5,16 +5,16 @@ Two methods, deliberately independent of each other:
 * one path generator on the walker of ``paths.walk``, a midpoint join:
   pruned first halves, each joined to the second halves of its walker
   state.  :func:`joins` builds the join of every semilength up to n_max in
-  three straight passes that share work between them, and walks each
-  state's two successors once per call, into a table that all three
-  passes read: forward, each semilength's first halves are the live
-  one-letter extensions of the last one's (no first half is ever cut for
-  want of room); top down, the walker states read with r steps left, each
-  successor cut once it leaves 0..r - 1; bottom up, the lists of second
-  halves of r steps are built from those of r - 1 steps, and only those
-  two levels are alive at once.  Halves are carried as codes
-  (``paths.encode``), their length being the semilength: a D-led second
-  half is the very int of the shorter one.
+  three straight passes that share work between them, on int ids: a
+  walker state is interned once per call, its two successors walked once,
+  id 0 standing for every cut one.  Forward, each semilength's first
+  halves are the live one-letter extensions of the last one's (no first
+  half is ever cut for want of room); top down, the ids read with r steps
+  left, each successor cut once it leaves 0..r - 1; bottom up, the lists
+  of second halves of r steps, indexed by id, are built from those of
+  r - 1 steps, and only those two levels are alive at once.  Halves are
+  carried as codes (``paths.encode``), their length being the semilength:
+  a D-led second half is the very int of the shorter one.
   One join is read two ways: the language joins each pair
   (:func:`joined_codes`, and :func:`joined_words` as text), and brute
   force, a definitional count, adds up the lengths of those explicit
@@ -95,115 +95,122 @@ def check_joined(words: int, what: str = "joined words") -> None:
 
 def pair_count(join) -> int:
     """The (first half, second half) pairs of a midpoint join, never joined."""
-    firsts, tails = join
-    return sum(len(tails[state]) for _, state in firsts)
+    _, ids, tails = join
+    return sum(map(len, map(tails.__getitem__, ids)))
 
 
 def joined_codes(join, n: int) -> tuple[int, ...]:
     """The codes of the words of semilength ``n``'s midpoint join, U-led
     first (descending)."""
-    firsts, tails = join
-    return tuple([h | b for a, state in firsts for h in (a << n,) for b in tails[state]])
+    codes, ids, tails = join
+    return tuple([h | b for a, i in zip(codes, ids) for h in (a << n,) for b in tails[i]])
 
 
 def joined_words(join, n: int) -> tuple[str, ...]:
     """The words of semilength ``n``'s midpoint join, lexicographic with
     U < D; each half is decoded once, never each word.  A second half is
     one int in the lists of many states, so it is decoded once for all."""
-    firsts, tails = join
-    seconds = {t: decode(t, n) for t in {t for ts in tails.values() for t in ts}}
-    text = {state: [seconds[t] for t in ts] for state, ts in tails.items()}
-    return tuple([a + b for code, state in firsts for a in (decode(code, n),)
-                  for b in text[state]])
+    codes, ids, tails = join
+    seconds = {t: decode(t, n) for t in {t for i in set(ids) for t in tails[i]}}
+    text = {i: [seconds[t] for t in tails[i]] for i in set(ids)}
+    return tuple([a + b for code, i in zip(codes, ids) for a in (decode(code, n),)
+                  for b in text[i]])
 
 
 def joins(n_max: int, quad: RestrictionQuad = _EMPTY_QUAD,
           cap: int = DEFAULT_ENUMERATION_CAP):
     """The midpoint join of each semilength 0..n_max on the walker of
-    ``paths.walk``, unjoined: the pruned first halves as (code, walker
-    state), U before D, and each midpoint state's accepted second halves,
-    each half the code (``paths.encode``) of its semilength's letters.
+    ``paths.walk``, unjoined: the codes (``paths.encode``) of the pruned
+    first halves, U before D, the int id of each one's walker state (two
+    share an id exactly when they share a state), and a list indexed by id
+    of each state's accepted second halves, one empty list for all unread.
 
-    Three straight passes share work between semilengths, and each
-    state's two successors are walked once per call, when a pass first
-    reads the state.  Forward, the first halves of n are the live
-    one-letter extensions of those of n - 1: a prefix is cut once its walk
-    dies or its height goes below 0, never for want of room, since i <= n
-    steps reach no height above n.  A second half of r steps from a state
-    is U or D, then one of r - 1 steps, cut once its walk dies or leaves
-    0..r - 1, so its list depends only on (r, state).  Top down, the states
-    read with r steps left are those of the first halves of r and the
-    uncut successors of level r + 1.  Bottom up, level r's lists are built
-    from level r - 1's (at r = 0 by ``paths.accepts``): a U-led half is the
-    new int 1 << (r - 1) | t, a D-led one the very int t, so it allocates
-    nothing.  Join r is yielded and level r - 1 dropped, so two levels
-    stay alive.  No reader may change a list.
+    Three straight passes share work between semilengths, and each state's
+    two successors are walked once per call, when a pass first reads its
+    id.  Forward, the first halves of n are the live one-letter extensions
+    of those of n - 1: a prefix is cut once its walk dies or goes below 0,
+    never for want of room, since i <= n steps reach no height above n.  A
+    second half of r steps from a state is U or D, then one of r - 1 steps,
+    cut once its walk dies or leaves 0..r - 1, so its list depends only on
+    (r, state).  Top down, the ids read with r steps left are those of the
+    first halves of r and the uncut successors of level r + 1.  Bottom up,
+    level r's lists come from level r - 1's (at r = 0 by ``paths.accepts``):
+    a U-led half is the new int 1 << (r - 1) | t, a D-led one the very int
+    t.  Join r is yielded and level r - 1 dropped, so two levels stay
+    alive.  No reader may change a list.
     """
     check_semilength(n_max, cap)
     return _joins(n_max, avoid_tables(quad, n_max))
 
 
-class _Successors(dict):
-    """Each walker state read: its (U successor, D successor) under
-    ``tables``, walked by ``paths.walk`` the first time it is read, a
-    successor None once its walk dies.  Only walker states, so brute force
-    shares nothing with the DP; one table per :func:`joins` call."""
-
-    def __init__(self, tables):
-        self.tables = tables
-
-    def __missing__(self, state):
-        pair = self[state] = walk("U", self.tables, state), walk("D", self.tables, state)
-        return pair
-
-
 def _joins(n_max, tables, lo=0):
-    # the joins of semilengths lo..n_max: no state is read for a lower one
-    moves = _Successors(tables)
+    # the joins of semilengths lo..n_max: no state is read for a lower one.
+    # Walker states are interned as int ids, id 0 standing for every cut one
+    index, state, up, down = {}, [None], [0], [0]
+
+    def intern(s):
+        if s is None or s[0] < 0:
+            return 0
+        if (i := index.setdefault(s, len(state))) == len(state):
+            state.append(s)
+            up.append(None)
+            down.append(None)
+        return i
+
+    def read(ids):
+        for i in ids:
+            if up[i] is None:
+                up[i] = intern(walk("U", tables, state[i]))
+                down[i] = intern(walk("D", tables, state[i]))
+
     # forward: each semilength's first halves, the last one's live extensions
-    firsts = [[(0, (0, 0, ""))]]
+    codes, ids = [0], [intern((0, 0, ""))]
+    firsts = [(codes, ids)]
     for _ in range(n_max):
-        grown = []
-        for w, state in firsts[-1]:
-            up, down = moves[state]
+        read(set(ids))
+        grown, grown_ids = [], []
+        for w, i in zip(codes, ids):
             w <<= 1  # then U's digit 1 or D's 0, as ``paths.encode`` puts them
-            if up:
-                grown.append((w | 1, up))
-            if down and down[0] >= 0:
-                grown.append((w, down))
-        firsts.append(grown)
-    firsts[:lo] = [[]] * lo
-    # top down: the states read with r steps left; their successors are cut
-    # once they leave 0..r - 1
-    levels, states = [], set()
+            if u := up[i]:
+                grown.append(w | 1)
+                grown_ids.append(u)
+            if d := down[i]:
+                grown.append(w)
+                grown_ids.append(d)
+        codes, ids = grown, grown_ids
+        firsts.append((codes, ids))
+    firsts[:lo] = [((), ())] * lo
+    # top down: the ids read with r steps left, successors cut outside 0..r - 1
+    levels, level = [], set()
     for r in range(n_max, 0, -1):
-        states.update(state for _, state in firsts[r])
-        levels.append(states)
-        states = set()
-        for state in levels[-1]:
-            up, down = moves[state]
-            if up and up[0] < r:
-                states.add(up)
-            if down and down[0] >= 0:
-                states.add(down)
-    # bottom up: each level's suffixes from the level below, which then goes
-    states.update(state for _, state in firsts[0])
-    tails = {state: [0] if accepts("", tables, state) else [] for state in states}
+        level.update(firsts[r][1])
+        levels.append(level)
+        read(level)
+        level = {up[i] for i in level if state[i][0] < r}  # heights here have r's parity
+        level.update(map(down.__getitem__, levels[-1]))
+        level.discard(0)
+    # bottom up: each level's suffixes from the level below, which then
+    # goes; an id a level does not read holds the one shared empty list
+    level.update(firsts[0][1])
+    empty = []
+    tails = [empty] * len(state)
+    for i in level:
+        if accepts("", tables, state[i]):
+            tails[i] = [0]
     for r in range(n_max + 1):
         if r:
             u = 1 << r - 1  # U ahead of r - 1 letters, as ``paths.encode`` puts it
-            below, tails = tails, {}
-            for state in levels.pop():
+            below, tails = tails, [empty] * len(state)
+            for i in levels.pop():
                 # level r - 1 holds the successors the top-down pass kept,
                 # and no state outside 0..r - 1, so none it cut
-                up, down = moves[state]
-                ups = below.get(up)
+                ups = below[up[i]]
                 suffixes = [u | t for t in ups] if ups else []
-                suffixes += below.get(down, ())  # a copy: no list is shared
-                tails[state] = suffixes
+                suffixes += below[down[i]]  # a copy: no list is shared
+                tails[i] = suffixes
             del below
         if r >= lo:
-            yield firsts[r], {state: tails[state] for _, state in firsts[r]}
+            yield firsts[r] + (tails,)
         firsts[r] = None
 
 

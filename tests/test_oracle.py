@@ -92,18 +92,25 @@ def test_methods_agree_on_census_quads(monkeypatch):
 
 
 def _check_joins(quad, n_max):
-    # the same first halves and the same whole suffix dict per semilength
-    # as a join built from scratch for that semilength alone, as codes,
-    # and the same texts once decoded
+    # per semilength, the same first halves in the same order as a join
+    # built from scratch for that semilength alone, each first half's id
+    # holding the reference suffix list of its walker state, as codes, and
+    # the same texts once decoded; two first halves share an id exactly
+    # when they share a walker state
     tables = avoid_tables(quad, n_max)
     got = list(oracle.joins(n_max, quad, cap=n_max))
     want = [midpoint_join(n, tables) for n in range(n_max + 1)]
-    assert got == [([(encode(a), state) for a, state in firsts],
-                    {state: list(map(encode, ts)) for state, ts in tails.items()})
-                   for firsts, tails in want], str(quad)
-    assert [([(decode(a, n), state) for a, state in firsts],
-             {state: [decode(t, n) for t in ts] for state, ts in tails.items()})
-            for n, (firsts, tails) in enumerate(got)] == want, str(quad)
+    assert len(got) == len(want), str(quad)
+    for n, ((codes, ids, tails), (firsts, suffixes)) in enumerate(zip(got, want)):
+        assert codes == [encode(a) for a, _ in firsts], (str(quad), n)
+        assert [decode(a, n) for a in codes] == [a for a, _ in firsts], (str(quad), n)
+        states = [walk(decode(a, n), tables) for a in codes]
+        assert states == [state for _, state in firsts], (str(quad), n)
+        assert len(ids) == len(codes), (str(quad), n)
+        assert len(set(zip(ids, states))) == len(set(ids)) == len(set(states)), (str(quad), n)
+        for i, state in zip(ids, states):
+            assert tails[i] == list(map(encode, suffixes[state])), (str(quad), n)
+            assert [decode(t, n) for t in tails[i]] == suffixes[state], (str(quad), n)
 
 
 def test_joins_equal_each_semilength_built_alone(monkeypatch):
@@ -126,10 +133,27 @@ def test_joins_keep_no_suffix_list_two_semilengths_back():
     # are the caller's alone: only two levels of steps left stay alive
     it = oracle.joins(10, cap=10)
     for _ in range(6):
-        _, held = next(it)
+        _, ids, held = next(it)
     next(it), next(it)
-    suffixes = held[min(held)]
+    suffixes = held[ids[0]]
     assert suffixes and gc.get_referrers(suffixes) == [held]
+
+
+def test_joins_share_only_the_empty_list(monkeypatch):
+    # within one join every id a level reads has a list of its own, and
+    # every other id (id 0, the cut successor, among them) the one shared
+    # empty list, which no pass extends
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    from brute_layer import census_quads
+    for quad in census_quads() + [RestrictionQuad()]:
+        empty = None
+        for codes, ids, tails in oracle.joins(12, quad, cap=12):
+            empty = tails[0] if empty is None else empty
+            assert tails[0] is empty, str(quad)
+            assert all(tails[i] is not empty for i in ids), str(quad)
+            live = [t for t in tails if t is not empty]
+            assert len(set(map(id, live))) == len(live), str(quad)
+        assert empty == [], str(quad)
 
 
 def test_language_reads_one_semilength(monkeypatch):
