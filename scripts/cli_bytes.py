@@ -10,7 +10,9 @@ instances of ``dyckgram.families.verify_pool()``; ``count --method both
 ``brute_layer.census_quads()``; ``deep``, the two command lines of the
 benchmark's ``deep`` workload (``count --method dp --n-max 64`` on the
 instance's quad and ``series --order 128``), each as text and with
-``--json``, on the 8 instances of ``dyckgram.families.deep_set()``; a
+``--json``, on the 8 instances of ``dyckgram.families.deep_set()``;
+``bijection``, the certifier at its default semilength and at
+``--semilength 10`` and ``12``, each as text and with ``--json``; a
 dozen command lines that exit 2; and ``help``, ``--help`` for the top
 level and for each of the six subcommands, wrapped at ``COLUMNS=80``,
 which ``main`` sets for the script's own process.
@@ -50,6 +52,9 @@ EXIT_2 = [
     ["identify", "--terms", "1,x,2"],
     ["bijection", "--semilength", "10", "--cap", "5"],
 ]
+
+BIJECTION = [["bijection"], ["bijection", "--semilength", "10"],
+             ["bijection", "--semilength", "12"]]
 
 HELP = [["--help"]] + [[command, "--help"] for command in (
     "enumerate", "count", "series", "verify", "identify", "bijection")]
@@ -93,6 +98,7 @@ def groups(instances, quads, deep) -> dict[str, list[list[str]]]:
             ["series", "--dump-grammar", *f, *extra] for f in families]
         out["count --method both" + suffix] = [c + extra for c in counts]
     out["deep"] = [argv + extra for extra in ([], ["--json"]) for argv in deep_runs]
+    out["bijection"] = [argv + extra for extra in ([], ["--json"]) for argv in BIJECTION]
     out["exit 2"] = EXIT_2
     out["help"] = HELP
     return out

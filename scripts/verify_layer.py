@@ -42,7 +42,7 @@ GROUPS = (("heavy equations (F6, F8)", ("F6", "F8")),
 def _report(inst, max_len, n_max):
     report = verify_family(inst, max_len=max_len, n_max=n_max)
     return ([(c.name, c.passed, c.detail) for c in report.checks],
-            sorted(report.counts.counts.items()))
+            sorted(report.counts.items()))
 
 
 def oracle_work(instances, max_len, n_max) -> dict:

@@ -9,7 +9,7 @@ from .grammar import (Grammar, GrammaticalEquation, check_equation,
                       check_unambiguous, lower, words)
 from .sequences import SeqId, identify, reference
 from .families import FAMILY_IDS, BadParams, FamilyInstance, build
-from .bijection import (PARITY_QUAD, Walk, path_to_walk, walk_to_path)
+from .bijection import PARITY_QUAD, path_to_walk, walk_to_path
 from .verify import FamilyReport, count_comparison, verify_family
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, language
 from .sequences import identify
 from .series import DEFAULT_ORDER, solve
 from .verify import (DEFAULT_MAX_LEN, DEFAULT_N_MAX, count_comparison,
-                     verify_family)
+                     first_mismatch, row, verify_family)
 
 DEFAULT_BIJECTION_MAX = 8
 
@@ -96,20 +96,20 @@ def _cmd_enumerate(args):
 def _cmd_count(args):
     quad = _quad_from(args)
     methods = ("brute", "dp") if args.method == "both" else (args.method,)
-    report = count_comparison(args.n_max, quad, methods, args.cap)
-    mismatch = report.first_mismatch()
+    counts = count_comparison(args.n_max, quad, methods, args.cap)
+    mismatch = first_mismatch(counts)
     payload = {"command": "count", "n_max": str(args.n_max),
                "quad": _quad_json(quad), "methods": list(methods),
-               "counts": {m: [str(c) for c in report.counts[m]] for m in methods},
+               "counts": {m: [str(c) for c in counts[m]] for m in methods},
                "passed": mismatch is None,
                "witness": None if mismatch is None else {
                    "n": str(mismatch),
-                   **{m: str(c) for m, c in zip(methods, report.row(mismatch))}}}
+                   **{m: str(c) for m, c in zip(methods, row(counts, mismatch))}}}
 
     def lines():
         yield "n\t" + "\t".join(methods)
         for n in range(args.n_max + 1):
-            yield f"{n}\t" + "\t".join(str(c) for c in report.row(n))
+            yield f"{n}\t" + "\t".join(str(c) for c in row(counts, n))
         if mismatch is not None:
             yield f"FAIL: methods disagree at n={mismatch}"
     return payload, lines()
@@ -150,7 +150,7 @@ def _cmd_verify(args):
                "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                           for c in report.checks],
                "counts": {m: [str(c) for c in cs]
-                          for m, cs in report.counts.counts.items()},
+                          for m, cs in report.counts.items()},
                "passed": report.passed,
                "witness": None if failed is None else {
                    "check": failed.name, "detail": failed.detail}}

@@ -164,8 +164,8 @@ class _Expander:
     expression is its one word, ``{code: 1}`` in either form (a dict
     iterates over its codes).  A lone nonterminal N is the one-token
     expression ``NonTerm(N)``, whose words of one length are
-    ``resolve(N, length)``; a resolve that re-enters its own (N, length) is
-    unguarded recursion.
+    ``resolve(expander, N, length)`` (an argument: a closure would cycle);
+    a resolve that re-enters its own (N, length) is unguarded recursion.
     Every other result is kept in one memo keyed by (tokens, length), so
     a split reads N's words as the memo entry of ``NonTerm(N)``.  Returned
     multisets may be shared with the memo and must not be mutated.
@@ -181,7 +181,7 @@ class _Expander:
     """
 
     def __init__(self, resolve, product):
-        self.resolve = resolve  # (name, length) -> multiset
+        self.resolve = resolve  # (expander, name, length) -> multiset
         self.product = product
         self.budget = oracle.WORD_BUDGET
         self.generated = 0
@@ -224,7 +224,7 @@ class _Expander:
             if key in self._active:
                 raise ValueError(f"unguarded recursion on nonterminal {tokens[0][0]}")
             self._active.add(key)
-            out = self.resolve(tokens[0][0], length)
+            out = self.resolve(self, tokens[0][0], length)
             self._active.discard(key)
         else:
             free = length - plen - llen
@@ -270,7 +270,7 @@ def word_codes(grammar: Grammar, start: GExpr | str, max_len: int) -> list[dict]
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     tokens = NonTerm(start) if isinstance(start, str) else start
 
-    def resolve(name: str, length: int) -> dict:
+    def resolve(expander: _Expander, name: str, length: int) -> dict:
         if name not in grammar.rules:
             raise ValueError(f"undefined nonterminal {name}")
         return _union([expander.expand(alt, length) for alt in grammar.rules[name]])
@@ -336,7 +336,7 @@ def check_equation(eq: GrammaticalEquation,
             raise ValueError(f"nonterminal {name} needs words of semilength "
                              f"0..{max_len // 2}, got {len(by_n)} lists")
 
-    def resolve(name: str, length: int) -> Sequence[int]:
+    def resolve(_, name: str, length: int) -> Sequence[int]:
         if name not in languages:
             raise ValueError(f"no language bound to nonterminal {name}")
         return () if length % 2 else languages[name][length // 2]

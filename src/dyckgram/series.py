@@ -246,6 +246,25 @@ def _quotient(key: _VarsKey, sub: _VarsKey) -> _VarsKey | None:
     return tuple((name, e) for name, e in d.items() if e) or None
 
 
+def _product(key: _VarsKey, products: dict, recipes: list) -> list:
+    """:func:`solve`'s coefficient list of product ``key``, built if missing."""
+    if key not in products:
+        if not any(e % 2 for _, e in key):
+            half = _product(tuple((name, e // 2) for name, e in key), products, recipes)
+            factors = half, half
+        else:
+            split = next(((a, q) for a in products
+                          if a and (q := _quotient(key, a)) in products), None)
+            if split is None:
+                unit = ((next(name for name, e in key if e % 2), 1),)
+                split = unit, _quotient(key, unit)
+            factors = (_product(split[0], products, recipes),
+                       _product(split[1], products, recipes))
+        products[key] = []
+        recipes.append((products[key], *factors))
+    return products[key]
+
+
 def solve(system: SeriesSystem, order: int = DEFAULT_ORDER) -> dict[str, TruncatedSeries]:
     """The fixed point of X = Phi(X), one coefficient of every unknown at a time.
 
@@ -270,27 +289,11 @@ def solve(system: SeriesSystem, order: int = DEFAULT_ORDER) -> dict[str, Truncat
     products.update({((name, 1),): cs for name, cs in coeffs.items()})
     recipes: list[tuple[list, list, list]] = []  # (product, a, b); a square's a and b are its half
 
-    def product(key: _VarsKey) -> list:
-        if key not in products:
-            if not any(e % 2 for _, e in key):
-                half = product(tuple((name, e // 2) for name, e in key))
-                factors = half, half
-            else:
-                split = next(((a, q) for a in products
-                              if a and (q := _quotient(key, a)) in products), None)
-                if split is None:
-                    unit = ((next(name for name, e in key if e % 2), 1),)
-                    split = unit, _quotient(key, unit)
-                factors = product(split[0]), product(split[1])
-            products[key] = []
-            recipes.append((products[key], *factors))
-        return products[key]
-
     # lowest degree first, so that a split may reuse any smaller product the system needs
     for key in sorted({v for phi in system.equations.values() for _, v, _ in phi.terms},
                       key=lambda v: (sum(e for _, e in v), v)):
-        product(key)
-    rhs = {name: [(zdeg, product(vars_), c)
+        _product(key, products, recipes)
+    rhs = {name: [(zdeg, _product(vars_, products, recipes), c)
                   for zdeg, vars_, c in system.equations[name].terms]
            for name in system.unknowns}
     for n in range(order):

@@ -26,19 +26,15 @@ DEFAULT_MAX_LEN = 20
 DEFAULT_N_MAX = 10
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """Per-semilength counts from several methods, compared pointwise; the
-    method order is the key order of ``counts``."""
+def row(counts: dict[str, tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """Semilength ``n``'s count by each method of ``counts``, in key order."""
+    return tuple(c[n] for c in counts.values())
 
-    counts: dict[str, tuple[int, ...]]
 
-    def row(self, n: int) -> tuple[int, ...]:
-        return tuple(c[n] for c in self.counts.values())
-
-    def first_mismatch(self) -> int | None:
-        return next((n for n, row in enumerate(zip(*self.counts.values()))
-                     if len(set(row)) > 1), None)
+def first_mismatch(counts: dict[str, tuple[int, ...]]) -> int | None:
+    """The least semilength whose counts in ``counts`` differ, or None."""
+    return next((n for n, r in enumerate(zip(*counts.values())) if len(set(r)) > 1),
+                None)
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,7 @@ class CheckOutcome:
 class FamilyReport:
     instance: FamilyInstance
     checks: tuple[CheckOutcome, ...]
-    counts: CountReport
+    counts: dict[str, tuple[int, ...]]  # method -> counts, as count_comparison gives
 
     @property
     def passed(self) -> bool:
@@ -60,10 +56,11 @@ class FamilyReport:
 
 
 def count_comparison(n_max, quad, methods=("brute", "dp"),
-                     cap: int = DEFAULT_ENUMERATION_CAP) -> CountReport:
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> dict[str, tuple[int, ...]]:
+    """Each method's counts of semilength 0..n_max, in ``methods`` order."""
     check_cap(cap)
-    return CountReport({m: count_brute(n_max, quad, cap) if m == "brute"
-                        else count_dp(n_max, quad) for m in methods})
+    return {m: count_brute(n_max, quad, cap) if m == "brute"
+            else count_dp(n_max, quad) for m in methods}
 
 
 def verify_family(instance: FamilyInstance,
@@ -114,14 +111,13 @@ def verify_family(instance: FamilyInstance,
         notes.append(f"series stage: {e}")
     else:
         counts["series"] = solution.coeffs
-    report = CountReport(counts)
-    mismatch = report.first_mismatch()
+    mismatch = first_mismatch(counts)
     if mismatch is not None:
-        notes.append(f"first mismatch at n={mismatch}: {report.row(mismatch)}")
+        notes.append(f"first mismatch at n={mismatch}: {row(counts, mismatch)}")
     if not brute:
         notes.append(f"brute force skipped above cap {cap}")
     checks.append(CheckOutcome(
-        f"counts agree ({' = '.join(report.counts)})",
+        f"counts agree ({' = '.join(counts)})",
         mismatch is None and "series" in counts, "; ".join(notes)))
 
     if isinstance(instance.body, Grammar):
@@ -137,12 +133,12 @@ def verify_family(instance: FamilyInstance,
     if instance.count_reference is not None:
         seq_id, offset = instance.count_reference
         expect = tuple(reference(seq_id, n + offset) for n in range(n_max + 1))
-        ok = expect == report.counts["dp"]
+        ok = expect == dp
         checks.append(CheckOutcome(
             f"counts match {seq_id.value} (offset {offset})", ok,
-            "" if ok else f"expected {expect}, got {report.counts['dp']}"))
+            "" if ok else f"expected {expect}, got {dp}"))
 
-    return FamilyReport(instance, tuple(checks), report)
+    return FamilyReport(instance, tuple(checks), counts)
 
 
 def _grammar_checks(derived, lang) -> list[CheckOutcome]:

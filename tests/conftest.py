@@ -9,11 +9,10 @@ from itertools import accumulate
 
 from hypothesis import settings, strategies as st
 
-from dyckgram.bijection import PARITY_QUAD
 from dyckgram.families import FamilyInstance
 from dyckgram.intsets import IntSet, Progression, Range, RestrictionQuad, Single
 from dyckgram.oracle import enumerate_paths
-from dyckgram.paths import DyckPath, accepts, satisfies, walk
+from dyckgram.paths import DyckPath, InvalidPath, accepts, walk
 from dyckgram.series import Poly
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -144,10 +143,16 @@ def swapped_runs(quad: RestrictionQuad) -> RestrictionQuad:
     return RestrictionQuad(quad.peaks, quad.valleys, quad.down_runs, quad.up_runs)
 
 
-def is_parity_path(path: DyckPath) -> bool:
-    """In the domain of ``bijection.path_to_walk``: nonempty, with no peak
-    or valley at positive even height."""
-    return len(path) > 0 and satisfies(path, PARITY_QUAD)
+def is_parity_path(text: str) -> bool:
+    """In the domain of ``bijection.path_to_walk``: a nonempty Dyck path
+    text with no peak or valley at positive even height, read off
+    :func:`features`."""
+    try:
+        found = features(DyckPath(text))
+    except InvalidPath:
+        return False
+    return len(text) > 0 and not any(h > 0 and h % 2 == 0
+                                     for h in found.peaks + found.valleys)
 
 
 def downrun_variant_sides(instance: FamilyInstance) -> tuple[Poly, Poly]:

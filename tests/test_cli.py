@@ -355,7 +355,7 @@ def test_bijection_above_cap_exits_2_before_enumerating(capsys, monkeypatch):
         raise AssertionError("enumeration started above the cap")
 
     monkeypatch.setattr(oracle, "walk", no_enumeration)
-    monkeypatch.setattr(bijection, "_all_walks", no_enumeration)
+    monkeypatch.setattr(bijection, "product", no_enumeration)  # lists the walks
     code, out, err = run(capsys, "bijection", "--semilength", "5", "--cap", "3")
     assert code == 2
     assert out == ""
@@ -453,7 +453,7 @@ def test_bijection_budget_exits_2_before_anything_is_enumerated(capsys, monkeypa
     # semilength 10 tries the 2^9 +-1 sequences of 9 steps
     monkeypatch.setattr(oracle, "WORD_BUDGET", 512)
     assert run(capsys, "bijection", "--semilength", "10")[0] == 0
-    monkeypatch.setattr(bijection, "_all_walks", never)
+    monkeypatch.setattr(bijection, "product", never)  # lists the walks
     monkeypatch.setattr(bijection, "joined_words", never)
     for budget, argv, err in [
             (511, ["10"], "walk candidates 512 exceeds cap 511"),

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from dataclasses import replace
 
@@ -11,7 +12,8 @@ from dyckgram.grammar import (D, U, Grammar, GrammaticalEquation, NonTerm, check
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import DEFAULT_ENUMERATION_CAP, count_brute, language
 from dyckgram.paths import accepts, avoid_tables, encode, walk
-from dyckgram.verify import CheckOutcome, CountReport, count_comparison, verify_family
+from dyckgram.verify import (CheckOutcome, count_comparison, first_mismatch, row,
+                             verify_family)
 
 
 def check_names(report):
@@ -23,17 +25,20 @@ def outcome(report, name):
 
 
 def test_count_comparison():
-    report = count_comparison(6, RestrictionQuad.parse())
-    assert list(report.counts) == ["brute", "dp"]
-    assert report.counts["brute"] == (1, 1, 2, 5, 14, 42, 132)
-    assert report.first_mismatch() is None
-    assert report.row(3) == (5, 5)
+    counts = count_comparison(6, RestrictionQuad.parse())
+    assert list(counts) == ["brute", "dp"]
+    assert counts["brute"] == (1, 1, 2, 5, 14, 42, 132)
+    assert first_mismatch(counts) is None
+    assert row(counts, 3) == (5, 5)
 
 
 def test_count_report_mismatch():
-    report = CountReport({"a": (1, 1, 2), "b": (1, 1, 3)})
-    assert report.first_mismatch() == 2
-    assert report.row(2) == (2, 3)
+    counts = {"a": (1, 1, 2), "b": (1, 1, 3)}
+    assert first_mismatch(counts) == 2
+    assert row(counts, 2) == (2, 3)
+    # the key order is the row order, and one method never mismatches
+    assert row({"b": (1, 1, 3), "a": (1, 1, 2)}, 2) == (3, 2)
+    assert first_mismatch({"a": (1, 1, 2)}) is None
 
 
 def test_verify_grammar_family():
@@ -46,7 +51,7 @@ def test_verify_grammar_family():
         "grammar words = oracle language",
         "counts match POWERS_OF_TWO (offset 0)",
     ]
-    assert report.counts.counts["series"] == (1, 1, 2, 4, 8, 16, 32)
+    assert report.counts["series"] == (1, 1, 2, 4, 8, 16, 32)
 
 
 def test_verify_equation_family():
@@ -127,7 +132,7 @@ def test_negative_series_is_a_failed_check(family, params, dropped):
     assert "is not a count: -" in counts.detail
     assert not outcome(report, "equation multisets equal").passed
     assert not outcome(report, "lowering matches stated system").passed
-    assert list(report.counts.counts) == ["brute", "dp"]
+    assert list(report.counts) == ["brute", "dp"]
 
 
 MUTANT_POOL = [build("F1"), build("F2"), build("F3"), build("F5", A=4, B=2),
@@ -195,7 +200,7 @@ def test_every_single_expression_mutant_fails_a_named_check(inst, sizes):
         report = verify_family(mutant, max_len=max_len, n_max=n_max)
         assert not report.passed, label
         assert any(not c.passed and c.name for c in report.checks), label
-        brute = report.counts.counts.get("brute")
+        brute = report.counts.get("brute")
         assert brute == (count_brute(n_max, mutant.quad)
                          if n_max <= DEFAULT_ENUMERATION_CAP else None), label
         word = _word_check(mutant, max_len)
@@ -254,3 +259,17 @@ def test_each_midpoint_join_is_built_once_per_call(inst, max_len, n_max, monkeyp
     successors = Counter((state, s) for r, state in pairs if r for s in "UD")
     assert walked == Counter(set(grown + successors))
     assert judged == Counter((state, "") for r, state in pairs if not r)
+
+
+@pytest.mark.parametrize("family, params", [("F2", {}), ("F3", {}), ("F6", {"A": 2, "B": 4})])
+def test_verify_family_leaves_no_reference_cycle(family, params):
+    # the word expander and the series solver free what they build as the
+    # call returns, so a pass over many instances holds one instance's memory
+    inst = build(family, **params)
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify_family(inst).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
