@@ -1,5 +1,6 @@
-"""Time the word engine (``grammar.words`` and ``grammar.check_equation``)
-over the 81 verify-pool instances at max_len = 20.
+"""Time the word engine (``grammar.word_codes`` and
+``grammar.check_equation``, the calls ``verify_family`` makes) over the
+81 verify-pool instances at max_len = 20.
 
     PYTHONPATH=src python3 scripts/word_layer.py
 
@@ -12,16 +13,20 @@ built once, untimed, as codes of one ``oracle.joins`` pass
 (``oracle.joined_codes``), as ``verify_family`` builds them, so the
 equation times are the word engine's alone.
 Prints one JSON object: for each entry point, the time of its instances,
-a digest of every word multiset or equation report, so that two
-checkouts can be compared for equal results as well as for speed, and
-``peak_mb``, the most memory ``tracemalloc`` saw allocated at once over
-one more, untimed pass of its instances, in MiB, so the word engine's
-memory shows next to its time; then the time of each of the three groups
-of ``verify_layer.py``, the heavy equations (F6, F8), the light ones
-(F9-F11) and the grammars, so that a change that speeds up the large
-multisets but slows the cheap instances shows.  A time is the sum over
-the instances of each one's best of five wall times: on a shared host a
-slow phase then costs one instance one run, not a whole pass.
+a digest of every word multiset (each length's codes sorted, so equal
+multisets built in another order digest equally) or equation report, so
+that two checkouts can be compared for equal results as well as for
+speed; and, from one more, untimed pass of its instances, ``products``,
+the number of calls of the product kernels (``grammar._product`` and
+``grammar._codes``), a count that repeats exactly, and ``peak_mb``, the
+most memory ``tracemalloc`` saw allocated at once, in MiB, so the word
+engine's work and memory show next to its time.  Then it prints the time
+of each of the three groups of ``verify_layer.py``, the heavy equations
+(F6, F8), the light ones (F9-F11) and the grammars, so that a change that
+speeds up the large multisets but slows the cheap instances shows.  A
+time is the sum over the instances of each one's best of five wall times:
+on a shared host a slow phase then costs one instance one run, not a
+whole pass.
 """
 
 import hashlib
@@ -31,17 +36,14 @@ import time
 import tracemalloc
 from functools import partial
 
+from dyckgram import grammar
 from dyckgram.families import build, verify_pool
-from dyckgram.grammar import Grammar, check_equation, words
+from dyckgram.grammar import Grammar, check_equation, word_codes
 from dyckgram.oracle import joined_codes, joins
 from verify_layer import GROUPS
 
 MAX_LEN = 20
 REPEATS = 5
-
-
-def _words(inst, max_len):
-    return sorted(words(inst.body, "P", max_len).items())
 
 
 def _equation(inst, lang, max_len):
@@ -52,12 +54,12 @@ def _equation(inst, lang, max_len):
 
 def calls(instances, max_len) -> dict:
     """For each entry point, each of its instances' calls by name: a
-    grammar's ``words``, an equation's ``check_equation`` on word lists
-    built here, untimed."""
-    out = {"words": {}, "check_equation": {}}
+    grammar's ``word_codes``, an equation's ``check_equation`` on word
+    lists built here, untimed."""
+    out = {"word_codes": {}, "check_equation": {}}
     for inst in instances:
         if isinstance(inst.body, Grammar):
-            out["words"][str(inst)] = partial(_words, inst, max_len)
+            out["word_codes"][str(inst)] = partial(word_codes, inst.body, "P", max_len)
         else:
             lang = [joined_codes(join, n)
                     for n, join in enumerate(joins(max_len // 2, inst.quad))]
@@ -65,10 +67,40 @@ def calls(instances, max_len) -> dict:
     return out
 
 
+def _canonical(result):
+    """``word_codes``' dicts as sorted (code, count) lists; an equation
+    report as it is."""
+    if type(result) is list:
+        return [sorted(ws.items()) for ws in result]
+    return result
+
+
+def _products(named) -> int:
+    """Product-kernel calls (recursive ones too) over one pass of the
+    calls."""
+    count = 0
+    saved = grammar._product, grammar._codes
+
+    def counting(fn):
+        def counted(pairs):
+            nonlocal count
+            count += 1
+            return fn(pairs)
+        return counted
+
+    grammar._product, grammar._codes = map(counting, saved)
+    try:
+        for call in named.values():
+            call()
+    finally:
+        grammar._product, grammar._codes = saved
+    return count
+
+
 def _row(entry, named, repeats=REPEATS):
     """Each instance's best time, and the entry point's row: the sum of
-    those times, a digest of the results and the ``tracemalloc`` peak of
-    one more, untimed pass."""
+    those times, a digest of the results, and the product-kernel calls and
+    ``tracemalloc`` peak of one more, untimed pass."""
     times = {name: [] for name in named}
     for _ in range(repeats):
         results = {}
@@ -78,16 +110,17 @@ def _row(entry, named, repeats=REPEATS):
             times[name].append(time.perf_counter() - t0)
     tracemalloc.start()
     try:
-        for call in named.values():
-            call()
+        products = _products(named)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     best = {name: min(ts) for name, ts in times.items()}
-    digest = hashlib.sha256(repr(list(results.items())).encode())
+    digest = hashlib.sha256(repr([(name, _canonical(result))
+                                  for name, result in results.items()]).encode())
     return best, {"entry": entry, "instances": len(named),
                   "best_s": round(sum(best.values()), 3),
                   "results_sha256": digest.hexdigest()[:16],
+                  "products": products,
                   "peak_mb": round(peak / 2 ** 20, 3)}
 
 

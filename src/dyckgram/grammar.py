@@ -12,7 +12,8 @@ but as the language of an externally supplied restriction quad.
 The word expander carries each word of a known length as its code
 (``paths.encode``), and only a caller that reads text (``words``, a
 witness) has it decoded.  It holds a grammar's words as dicts from code to
-multiplicity and an equation's as lists of codes, one per derivation.
+multiplicity and an equation's as lists of codes, one per derivation, and
+builds nothing at a length whose parity no word of the expression has.
 
 Lowering sends a grammar (or equation) to a polynomial fixed-point
 system.  Each expression is one monomial, read off its tokens: z to the
@@ -170,6 +171,16 @@ class _Expander:
     a split reads N's words as the memo entry of ``NonTerm(N)``.  Returned
     multisets may be shared with the memo and must not be mutated.
 
+    ``step`` is 2 when every nonterminal word has even length (always in
+    ``check_equation``, whose languages are Dyck paths; in ``word_codes``
+    unless an alternative has an odd letter count), else 1.  ``expand``
+    gives ``{}``, with no memo entry, budget charge or ``resolve`` call, at
+    a length whose excess over the expression's letters is no multiple of
+    it, and a split steps N's length by it.  Such a call could only build
+    empty entries, so no word, error or ``generated`` total moves (the two
+    word-budget tests of ``test_grammar.py`` pin those totals), and length
+    0, where unguarded recursion fires, is never pruned.
+
     ``generated``, the figure ``oracle.WORD_BUDGET`` bounds (read when the
     expander is built), adds up the size of every memo entry, each
     (nonterminal, length) resolved and each (expression, length) split; a
@@ -180,9 +191,10 @@ class _Expander:
     with eps doubled has over 10^7 derivations), so grammars keep counts.
     """
 
-    def __init__(self, resolve, product):
+    def __init__(self, resolve, product, step):
         self.resolve = resolve  # (expander, name, length) -> multiset
         self.product = product
+        self.step = step
         self.budget = oracle.WORD_BUDGET
         self.generated = 0
         self._memo: dict = {}  # (tokens, length) -> multiset
@@ -218,6 +230,8 @@ class _Expander:
             return out
         pre, plen, head, lit, llen, rest, least = (self._plans.get(tokens)
                                                    or self._plan(tokens))
+        if (length - plen - llen - least) % self.step:
+            return {}
         if head is None:
             return {pre: 1} if plen == length else {}
         if not (plen or llen or rest):
@@ -230,7 +244,7 @@ class _Expander:
             free = length - plen - llen
             memo, pairs = self._memo, []
             # with no rest, N's word takes all the free letters
-            for l1 in range(0 if rest else max(free, 0), free - least + 1):
+            for l1 in range(0 if rest else max(free, 0), free - least + 1, self.step):
                 left = memo.get((head, l1))
                 if left is None:
                     left = self.expand(head, l1)
@@ -275,7 +289,9 @@ def word_codes(grammar: Grammar, start: GExpr | str, max_len: int) -> list[dict]
             raise ValueError(f"undefined nonterminal {name}")
         return _union([expander.expand(alt, length) for alt in grammar.rules[name]])
 
-    expander = _Expander(resolve, _product)
+    step = 1 if any(sum(len(t) for t in alt if type(t) is str) % 2
+                    for alts in grammar.rules.values() for alt in alts) else 2
+    expander = _Expander(resolve, _product, step)
     return [expander.expand(tokens, length) for length in range(max_len + 1)]
 
 
@@ -339,9 +355,9 @@ def check_equation(eq: GrammaticalEquation,
     def resolve(_, name: str, length: int) -> Sequence[int]:
         if name not in languages:
             raise ValueError(f"no language bound to nonterminal {name}")
-        return () if length % 2 else languages[name][length // 2]
+        return languages[name][length // 2]
 
-    expander = _Expander(resolve, _codes)
+    expander = _Expander(resolve, _codes, 2)
     for length in range(max_len + 1):
         lhs, rhs = [], []
         for side, codes in ((eq.lhs, lhs), (eq.rhs, rhs)):

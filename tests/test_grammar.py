@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import quads
-from dyckgram import oracle
+from dyckgram import grammar, oracle
 from dyckgram.families import build, verify_pool
 from dyckgram.grammar import (D, EPSILON, AmbiguityReport, EquationReport, Grammar,
                               GrammaticalEquation, NonTerm, U, UnbalancedGrammar,
@@ -182,6 +182,36 @@ def test_undefined_nonterminal():
 def test_unguarded_recursion():
     with pytest.raises(ValueError, match="unguarded"):
         words(Grammar({"P": (P,)}), "P", 4)
+    # P reached again through an empty Q: it fires at length 0, which no
+    # pruning by length may skip
+    for rules in ({"P": (seq(P, Q),), "Q": (EPSILON,)},
+                  {"P": (seq(U, D), seq(Q, P)), "Q": (EPSILON,)}):
+        for max_len in (0, 1, 4):
+            with pytest.raises(ValueError, match="unguarded"):
+                words(Grammar(rules), "P", max_len)
+
+
+def test_expander_builds_nothing_at_a_parity_dead_length(monkeypatch):
+    # every nonterminal word has even length, so every word of an
+    # expression has the parity of its letter count
+    built = []
+
+    class Recording(grammar._Expander):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(grammar, "_Expander", Recording)
+    assert len(words(CATALAN, "P", 20)) == sum((1, 1, 2, 5, 14, 42, 132, 429,
+                                                1430, 4862, 16796))
+    inst = build("F6", A=2, B=4)
+    assert check_equation(inst.body, {"P": _words_by_n(inst.quad, 20)}, 20).passed
+    assert len(built) == 2
+    for expander in built:
+        assert expander._memo
+        for tokens, length in expander._memo:
+            letters = sum(len(t) for t in tokens if type(t) is str)
+            assert (length - letters) % 2 == 0, (tokens, length)
 
 
 def test_nonterminal_head_is_guarded_by_later_letters():

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from dyckgram.families import build, deep_set, verify_pool
-from dyckgram.grammar import lower, words
+from dyckgram.grammar import lower, word_codes
 from dyckgram.intsets import RestrictionQuad
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -109,15 +109,18 @@ def test_word_layer_row(monkeypatch):
     pool = [build(f, **p) for f, p in (verify_pool()[i] for i in (0, 3, 54))]
     named = word_layer.calls(pool, 8)
     assert {entry: list(calls) for entry, calls in named.items()} == {
-        "words": ["F1"], "check_equation": [str(pool[1]), str(pool[2])]}
-    best, row = word_layer._row("words", named["words"], repeats=1)
+        "word_codes": ["F1"], "check_equation": [str(pool[1]), str(pool[2])]}
+    best, row = word_layer._row("word_codes", named["word_codes"], repeats=1)
     assert list(best) == ["F1"]
-    want = repr([("F1", sorted(words(pool[0].body, "P", 8).items()))])
+    want = repr([("F1", [sorted(ws.items()) for ws in word_codes(pool[0].body, "P", 8)])])
     assert row["results_sha256"] == hashlib.sha256(want.encode()).hexdigest()[:16]
+    assert type(row["products"]) is int and row["products"] > 0
     best, row = word_layer._row("check_equation", named["check_equation"], repeats=1)
-    assert list(row) == ["entry", "instances", "best_s", "results_sha256", "peak_mb"]
+    assert list(row) == ["entry", "instances", "best_s", "results_sha256", "products",
+                         "peak_mb"]
     assert (row["entry"], row["instances"]) == ("check_equation", 2)
     assert re.fullmatch("[0-9a-f]{16}", row["results_sha256"])
+    assert type(row["products"]) is int and row["products"] > 0
     assert row["peak_mb"] > 0
 
 
