@@ -1,6 +1,7 @@
-"""Time the word engine (``grammar.word_codes`` and
-``grammar.check_equation``, the calls ``verify_family`` makes) over the
-81 verify-pool instances at max_len = 20.
+"""Time the word engine over the 81 verify-pool instances at max_len = 20:
+``grammar.word_codes``, the counts a failing grammar's details read,
+``grammar.word_lists``, each length sorted, the list pass ``verify_family``
+makes over a grammar, and ``grammar.check_equation``.
 
     PYTHONPATH=src python3 scripts/word_layer.py
 
@@ -13,20 +14,21 @@ built once, untimed, as codes of one ``oracle.joins`` pass
 (``oracle.joined_codes``), as ``verify_family`` builds them, so the
 equation times are the word engine's alone.
 Prints one JSON object: for each entry point, the time of its instances,
-a digest of every word multiset (each length's codes sorted, so equal
-multisets built in another order digest equally) or equation report, so
-that two checkouts can be compared for equal results as well as for
-speed; and, from one more, untimed pass of its instances, ``products``,
-the number of calls of the product kernels (``grammar._product`` and
+a digest of every word multiset (each length's codes counted and sorted,
+so equal multisets built in another order or form digest equally, and
+the two grammar rows must agree) or equation report, so that two
+checkouts can be compared for equal results as well as for speed; and,
+from one more, untimed pass of its instances, ``products``, the number
+of calls of the product kernels (``grammar._product`` and
 ``grammar._codes``), a count that repeats exactly, and ``peak_mb``, the
 most memory ``tracemalloc`` saw allocated at once, in MiB, so the word
 engine's work and memory show next to its time.  Then it prints the time
 of each of the three groups of ``verify_layer.py``, the heavy equations
-(F6, F8), the light ones (F9-F11) and the grammars, so that a change that
-speeds up the large multisets but slows the cheap instances shows.  A
-time is the sum over the instances of each one's best of five wall times:
-on a shared host a slow phase then costs one instance one run, not a
-whole pass.
+(F6, F8), the light ones (F9-F11) and the grammars (their list pass), so
+that a change that speeds up the large multisets but slows the cheap
+instances shows.  A time is the sum over the instances of each one's
+best of five wall times: on a shared host a slow phase then costs one
+instance one run, not a whole pass.
 """
 
 import hashlib
@@ -34,11 +36,12 @@ import json
 import platform
 import time
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 from dyckgram import grammar
 from dyckgram.families import build, verify_pool
-from dyckgram.grammar import Grammar, check_equation, word_codes
+from dyckgram.grammar import Grammar, check_equation, word_codes, word_lists
 from dyckgram.oracle import joined_codes, joins
 from verify_layer import GROUPS
 
@@ -52,14 +55,19 @@ def _equation(inst, lang, max_len):
             report.rhs_multiplicity)
 
 
+def _sorted_lists(body, max_len):
+    return [sorted(ws) for ws in word_lists(body, "P", max_len)]
+
+
 def calls(instances, max_len) -> dict:
     """For each entry point, each of its instances' calls by name: a
-    grammar's ``word_codes``, an equation's ``check_equation`` on word
-    lists built here, untimed."""
-    out = {"word_codes": {}, "check_equation": {}}
+    grammar's ``word_codes`` and its sorted ``word_lists``, an equation's
+    ``check_equation`` on word lists built here, untimed."""
+    out = {"word_codes": {}, "word_lists": {}, "check_equation": {}}
     for inst in instances:
         if isinstance(inst.body, Grammar):
             out["word_codes"][str(inst)] = partial(word_codes, inst.body, "P", max_len)
+            out["word_lists"][str(inst)] = partial(_sorted_lists, inst.body, max_len)
         else:
             lang = [joined_codes(join, n)
                     for n, join in enumerate(joins(max_len // 2, inst.quad))]
@@ -68,10 +76,10 @@ def calls(instances, max_len) -> dict:
 
 
 def _canonical(result):
-    """``word_codes``' dicts as sorted (code, count) lists; an equation
-    report as it is."""
+    """A grammar's words of each length, dicts or lists, as sorted (code,
+    count) lists; an equation report as it is."""
     if type(result) is list:
-        return [sorted(ws.items()) for ws in result]
+        return [sorted(Counter(ws).items()) for ws in result]
     return result
 
 

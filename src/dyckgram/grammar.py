@@ -11,9 +11,12 @@ but as the language of an externally supplied restriction quad.
 
 The word expander carries each word of a known length as its code
 (``paths.encode``), and only a caller that reads text (``words``, a
-witness) has it decoded.  It holds a grammar's words as dicts from code to
-multiplicity and an equation's as lists of codes, one per derivation, and
-builds nothing at a length whose parity no word of the expression has.
+witness) has it decoded.  It builds nothing at a length whose parity no
+word of the expression has.  ``check_equation`` and ``word_lists``
+(``verify``'s pass over a grammar) hold a length's words as a list of
+codes, a word once per derivation; ``word_codes`` (so ``words``,
+``check_unambiguous`` and a failed grammar check) as a dict from code to
+derivation count, as a grammar's recursion compounds repeats.
 
 Lowering sends a grammar (or equation) to a polynomial fixed-point
 system.  Each expression is one monomial, read off its tokens: z to the
@@ -151,7 +154,7 @@ class _Expander:
     """Word multisets of expressions (token tuples), memoized and budgeted.
     The caller picks their form by the product it passes: ``_product``
     (``word_codes``) maps each word's code to its multiplicity, ``_codes``
-    (``check_equation``) lists the codes, a word once per derivation.
+    (``check_equation``, ``word_lists``) lists a code per derivation.
 
     An expression with a nonterminal reads as ``[pre] N [lit] rest``: an
     optional leading literal, its first nonterminal N, the literal after N
@@ -187,8 +190,10 @@ class _Expander:
     literal builds none.  A dict's size is its distinct words, a list's its
     codes with their repeats.  Repeats stay few in an equation, whose
     nonterminals are bound languages: a side lists a word at most once per
-    way of factoring it.  A grammar's recursion compounds them (F7(4,3)
-    with eps doubled has over 10^7 derivations), so grammars keep counts.
+    way of factoring it.  A grammar's recursion compounds them: listed,
+    ``P -> eps | U P P P`` holds over 10^7 codes by length 12 (37 counted)
+    and F7(4,3) with eps doubled 10,173,086 by length 22 (81,177), so a
+    grammar is listed only by a caller that stops where a list differs.
     """
 
     def __init__(self, resolve, product, step):
@@ -280,19 +285,32 @@ def word_codes(grammar: Grammar, start: GExpr | str, max_len: int) -> list[dict]
     """The derivable words of each length 0..max_len, as dicts from code
     (``paths.encode``) to number of derivations.  The dicts may be shared
     with the expander's memo and must not be mutated."""
+    return list(_grammar_words(grammar, start, max_len, _product, _union))
+
+
+def word_lists(grammar: Grammar, start: GExpr | str, max_len: int):
+    """The derivable words of each length 0..max_len, yielded lazily as
+    code lists, a word once per derivation (a dict over its codes for a
+    literal or no word), shared with the expander's memo: do not mutate."""
+    return _grammar_words(grammar, start, max_len, _codes,
+                          lambda parts: [w for part in parts for w in part])
+
+
+def _grammar_words(grammar, start, max_len, product, union):
+    """Each length's words, lazily, in the form ``product`` and ``union`` build."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     tokens = NonTerm(start) if isinstance(start, str) else start
 
-    def resolve(expander: _Expander, name: str, length: int) -> dict:
+    def resolve(expander: _Expander, name: str, length: int):
         if name not in grammar.rules:
             raise ValueError(f"undefined nonterminal {name}")
-        return _union([expander.expand(alt, length) for alt in grammar.rules[name]])
+        return union([expander.expand(alt, length) for alt in grammar.rules[name]])
 
     step = 1 if any(sum(len(t) for t in alt if type(t) is str) % 2
                     for alts in grammar.rules.values() for alt in alts) else 2
-    expander = _Expander(resolve, _product, step)
-    return [expander.expand(tokens, length) for length in range(max_len + 1)]
+    expander = _Expander(resolve, product, step)
+    return (expander.expand(tokens, length) for length in range(max_len + 1))
 
 
 @dataclass(frozen=True)

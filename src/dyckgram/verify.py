@@ -8,16 +8,19 @@ cap), and the reference-sequence comparison for families with a known
 count formula.  Brute force and the word checks read one oracle midpoint
 join per semilength, the word checks as codes (``paths.encode``) of
 each length, so a word is shown as text only in a failure's detail.
+A grammar's words are compared as sorted code lists, as an equation's
+sides are, and counted only from the first length that differs.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .families import FamilyInstance
-from .grammar import Grammar, ambiguity, check_equation, lower, word_codes
-from .oracle import (DEFAULT_ENUMERATION_CAP, check_cap, check_joined, count_brute,
-                     count_dp, joined_codes, joins, pair_count)
+from .grammar import Grammar, ambiguity, check_equation, lower, word_codes, word_lists
+from .oracle import (DEFAULT_ENUMERATION_CAP, ResourceLimit, check_cap, check_joined,
+                     count_brute, count_dp, joined_codes, joins, pair_count)
 from .paths import decode
 from .sequences import reference
 from .series import solve
@@ -121,7 +124,7 @@ def verify_family(instance: FamilyInstance,
         mismatch is None and "series" in counts, "; ".join(notes)))
 
     if isinstance(instance.body, Grammar):
-        checks += _grammar_checks(word_codes(instance.body, start, max_len), lang)
+        checks += _grammar_checks(instance.body, start, max_len, lang)
     else:
         eq = check_equation(instance.body, {start: lang}, max_len)
         detail = ""
@@ -141,11 +144,18 @@ def verify_family(instance: FamilyInstance,
     return FamilyReport(instance, tuple(checks), counts)
 
 
-def _grammar_checks(derived, lang) -> list[CheckOutcome]:
-    """The ambiguity and language checks of a grammar's word codes of each
-    length (``grammar.word_codes``) against the oracle's of each
-    semilength, compared one length at a time.  The extra and missing words
-    are the first three by (length, word)."""
+def _grammar_checks(grammar, start, max_len, lang) -> list[CheckOutcome]:
+    """The ambiguity and language checks of a grammar's words of each
+    length against the oracle's of each semilength: sorted ``word_lists``
+    against the sorted language, and from the first length that differs
+    (or past the word budget) ``word_codes``, for the details.  The extra
+    and missing words are the first three by (length, word)."""
+    with suppress(ResourceLimit):
+        if all(sorted(ws) == ([] if length % 2 else sorted(lang[length // 2]))
+               for length, ws in enumerate(word_lists(grammar, start, max_len))):
+            return [CheckOutcome("grammar unambiguous", True),
+                    CheckOutcome("grammar words = oracle language", True)]
+    derived = word_codes(grammar, start, max_len)
     amb = ambiguity(derived)
     extra, missing = [], []
     for length, ws in enumerate(derived):

@@ -12,10 +12,10 @@ from dyckgram.families import build, verify_pool
 from dyckgram.grammar import (D, EPSILON, AmbiguityReport, EquationReport, Grammar,
                               GrammaticalEquation, NonTerm, U, UnbalancedGrammar,
                               check_equation, check_unambiguous, equation_sides,
-                              lower, render, rep, seq, words)
+                              lower, render, rep, seq, word_codes, word_lists, words)
 from dyckgram.intsets import RestrictionQuad
 from dyckgram.oracle import ResourceLimit, language
-from dyckgram.paths import encode
+from dyckgram.paths import decode, encode
 from dyckgram.series import Poly, SeriesSystem, solve
 
 P = NonTerm("P")
@@ -414,6 +414,25 @@ def test_words_match_reference_expander(inst):
     assert words(inst.body, "P", REFERENCE_MAX_LEN) == dict(expect)
 
 
+F7_43 = build("F7", A=4, B=3).body
+DOUBLED_EPS = Grammar({**F7_43.rules, "P": F7_43.rules["P"] + (EPSILON,)})
+
+
+@pytest.mark.parametrize("body, max_len", [
+    *((i.body, 20) for i in POOL if isinstance(i.body, Grammar)), (DOUBLED_EPS, 16)],
+    ids=[*(str(i) for i in POOL if isinstance(i.body, Grammar)), "F7(4,3)+eps"])
+def test_word_lists_count_as_word_codes(body, max_len):
+    lists = list(word_lists(body, "P", max_len))
+    assert [Counter(ws) for ws in lists] == word_codes(body, "P", max_len)
+
+
+def test_word_lists_are_lazy(monkeypatch):
+    # listed to length 24, eps doubled is over 10^7 codes, far over this
+    # budget; the first length is the empty word, listed twice
+    monkeypatch.setattr(oracle, "WORD_BUDGET", 1000)
+    assert sorted(next(word_lists(DOUBLED_EPS, "P", 24))) == [encode("")] * 2
+
+
 @pytest.mark.parametrize("inst", [i for i in POOL if not isinstance(i.body, Grammar)],
                          ids=str)
 def test_equation_reports_match_reference_expander(inst):
@@ -513,6 +532,14 @@ def test_random_grammars_match_reference_expander(start, alts):
 
     expect = _reference_union((start,), nonterminal)
     assert words(Grammar(rules), start, REFERENCE_MAX_LEN) == dict(expect)
+    # listed, repeats compound (P -> eps | U P P P holds over 10^7 codes by
+    # length 12, 37 counted), so the lists are compared up to the longest
+    # length <= 8 whose words, counted, number at most 10^4
+    top = max(n for n in range(9)
+              if sum(c for w, c in expect.items() if len(w) <= n) <= 10 ** 4)
+    listed = Counter(decode(w, n) for n, ws in
+                     enumerate(word_lists(Grammar(rules), start, top)) for w in ws)
+    assert listed == {w: c for w, c in expect.items() if len(w) <= top}
 
 
 # --- differential check of lowering against a letter-by-letter reference --

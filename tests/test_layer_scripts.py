@@ -109,12 +109,15 @@ def test_word_layer_row(monkeypatch):
     pool = [build(f, **p) for f, p in (verify_pool()[i] for i in (0, 3, 54))]
     named = word_layer.calls(pool, 8)
     assert {entry: list(calls) for entry, calls in named.items()} == {
-        "word_codes": ["F1"], "check_equation": [str(pool[1]), str(pool[2])]}
-    best, row = word_layer._row("word_codes", named["word_codes"], repeats=1)
-    assert list(best) == ["F1"]
+        "word_codes": ["F1"], "word_lists": ["F1"],
+        "check_equation": [str(pool[1]), str(pool[2])]}
     want = repr([("F1", [sorted(ws.items()) for ws in word_codes(pool[0].body, "P", 8)])])
-    assert row["results_sha256"] == hashlib.sha256(want.encode()).hexdigest()[:16]
-    assert type(row["products"]) is int and row["products"] > 0
+    # the list pass digests its counted lists, as word_codes' dicts
+    for entry in ("word_codes", "word_lists"):
+        best, row = word_layer._row(entry, named[entry], repeats=1)
+        assert list(best) == ["F1"]
+        assert row["results_sha256"] == hashlib.sha256(want.encode()).hexdigest()[:16]
+        assert type(row["products"]) is int and row["products"] > 0
     best, row = word_layer._row("check_equation", named["check_equation"], repeats=1)
     assert list(row) == ["entry", "instances", "best_s", "results_sha256", "products",
                          "peak_mb"]

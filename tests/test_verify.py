@@ -5,12 +5,12 @@ from dataclasses import replace
 import pytest
 
 from conftest import midpoint_join
-from dyckgram import oracle, verify
-from dyckgram.families import build
-from dyckgram.grammar import (D, U, Grammar, GrammaticalEquation, NonTerm, check_equation,
-                              seq, words)
+from dyckgram import grammar, oracle, verify
+from dyckgram.families import build, verify_pool
+from dyckgram.grammar import (D, EPSILON, U, Grammar, GrammaticalEquation, NonTerm,
+                              check_equation, seq, words)
 from dyckgram.intsets import RestrictionQuad
-from dyckgram.oracle import DEFAULT_ENUMERATION_CAP, count_brute, language
+from dyckgram.oracle import DEFAULT_ENUMERATION_CAP, ResourceLimit, count_brute, language
 from dyckgram.paths import accepts, avoid_tables, encode, walk
 from dyckgram.verify import (CheckOutcome, count_comparison, first_mismatch, row,
                              verify_family)
@@ -103,6 +103,43 @@ def test_grammar_witnesses_where_both_first_letters_occur():
     assert outcome(report, "grammar unambiguous").detail == "'DUUD' derived 2 ways"
     assert outcome(report, "grammar words = oracle language").detail == \
         "extra=['DUUD', 'UDDU', 'UDDUUD'] missing=[]"
+
+
+POOL_GRAMMARS = [i for i in (build(f, **p) for f, p in verify_pool())
+                 if isinstance(i.body, Grammar)]
+
+
+@pytest.mark.parametrize("inst", POOL_GRAMMARS, ids=str)
+def test_a_passing_grammar_builds_no_word_counts(inst, monkeypatch):
+    # the pass compares sorted code lists; only a difference reads counts
+    def no_counts(pairs):
+        raise AssertionError("word counts built")
+
+    monkeypatch.setattr(grammar, "_product", no_counts)
+    assert verify_family(inst).passed
+
+
+def test_doubled_eps_is_counted_from_the_first_length_that_differs():
+    # listed, eps doubled compounds to over 10^7 codes by length 22; the
+    # lists differ at length 0, so only counts reach length 24
+    good = build("F7", A=4, B=3)
+    rules = good.body.rules
+    doubled = replace(good, body=Grammar({**rules, "P": rules["P"] + (EPSILON,)}))
+    report = verify_family(doubled, max_len=24, n_max=6)
+    assert outcome(report, "grammar unambiguous").detail == "'' derived 2 ways"
+    assert outcome(report, "grammar words = oracle language").passed
+
+
+def test_lists_over_the_word_budget_fall_back_to_counts(monkeypatch):
+    # the lists hold repeats that counts fold, so they may outgrow a budget
+    # that counts keep: the checks then read counts alone
+    def over_budget(pairs):
+        raise ResourceLimit(1, 0, what="generated words")
+
+    monkeypatch.setattr(grammar, "_codes", over_budget)
+    report = verify_family(build("F3"), max_len=12, n_max=6)
+    assert report.passed and check_names(report)[-3:-1] == [
+        "grammar unambiguous", "grammar words = oracle language"]
 
 
 def test_wrong_reference_is_caught():
