@@ -7,7 +7,7 @@ stdout, stderr and exit status are captured.  The groups: ``verify`` and
 ``series --dump-grammar``, each as text and with ``--json``, on the 81
 instances of ``dyckgram.families.verify_pool()``; ``count --method both
 --n-max 12``, as text and with ``--json``, on the 24 seeded quads of
-``brute_layer.census_quads()``; ``deep``, the two command lines of the
+``harness.census_quads()``; ``deep``, the two command lines of the
 benchmark's ``deep`` workload (``count --method dp --n-max 64`` on the
 instance's quad and ``series --order 128``), each as text and with
 ``--json``, on the 8 instances of ``dyckgram.families.deep_set()``;
@@ -16,23 +16,18 @@ instance's quad and ``series --order 128``), each as text and with
 dozen command lines that exit 2; and ``help``, ``--help`` for the top
 level and for each of the six subcommands, wrapped at ``COLUMNS=80``,
 which ``main`` sets for the script's own process.
-dyckgram is imported from PYTHONPATH, so pointing it at another
-checkout's ``src`` runs the same command lines on that checkout.  Prints
-one JSON object: the number of runs, and for each group its runs and a
-digest of every (argv, stdout, stderr, exit status), so that two
-checkouts can be compared for equal output byte for byte.
+Prints the number of runs, and for each group its runs and a digest of
+every (argv, stdout, stderr, exit status), so that two checkouts can be
+compared for equal output byte for byte (see ``harness.py``).
 """
 
-import hashlib
 import io
-import json
 import os
-import platform
 from contextlib import redirect_stderr, redirect_stdout
 
-from brute_layer import census_quads
 from dyckgram import cli
 from dyckgram.families import build, deep_set, verify_pool
+from harness import census_quads, digest, report
 
 CENSUS_N_MAX = 12
 DEEP_N_MAX = 64
@@ -105,21 +100,15 @@ def groups(instances, quads, deep) -> dict[str, list[list[str]]]:
 
 
 def digests(named: dict[str, list[list[str]]]) -> dict:
-    out = {}
-    for name, argvs in named.items():
-        h = hashlib.sha256()
-        for argv in argvs:
-            h.update(repr((argv, run(argv))).encode())
-        out[name] = {"runs": len(argvs), "sha256": h.hexdigest()[:16]}
-    return out
+    return {name: {"runs": len(argvs),
+                   "sha256": digest(repr((argv, run(argv))) for argv in argvs)}
+            for name, argvs in named.items()}
 
 
 def main() -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
     rows = digests(groups(verify_pool(), census_quads(), deep_set()))
-    print(json.dumps({"python": platform.python_version(),
-                      "runs": sum(r["runs"] for r in rows.values()),
-                      "groups": rows}, indent=1))
+    report(runs=sum(r["runs"] for r in rows.values()), groups=rows)
 
 
 if __name__ == "__main__":

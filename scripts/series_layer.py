@@ -5,44 +5,30 @@ instances (``dyckgram.families.catalogue()``) at order 64.
     PYTHONPATH=src python3 scripts/series_layer.py
 
 Each instance's grammar is lowered once, untimed, as ``dyckgram series``
-lowers it.  dyckgram is imported from PYTHONPATH, so pointing it at
-another checkout's ``src`` times that checkout with the same script.
-Prints one JSON object: for each deep instance, the best of five wall
-times of its ``solve`` in seconds and a digest of every unknown's
-coefficients; for the catalogue, the sum of each instance's best of five
-and one digest of all of them, so that two checkouts can be compared for
-equal coefficients as well as for speed.
+lowers it.  Prints for each deep instance the best time of its ``solve``
+and a digest of every unknown's coefficients; for the catalogue, the sum
+of each instance's best time and one digest of all of them.
 """
 
-import hashlib
-import json
-import platform
-import time
+from functools import partial
 
 from dyckgram.families import build, catalogue, deep_set
 from dyckgram.grammar import lower
 from dyckgram.series import solve
+from harness import REPEATS, best_of, digest, report
 
 DEEP_ORDER = 128
 CATALOGUE_ORDER = 64
-REPEATS = 5
 
 
 def _row(instances, order: int) -> dict:
-    """The sum of each instance's best of five solve times, and a digest of
-    every solution, unknown by unknown."""
+    """The sum of each instance's best solve time, and a digest of every
+    solution, unknown by unknown."""
     systems = [lower(inst.body) for inst in instances]
-    best, h = 0.0, hashlib.sha256()
-    for system in systems:
-        times = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            solution = solve(system, order)
-            times.append(time.perf_counter() - t0)
-        best += min(times)
-        for name in system.unknowns:
-            h.update(f"{name}:{','.join(map(str, solution[name].coeffs))};".encode())
-    return {"order": order, "best_s": round(best, 5), "coeffs_sha256": h.hexdigest()[:16]}
+    best, solutions = best_of({i: partial(solve, s, order) for i, s in enumerate(systems)})
+    coeffs = digest(f"{name}:{','.join(map(str, solutions[i][name].coeffs))};"
+                    for i, system in enumerate(systems) for name in system.unknowns)
+    return {"order": order, "best_s": round(sum(best.values()), 5), "coeffs_sha256": coeffs}
 
 
 def main() -> None:
@@ -51,8 +37,7 @@ def main() -> None:
     instances = [build(f, **p) for f, p in catalogue()]
     rows.append({"instance": "catalogue", "instances": len(instances),
                  **_row(instances, CATALOGUE_ORDER)})
-    print(json.dumps({"python": platform.python_version(), "repeats": REPEATS,
-                      "rows": rows}, indent=1))
+    report(repeats=REPEATS, rows=rows)
 
 
 if __name__ == "__main__":

@@ -102,22 +102,11 @@ class GrammaticalEquation:
 
 
 def _union(parts: list) -> dict:
-    """The sum of word multisets.  The largest part is copied whole and
-    the others merged into it by ``dict.update``; only when two parts share
-    a word (the merge is smaller than the parts) are its counts added.  A
-    lone nonempty part is returned as it is."""
-    parts = sorted(parts, key=len, reverse=True)
-    if len(parts) < 2 or not parts[1]:
-        return parts[0] if parts else {}
-    out = dict(parts[0])
-    for part in parts[1:]:
-        out.update(part)
-    if len(out) < sum(map(len, parts)):
-        out = dict(parts[0])
-        for part in parts[1:]:
-            both = {w: out[w] + part[w] for w in out.keys() & part.keys()}
-            out.update(part)
-            out.update(both)
+    """The sum of word multisets: each word's counts added."""
+    out = {}
+    for part in parts:
+        for w, c in part.items():
+            out[w] = out.get(w, 0) + c
     return out
 
 
@@ -125,24 +114,25 @@ def _product(pairs: list) -> dict:
     """The codes of pre + w1 + lit + w2, counts multiplied, for each
     (base, shift, left, right) of multisets and each w1 of left and w2 of
     right: base | w1 << shift | w2, where base holds pre and lit shifted
-    into place and shift is the letter count of lit + w2.  The outer loop
-    runs over the smaller multiset of a pair.  A left's words share one
-    length, so one pair's words are all distinct; only words of two pairs
-    can coincide, and then the pairs' products are summed."""
-    out = {h | w2: c1 * c2 for base, shift, left, right in pairs
-           if len(left) <= len(right) for w1, c1 in left.items()
-           for h in (base | w1 << shift,) for w2, c2 in right.items()}
-    out.update({h | w1 << shift: c1 * c2 for base, shift, left, right in pairs
-                if len(left) > len(right) for w2, c2 in right.items()
-                for h in (base | w2,) for w1, c1 in left.items()})
-    if len(out) < sum(len(left) * len(right) for _, _, left, right in pairs):
-        out = _union([_product([pair]) for pair in pairs])
+    into place and shift is the letter count of lit + w2.  Words of two
+    pairs may coincide, and then their counts add.  Only ``word_codes``
+    reads it, so ``words``, ``check_unambiguous`` and a failing grammar's
+    details; the word passes of ``verify`` run on :func:`_codes`."""
+    out = {}
+    for base, shift, left, right in pairs:
+        for w1, c1 in left.items():
+            h = base | w1 << shift
+            for w2, c2 in right.items():
+                w = h | w2
+                out[w] = out.get(w, 0) + c1 * c2
     return out
 
 
 def _codes(pairs: list) -> list:
-    """:func:`_product` over lists of codes, a word once per derivation:
-    pairs that share a word need no merge, so one list holds them all."""
+    """The words of :func:`_product` over lists of codes, a word once per
+    derivation, so pairs that share a word need no merge and one list
+    holds them all.  The hot kernel: the outer loop runs over the shorter
+    list of a pair."""
     return ([h | w2 for base, shift, left, right in pairs if len(left) <= len(right)
              for w1 in left for h in (base | w1 << shift,) for w2 in right]
             + [h | w1 << shift for base, shift, left, right in pairs
@@ -153,8 +143,9 @@ def _codes(pairs: list) -> list:
 class _Expander:
     """Word multisets of expressions (token tuples), memoized and budgeted.
     The caller picks their form by the product it passes: ``_product``
-    (``word_codes``) maps each word's code to its multiplicity, ``_codes``
-    (``check_equation``, ``word_lists``) lists a code per derivation.
+    (``word_codes``, off ``verify``'s passing path) maps each word's code
+    to its multiplicity, ``_codes`` (``check_equation``, ``word_lists``,
+    the passes ``verify`` makes) lists a code per derivation.
 
     An expression with a nonterminal reads as ``[pre] N [lit] rest``: an
     optional leading literal, its first nonterminal N, the literal after N

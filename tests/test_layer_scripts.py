@@ -7,7 +7,8 @@ interpreter, the verify script counts the oracle work of two instances,
 the word script times three and takes their memory peak, the lowering
 script's synthetic grammar is lowered, and the CLI byte hasher runs a
 small subset of its command lines, so a script left
-behind by an API change fails here rather than when next run.  Every
+behind by an API change fails here rather than when next run.  The
+harness the scripts share counts, restores and times as it says.  Every
 script also imports with src/ alone, as the scripts never import tests.
 """
 
@@ -17,7 +18,10 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,7 +61,42 @@ def test_scripts_need_only_src():
     done = subprocess.run([sys.executable, "-c", code, *names], cwd=SCRIPTS, text=True,
                           env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")},
                           capture_output=True)
-    assert (len(names), done.returncode, done.stderr) == (8, 0, "")
+    assert (len(names), done.returncode, done.stderr) == (9, 0, "")
+
+
+def test_harness_best_of_keeps_least_time_and_last_result(monkeypatch):
+    harness = _load(SCRIPTS / "harness.py", monkeypatch)
+    clock, order = [0.0], []
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: clock[0])
+    spans = {"a": iter([3.0, 1.0, 2.0]), "b": iter([5.0, 6.0, 4.0])}
+
+    def call(name):
+        clock[0] += next(spans[name])
+        order.append(name)
+        return name, len(order)
+
+    best, results = harness.best_of({name: partial(call, name) for name in spans}, 3)
+    assert order == ["a", "b"] * 3
+    assert best == {"a": 1.0, "b": 4.0}
+    assert results == {"a": ("a", 5), "b": ("b", 6)}
+
+
+def test_harness_measured_counts_and_restores(monkeypatch):
+    harness = _load(SCRIPTS / "harness.py", monkeypatch)
+    space = SimpleNamespace(f=lambda steps: len(steps), g=lambda steps, k=0: k)
+    f, g = space.f, space.g
+    with harness.measured([(space, "f", "calls"), (space, "g", "calls")],
+                          letters=True) as work:
+        assert (space.f("UD"), space.g("UUD", k=2)) == (2, 2)
+        held = [0] * 1000
+    assert held and (space.f, space.g) == (f, g)
+    assert work["calls"] == 2 and work["letters"] == 5 and work["peak_bytes"] >= 8000
+    with pytest.raises(RuntimeError):
+        with harness.measured([(space, "f", "calls"), (space, "g", "other")]):
+            assert space.f is not f
+            raise RuntimeError
+    assert (space.f, space.g) == (f, g)
+    assert not tracemalloc.is_tracing()
 
 
 def test_dp_layer_row(monkeypatch):
@@ -138,7 +177,7 @@ def test_lower_layer_synthetic(monkeypatch):
 
 def test_cli_bytes_subset(monkeypatch):
     cli_bytes = _load(SCRIPTS / "cli_bytes.py", monkeypatch)
-    census = _load(SCRIPTS / "brute_layer.py", monkeypatch).census_quads(2)
+    census = _load(SCRIPTS / "harness.py", monkeypatch).census_quads(2)
     named = cli_bytes.groups(verify_pool()[:2], census, deep_set()[:2])
     for name, argvs in named.items():
         want = 2 if name == "exit 2" else 0

@@ -83,7 +83,7 @@ def test_methods_agree_deeper_on_a_few_quads():
 def test_methods_agree_on_census_quads(monkeypatch):
     # the benchmark's census shape: every avoid-set restricted, n up to 12
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    from brute_layer import census_quads
+    from harness import census_quads
     census = census_quads()
     assert len(census) == 24
     assert all(s.atoms for q in census for s in (q.peaks, q.valleys, q.up_runs, q.down_runs))
@@ -115,7 +115,7 @@ def _check_joins(quad, n_max):
 
 def test_joins_equal_each_semilength_built_alone(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    from brute_layer import census_quads
+    from harness import census_quads
     for quad in census_quads():
         _check_joins(quad, 12)
     for family, params in verify_pool():
@@ -144,7 +144,7 @@ def test_joins_share_only_the_empty_list(monkeypatch):
     # every other id (id 0, the cut successor, among them) the one shared
     # empty list, which no pass extends
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    from brute_layer import census_quads
+    from harness import census_quads
     for quad in census_quads() + [RestrictionQuad()]:
         empty = None
         for codes, ids, tails in oracle.joins(12, quad, cap=12):
@@ -163,7 +163,7 @@ def test_language_reads_one_semilength(monkeypatch):
     # language walks no more; on the census quads it judges fewer end
     # states in all
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    from brute_layer import census_quads
+    from harness import census_quads
     calls = Counter()
 
     def counting(name, fn):
