@@ -29,9 +29,9 @@ correspondence by enumerating both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, product
 
+from ._record import Record
 from .intsets import IntSet, Progression, RestrictionQuad
 from .oracle import (DEFAULT_ENUMERATION_CAP, check_joined, joined_words, joins,
                      pair_count)
@@ -95,8 +95,7 @@ def walk_to_path(steps: tuple[int, ...], semilength: int | None = None) -> str:
     return "U" + "".join(pairs) + "D"
 
 
-@dataclass(frozen=True)
-class BijectionRow:
+class BijectionRow(Record):
     semilength: int
     path_count: int
     walk_count: int
@@ -104,8 +103,7 @@ class BijectionRow:
     round_trip_ok: bool
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(Record):
     rows: tuple[BijectionRow, ...]
 
     @property

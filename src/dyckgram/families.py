@@ -39,9 +39,9 @@ grammar when B < A and as an equation when A <= B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
+from ._record import Record
 from .grammar import (D, EPSILON, GExpr, Grammar, GrammaticalEquation, NonTerm,
                       U, rep, seq)
 from .intsets import IntSet, Progression, Range, RestrictionQuad
@@ -59,8 +59,7 @@ class BadParams(ValueError):
         self.constraint = constraint
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(Record):
     family: str
     params: dict[str, int]
     quad: RestrictionQuad
@@ -223,7 +222,7 @@ def _f11(r: int, k: int) -> FamilyInstance:
     rhs = (EPSILON, seq(U, _P, D, _P), seq(rep(U, r + 1), rep(D, r + 1), _P),
            seq(rep(U, r + 1), rep(seq(D, _P), r + 1)))
     eq = GrammaticalEquation(lhs, rhs)
-    down = IntSet((Range(k + 1, r),)) if k < r else IntSet.empty()
+    down = IntSet((Range(k + 1, r),)) if k < r else IntSet()
     quad = RestrictionQuad(up_runs=IntSet((Range(1, r),)), down_runs=down)
     return FamilyInstance("F11", {"r": r, "k": k}, quad, eq)
 

@@ -28,10 +28,10 @@ words.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import oracle
+from ._record import Record
 from .oracle import ResourceLimit
 from .paths import decode, encode
 from .series import Poly, SeriesSystem
@@ -76,8 +76,7 @@ def render(expr: GExpr) -> str:
                     for t in expr) or "eps"
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(Record):
     rules: dict[str, tuple[GExpr, ...]]
 
     def to_text(self) -> str:
@@ -88,8 +87,7 @@ class Grammar:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class GrammaticalEquation:
+class GrammaticalEquation(Record):
     """Multiset identity between two unions of expressions."""
 
     lhs: tuple[GExpr, ...]
@@ -304,8 +302,7 @@ def _grammar_words(grammar, start, max_len, product, union):
     return (expander.expand(tokens, length) for length in range(max_len + 1))
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
+class AmbiguityReport(Record):
     passed: bool
     witness: str | None = None
     multiplicity: int | None = None
@@ -328,8 +325,7 @@ def ambiguity(derived: Sequence[Mapping[int, int]]) -> AmbiguityReport:
     return AmbiguityReport(True)
 
 
-@dataclass(frozen=True)
-class EquationReport:
+class EquationReport(Record):
     passed: bool
     witness: str | None = None
     lhs_multiplicity: int | None = None

@@ -16,8 +16,9 @@ its own members up to a bound as a ``range`` (``upto``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
+
+from ._record import Record
 
 
 class SetSyntaxError(ValueError):
@@ -41,8 +42,7 @@ class BadProgression(ValueError):
         self.base = base
 
 
-@dataclass(frozen=True)
-class Single:
+class Single(Record):
     value: int
 
     def contains(self, v: int) -> bool:
@@ -58,8 +58,7 @@ class Single:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(Record):
     lo: int
     hi: int
 
@@ -76,8 +75,7 @@ class Range:
         return f"{self.lo}..{self.hi}"
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(Record):
     """The arithmetic progression {step*r + base | r >= 0}."""
 
     step: int
@@ -101,13 +99,8 @@ class Progression:
 Atom = Single | Range | Progression
 
 
-@dataclass(frozen=True)
-class IntSet:
+class IntSet(Record):
     atoms: tuple[Atom, ...] = ()
-
-    @staticmethod
-    def empty() -> "IntSet":
-        return IntSet(())
 
     def is_empty(self) -> bool:
         return not self.atoms
@@ -192,14 +185,13 @@ def parse_set(text: str) -> IntSet:
         i = _skip_ws(text, _expect(text, i, ","))
 
 
-@dataclass(frozen=True)
-class RestrictionQuad:
+class RestrictionQuad(Record):
     """Four avoid-sets: peak heights, valley heights, up-run and down-run lengths."""
 
-    peaks: IntSet = field(default_factory=IntSet.empty)
-    valleys: IntSet = field(default_factory=IntSet.empty)
-    up_runs: IntSet = field(default_factory=IntSet.empty)
-    down_runs: IntSet = field(default_factory=IntSet.empty)
+    peaks: IntSet = IntSet()
+    valleys: IntSet = IntSet()
+    up_runs: IntSet = IntSet()
+    down_runs: IntSet = IntSet()
 
     @classmethod
     def parse(cls, peaks: str = "", valleys: str = "",

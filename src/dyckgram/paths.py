@@ -22,8 +22,7 @@ valley", and 0 never belongs to an avoid-set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .intsets import RestrictionQuad
 
 
@@ -45,8 +44,7 @@ class UnbalancedPath(InvalidPath):
         self.final_height = final_height
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(Record):
     text: str
 
     def __post_init__(self):

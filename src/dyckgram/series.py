@@ -17,10 +17,10 @@ exactly once (relaxed evaluation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from operator import mul
-from typing import Mapping
 
+from ._record import Record
 from .oracle import ResourceLimit
 
 DEFAULT_ORDER = 32
@@ -35,8 +35,7 @@ class NotContractive(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
@@ -116,8 +115,7 @@ def _mul_vars(a: _VarsKey, b: _VarsKey) -> _VarsKey:
     return tuple(sorted(d.items()))
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Sparse polynomial: monomials (z-degree, unknowns) -> int coefficient."""
 
     terms: tuple[tuple[int, _VarsKey, int], ...]  # (zdeg, vars, coeff), sorted
@@ -212,8 +210,7 @@ class Poly:
         return " ".join([head] + parts[1:])
 
 
-@dataclass(frozen=True)
-class SeriesSystem:
+class SeriesSystem(Record):
     """Simultaneous fixed-point equations X = Phi_X(z, unknowns)."""
 
     unknowns: tuple[str, ...]

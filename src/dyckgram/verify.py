@@ -15,8 +15,8 @@ sides are, and counted only from the first length that differs.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 
+from ._record import Record
 from .families import FamilyInstance
 from .grammar import Grammar, ambiguity, check_equation, lower, word_codes, word_lists
 from .oracle import (DEFAULT_ENUMERATION_CAP, ResourceLimit, check_cap, check_joined,
@@ -40,15 +40,13 @@ def first_mismatch(counts: dict[str, tuple[int, ...]]) -> int | None:
                 None)
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(Record):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(Record):
     instance: FamilyInstance
     checks: tuple[CheckOutcome, ...]
     counts: dict[str, tuple[int, ...]]  # method -> counts, as count_comparison gives

@@ -302,13 +302,12 @@ def test_verify_negative_n_max_exits_2_before_lowering(capsys, monkeypatch):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    from dataclasses import replace
     from dyckgram.families import build as real_build
     from dyckgram.intsets import RestrictionQuad
 
     def bad_build(family, **params):
-        return replace(real_build(family, **params),
-                       quad=RestrictionQuad.parse(), count_reference=None)
+        return real_build(family, **params)._replace(
+            quad=RestrictionQuad.parse(), count_reference=None)
 
     monkeypatch.setattr(cli, "build", bad_build)
     code, payload, _ = run_json(capsys, "verify", "--family", "F3",

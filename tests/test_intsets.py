@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import int_sets, sample_quads, swapped_runs
+from dyckgram._record import Record
 from dyckgram.intsets import (BadProgression, IntSet, NonPositiveValue,
                               Progression, Range, RestrictionQuad, SetSyntaxError,
                               Single, parse_set)
@@ -130,6 +131,78 @@ def test_quad_swapped_runs():
     assert s.peaks == q.peaks and s.valleys == q.valleys
 
 
+def test_records_equal_by_class_and_fields():
+    assert Range(1, 2) == Range(lo=1, hi=2)
+    assert Range(1, 2) != Range(1, 3)
+    assert Range(1, 2) != Progression(1, 2)
+    assert Range(1, 2).__eq__(Progression(1, 2)) is NotImplemented
+    assert Range(1, 2).__eq__((1, 2)) is NotImplemented
+    assert parse_set("1,2..3") == IntSet((Single(1), Range(2, 3)))
+
+
+def test_record_hash_is_the_hash_of_the_field_tuple():
+    assert hash(Single(5)) == hash((5,))
+    assert hash(Range(2, 4)) == hash((2, 4))
+    q = RestrictionQuad.parse(peaks="1", down_runs="ap(2,3)")
+    assert hash(q) == hash((q.peaks, q.valleys, q.up_runs, q.down_runs))
+    assert len({Range(1, 2), Range(1, 2), Progression(1, 2)}) == 2
+
+
+def test_record_repr():
+    assert repr(Range(1, 2)) == "Range(lo=1, hi=2)"
+    assert repr(parse_set("ap(2,3)")) == "IntSet(atoms=(Progression(step=2, base=3),))"
+    assert repr(RestrictionQuad.parse(valleys="4")) == (
+        "RestrictionQuad(peaks=IntSet(atoms=()), valleys=IntSet(atoms=(Single(value=4),)),"
+        " up_runs=IntSet(atoms=()), down_runs=IntSet(atoms=()))")
+    assert str(Range(1, 2)) == "1..2"
+
+
+def test_records_are_frozen():
+    r = Range(1, 2)
+    with pytest.raises(AttributeError, match="cannot assign to field 'lo'"):
+        r.lo = 5
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        r.extra = 5
+    with pytest.raises(AttributeError, match="cannot delete field 'hi'"):
+        del r.hi
+    assert r == Range(1, 2) and vars(r) == {"lo": 1, "hi": 2}
+
+
+def test_record_construction_checks_its_fields():
+    with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
+        Range(1, 2, 3)
+    with pytest.raises(TypeError, match=r"missing \['hi'\]"):
+        Range(1)
+    with pytest.raises(TypeError, match=r"unknown or repeated \['top'\]"):
+        Range(1, top=2)
+    with pytest.raises(TypeError, match=r"unknown or repeated \['lo'\]"):
+        Range(1, 2, lo=1)
+    assert Range(hi=2, lo=1) == Range(1, 2)
+    with pytest.raises(TypeError, match="a field without a default follows a default"):
+        class Bad(Record):
+            lo: int = 1
+            hi: int
+
+
+def test_quad_defaults_are_four_empty_sets():
+    q = RestrictionQuad()
+    assert (q.peaks, q.valleys, q.up_runs, q.down_runs) == (IntSet(),) * 4
+    assert q == RestrictionQuad.parse() and q.is_empty() and IntSet() == IntSet(())
+    s = parse_set("3")
+    assert RestrictionQuad(s) == RestrictionQuad(peaks=s) == RestrictionQuad.parse(peaks="3")
+    assert RestrictionQuad(up_runs=s).up_runs == s and RestrictionQuad(up_runs=s).peaks == IntSet()
+
+
+def test_record_replace():
+    q = RestrictionQuad.parse(peaks="1", valleys="2")
+    r = q._replace(valleys=parse_set("5"))
+    assert r == RestrictionQuad.parse(peaks="1", valleys="5")
+    assert q == RestrictionQuad.parse(peaks="1", valleys="2")
+    assert q._replace() == q
+    with pytest.raises(TypeError, match="unknown or repeated"):
+        q._replace(hills=IntSet())
+
+
 def _class_of(v: int, threshold: int, period: int) -> int:
     if v <= threshold + period:
         return v
@@ -143,7 +216,7 @@ def _assert_classes_keep_membership(s: IntSet) -> None:
 
 
 def test_horizon_examples():
-    assert IntSet.empty().horizon() == (0, 1)
+    assert IntSet().horizon() == (0, 1)
     assert parse_set("ap(4,2),3..5").horizon() == (5, 4)
     assert parse_set("7,ap(2,1),ap(3,1)").horizon() == (7, 6)
     assert parse_set("2..9").horizon() == (9, 1)

@@ -5,7 +5,8 @@ run directly; the two count scripts and the series script time one
 small row, the brute script also times one count in a child
 interpreter, the verify script counts the oracle work of two instances,
 the word script times three and takes their memory peak, the lowering
-script's synthetic grammar is lowered, and the CLI byte hasher runs a
+script's synthetic grammar is lowered, the startup script times one
+round of child interpreters, and the CLI byte hasher runs a
 small subset of its command lines, so a script left
 behind by an API change fails here rather than when next run.  The
 harness the scripts share counts, restores and times as it says.  Every
@@ -44,7 +45,7 @@ def _load(path: Path, monkeypatch):
 def test_there_are_layer_scripts():
     assert [p.stem for p in LAYER_SCRIPTS] == [
         "brute_layer", "dp_layer", "language_layer", "lower_layer", "series_layer",
-        "verify_layer", "word_layer"]
+        "startup_layer", "verify_layer", "word_layer"]
 
 
 @pytest.mark.parametrize("path", LAYER_SCRIPTS, ids=lambda p: p.stem)
@@ -61,7 +62,7 @@ def test_scripts_need_only_src():
     done = subprocess.run([sys.executable, "-c", code, *names], cwd=SCRIPTS, text=True,
                           env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")},
                           capture_output=True)
-    assert (len(names), done.returncode, done.stderr) == (9, 0, "")
+    assert (len(names), done.returncode, done.stderr) == (10, 0, "")
 
 
 def test_harness_best_of_keeps_least_time_and_last_result(monkeypatch):
@@ -126,6 +127,16 @@ def test_brute_layer_row(monkeypatch):
 def test_brute_layer_fresh_row(monkeypatch):
     row = _load(SCRIPTS / "brute_layer.py", monkeypatch).fresh_row(6)
     assert row["n"] == 6 and row["s"] > 0 and row["peak_rss_mb"] > 0
+
+
+def test_startup_layer_one_round(monkeypatch):
+    src = SCRIPTS.parent / "src"
+    fields = _load(SCRIPTS / "startup_layer.py", monkeypatch).startup([src], runs=1)
+    (row,) = fields["trees"]
+    assert fields["runs"] == 1 and row["src"] == str(src)
+    for mode in ("source", "cached"):
+        assert fields["bare"][mode]["ms"] > 0 and row[mode]["ms"] > 0
+    assert "dyckgram.cli" in row["adds"] and "dataclasses" not in row["adds"]
 
 
 def test_verify_layer_row(monkeypatch):

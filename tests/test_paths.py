@@ -48,6 +48,20 @@ def test_rejects_other_letters():
         DyckPath("UX")
 
 
+def test_path_record_validates_every_construction():
+    with pytest.raises(UnbalancedPath):
+        DyckPath("UUD")
+    with pytest.raises(UnbalancedPath):
+        DyckPath(text="UUD")
+    with pytest.raises(NegativePrefix):
+        P("UD")._replace(text="DU")
+    assert P("UD")._replace(text="UUDD") == P("UUDD")
+    assert repr(P("UD")) == "DyckPath(text='UD')"
+    assert hash(P("UD")) == hash(("UD",))
+    with pytest.raises(AttributeError):
+        P("UD").text = "UUDD"
+
+
 _UD_TEXT = st.text("UD", max_size=24)
 
 

@@ -21,6 +21,17 @@ def test_construction_and_padding():
         TruncatedSeries(())
 
 
+def test_series_record_validates_every_construction():
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        TruncatedSeries(())
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        S([1])._replace(coeffs=())
+    assert S([1], 2)._replace(coeffs=(0, 1)) == S([0, 1])
+    assert repr(S([1, 2])) == "TruncatedSeries(coeffs=(1, 2))"
+    assert hash(S([1, 2])) == hash(((1, 2),))
+    assert S([1, 2]) != Poly(((0, (), 1),)) and Poly.var("P") == Poly.var("P")
+
+
 def test_add_sub_mul():
     one_plus = S([1, 1], 6)
     one_minus = S([1, -1], 6)

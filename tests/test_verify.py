@@ -1,6 +1,5 @@
 import gc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -69,7 +68,7 @@ def test_verify_family_without_stated_system():
 
 def test_wrong_stated_system_is_caught():
     good = build("F3")
-    bad = replace(good, stated_system=build("F1").stated_system)
+    bad = good._replace(stated_system=build("F1").stated_system)
     report = verify_family(bad, max_len=10, n_max=5)
     assert not report.passed
     failed = outcome(report, "lowering matches stated system")
@@ -81,7 +80,7 @@ def test_wrong_stated_system_is_caught():
 
 def test_wrong_quad_is_caught():
     # Motzkin grammar against the unrestricted language: counts and words split
-    bad = replace(build("F3"), quad=RestrictionQuad.parse(), count_reference=None)
+    bad = build("F3")._replace(quad=RestrictionQuad.parse(), count_reference=None)
     report = verify_family(bad, max_len=10, n_max=5)
     assert not report.passed
     counts = outcome(report, "counts agree (brute = dp = series)")
@@ -98,7 +97,7 @@ def test_grammar_witnesses_where_both_first_letters_occur():
     good = build("F3")
     extra = (seq(U, D, D, U), seq(D, U, U, D)) * 2
     rules = good.body.rules
-    bad = replace(good, body=Grammar({**rules, "P": rules["P"] + extra}))
+    bad = good._replace(body=Grammar({**rules, "P": rules["P"] + extra}))
     report = verify_family(bad, max_len=10, n_max=5)
     assert outcome(report, "grammar unambiguous").detail == "'DUUD' derived 2 ways"
     assert outcome(report, "grammar words = oracle language").detail == \
@@ -124,7 +123,7 @@ def test_doubled_eps_is_counted_from_the_first_length_that_differs():
     # lists differ at length 0, so only counts reach length 24
     good = build("F7", A=4, B=3)
     rules = good.body.rules
-    doubled = replace(good, body=Grammar({**rules, "P": rules["P"] + (EPSILON,)}))
+    doubled = good._replace(body=Grammar({**rules, "P": rules["P"] + (EPSILON,)}))
     report = verify_family(doubled, max_len=24, n_max=6)
     assert outcome(report, "grammar unambiguous").detail == "'' derived 2 ways"
     assert outcome(report, "grammar words = oracle language").passed
@@ -144,7 +143,7 @@ def test_lists_over_the_word_budget_fall_back_to_counts(monkeypatch):
 
 def test_wrong_reference_is_caught():
     from dyckgram.sequences import SeqId
-    bad = replace(build("F3"), count_reference=(SeqId.CATALAN, 0))
+    bad = build("F3")._replace(count_reference=(SeqId.CATALAN, 0))
     report = verify_family(bad, max_len=10, n_max=5)
     failed = outcome(report, "counts match CATALAN (offset 0)")
     assert not failed.passed
@@ -161,7 +160,7 @@ def test_negative_series_is_a_failed_check(family, params, dropped):
     # other check still runs
     good = build(family, **params)
     rhs = good.body.rhs[:dropped] + good.body.rhs[dropped + 1:]
-    report = verify_family(replace(good, body=GrammaticalEquation(good.body.lhs, rhs)))
+    report = verify_family(good._replace(body=GrammaticalEquation(good.body.lhs, rhs)))
     assert not report.passed
     counts = outcome(report, "counts agree (brute = dp)")
     assert not counts.passed
@@ -191,13 +190,13 @@ def _mutants(inst):
     if isinstance(body, Grammar):
         for name, alts in body.rules.items():
             for what, new in _dropped_and_doubled(alts):
-                yield f"{name} {what}", replace(inst, body=Grammar({**body.rules, name: new}))
+                yield f"{name} {what}", inst._replace(body=Grammar({**body.rules, name: new}))
     else:
         assert body.lhs[0] == NonTerm("P")
         for side in ("lhs", "rhs"):
             start = 1 if side == "lhs" else 0
             for what, new in _dropped_and_doubled(getattr(body, side), start):
-                yield f"{side} {what}", replace(inst, body=replace(body, **{side: new}))
+                yield f"{side} {what}", inst._replace(body=body._replace(**{side: new}))
 
 
 def _word_check(inst, max_len):
