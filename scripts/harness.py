@@ -1,5 +1,6 @@
 """What the layer scripts share: their fixed sets, one best-of timer, one
-counting and memory-tracing context, the digest and the JSON printer.
+counting and memory-tracing context, one runner of child interpreters,
+the digest and the JSON printer.
 
 A script is run from the root of a checkout as
 
@@ -27,6 +28,8 @@ import hashlib
 import json
 import platform
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -119,6 +122,26 @@ def measured(targets=(), letters: bool = False):
         tracemalloc.stop()
         for module, name, fn in saved:
             setattr(module, name, fn)
+
+
+# appended to a child's code: the child prints, as its last line, its peak
+# resident set in KiB, or 0 where there is no /proc
+_PEAK = ("\nimport os\n"
+         "print(next((l.split()[1] for l in open('/proc/self/status') if l[:6] == 'VmHWM:'),"
+         " 0) if os.path.exists('/proc/self/status') else 0)\n")
+
+
+def child(code: str, *args: str, env: dict | None = None) -> tuple[float, str, float]:
+    """Run ``python -c code args`` in a fresh interpreter, which must exit
+    0: its wall seconds, spawn to exit, its stdout and its own peak RSS in
+    MiB, the ``VmHWM`` it reads as it exits (``ru_maxrss`` keeps, across
+    the ``exec``, the peak of the process that spawned the child)."""
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", code + _PEAK, *args], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    seconds = time.perf_counter() - t0
+    cut = out.rstrip("\n").rfind("\n") + 1  # the start of the peak's line
+    return seconds, out[:cut], int(out[cut:]) / 1024
 
 
 def digest(texts) -> str:

@@ -16,45 +16,25 @@ tree, so that on a shared host a slow phase falls on all alike.  Per tree
 and mode, ``ms`` is the median wall time of a child, spawn to exit, and
 ``net_ms`` that less the bare child's median; ``peak_rss_mb`` is the
 median of the child's peak resident set in MiB and ``net_rss_mb`` that
-less the bare child's.  The peak is the ``VmHWM`` the child reads from
-``/proc/self/status`` as it exits (0 where there is no such file):
-``ru_maxrss`` keeps, across the ``exec``, the peak of the process that
-spawned the child, which here, with dyckgram imported, is larger than a
-bare child's.  ``adds`` lists the modules the import adds to those the
-bare interpreter holds.
+less the bare child's, as ``harness.child`` reads them.  ``adds`` lists
+the modules the import adds to those the bare interpreter holds.
 """
 
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 from statistics import median
 
 import dyckgram
-from harness import report
+from harness import child, report
 
 RUNS = 30
-PEAK = ("import os\n"
-        "if os.path.exists('/proc/self/status'):\n"
-        "    print(next(l.split()[1] for l in open('/proc/self/status')"
-        " if l.startswith('VmHWM')))\n")
-IMPORT = "import dyckgram.cli\n" + PEAK
+IMPORT = "import dyckgram.cli\n"
 ADDS = ("import sys; bare = set(sys.modules); import dyckgram.cli; "
         "print(*sorted(set(sys.modules) - bare))")
 MODES = ("source", "cached")
-
-
-def child(code: str, env: dict) -> tuple[float, float]:
-    """Wall seconds of ``python -c code``, spawn to exit, and the peak RSS
-    in MiB it prints (0 if none); the child must exit 0."""
-    t0 = time.perf_counter()
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
-    seconds = time.perf_counter() - t0
-    return seconds, int(out or 0) / 1024
 
 
 def _envs(path: Path, prefix: str) -> dict:
@@ -79,23 +59,21 @@ def startup(trees: list[Path], runs: int = RUNS) -> dict:
         empty = Path(tmp) / "bare"
         empty.mkdir()
         # label -> (code, environment of each mode); the bare child first
-        jobs = {"bare": (PEAK, _envs(empty, prefix))}
+        jobs = {"bare": ("", _envs(empty, prefix))}
         jobs.update((str(src), (IMPORT, _envs(copy, prefix)))
                     for src, copy in zip(trees, copies))
         for code, envs in jobs.values():  # fills the bytecode cache
-            child(code, envs["cached"])
+            child(code, env=envs["cached"])
         samples = {(label, mode): [] for label in jobs for mode in MODES}
         for _ in range(runs):
             for mode in MODES:
                 for label, (code, envs) in jobs.items():
-                    samples[label, mode].append(child(code, envs[mode]))
-        adds = {label: subprocess.run([sys.executable, "-c", ADDS], env=envs["source"],
-                                      check=True, capture_output=True,
-                                      text=True).stdout.split()
+                    samples[label, mode].append(child(code, env=envs[mode]))
+        adds = {label: child(ADDS, env=envs["source"])[1].split()
                 for label, (_, envs) in jobs.items() if label != "bare"}
 
     def stats(label, mode):
-        seconds, rss = zip(*samples[label, mode])
+        seconds, _, rss = zip(*samples[label, mode])
         return median(seconds) * 1000, median(rss)
 
     bare = {mode: stats("bare", mode) for mode in MODES}

@@ -47,7 +47,6 @@ class CheckOutcome(Record):
 
 
 class FamilyReport(Record):
-    instance: FamilyInstance
     checks: tuple[CheckOutcome, ...]
     counts: dict[str, tuple[int, ...]]  # method -> counts, as count_comparison gives
 
@@ -139,7 +138,7 @@ def verify_family(instance: FamilyInstance,
             f"counts match {seq_id.value} (offset {offset})", ok,
             "" if ok else f"expected {expect}, got {dp}"))
 
-    return FamilyReport(instance, tuple(checks), counts)
+    return FamilyReport(tuple(checks), counts)
 
 
 def _grammar_checks(grammar, start, max_len, lang) -> list[CheckOutcome]:

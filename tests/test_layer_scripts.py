@@ -1,15 +1,15 @@
 """The scripts under scripts/ still import and run.
 
 Each script is imported by path, with scripts/ on sys.path as when it is
-run directly; the two count scripts and the series script time one
-small row, the brute script also times one count in a child
-interpreter, the verify script counts the oracle work of two instances,
-the word script times three and takes their memory peak, the lowering
-script's synthetic grammar is lowered, the startup script times one
-round of child interpreters, and the CLI byte hasher runs a
-small subset of its command lines, so a script left
-behind by an API change fails here rather than when next run.  The
-harness the scripts share counts, restores and times as it says.  Every
+run directly; the oracle, DP and series scripts time one small row, the
+oracle script also times one count in a child interpreter, the verify
+script counts the oracle work of two instances, the word script times
+three and takes their memory peak, the series script's synthetic grammar
+is lowered, the startup script times one round of child interpreters,
+and the CLI byte hasher runs a small subset of its command lines, then
+all of them against pinned digests, so a script left behind by an API
+change fails here rather than when next run.  The harness the scripts
+share counts, restores, times and runs children as it says.  Every
 script also imports with src/ alone, as the scripts never import tests.
 """
 
@@ -29,9 +29,23 @@ import pytest
 from dyckgram.families import build, deep_set, verify_pool
 from dyckgram.grammar import lower, word_codes
 from dyckgram.intsets import RestrictionQuad
+from dyckgram.oracle import language
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 LAYER_SCRIPTS = sorted(SCRIPTS.glob("*_layer.py"))
+
+# what cli_bytes.py prints for each group; a change to the CLI's bytes
+# updates these and names the groups it changed
+CLI_DIGESTS = {
+    "verify": "fb1003667c7cf442", "series --dump-grammar": "904c44a19be53cba",
+    "count --method both": "effc41aaf640b1d6", "verify --json": "d23a83fd1c9f5738",
+    "series --dump-grammar --json": "54614149dbb34c1e",
+    "count --method both --json": "987a2dcb27c4769b", "deep": "6f6658dc77b80290",
+    "bijection": "87c063599d71eeaa"}
+# these carry argparse's own formatting, so they hold on the Python that
+# recorded them
+ARGPARSE_DIGESTS = {"exit 2": "a2fa833ef77e8fe6", "help": "43c769f2f9e59756"}
+ARGPARSE_PYTHON = (3, 11)
 
 
 def _load(path: Path, monkeypatch):
@@ -44,8 +58,8 @@ def _load(path: Path, monkeypatch):
 
 def test_there_are_layer_scripts():
     assert [p.stem for p in LAYER_SCRIPTS] == [
-        "brute_layer", "dp_layer", "language_layer", "lower_layer", "series_layer",
-        "startup_layer", "verify_layer", "word_layer"]
+        "dp_layer", "oracle_layer", "series_layer", "startup_layer", "verify_layer",
+        "word_layer"]
 
 
 @pytest.mark.parametrize("path", LAYER_SCRIPTS, ids=lambda p: p.stem)
@@ -62,7 +76,7 @@ def test_scripts_need_only_src():
     done = subprocess.run([sys.executable, "-c", code, *names], cwd=SCRIPTS, text=True,
                           env={**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")},
                           capture_output=True)
-    assert (len(names), done.returncode, done.stderr) == (10, 0, "")
+    assert (len(names), done.returncode, done.stderr) == (8, 0, "")
 
 
 def test_harness_best_of_keeps_least_time_and_last_result(monkeypatch):
@@ -100,6 +114,22 @@ def test_harness_measured_counts_and_restores(monkeypatch):
     assert not tracemalloc.is_tracing()
 
 
+def test_harness_child_reports_its_own_peak(monkeypatch):
+    harness = _load(SCRIPTS / "harness.py", monkeypatch)
+    held = b"x" * (64 << 20)  # this process's peak passes 64 MiB
+    seconds, out, peak_mib = harness.child("import sys; print(sys.argv[1:])", "a", "b")
+    assert held and seconds > 0 and out == "['a', 'b']\n"
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read a peak from")
+    assert 0 < peak_mib < 64
+
+
+def test_harness_child_must_exit_0(monkeypatch):
+    harness = _load(SCRIPTS / "harness.py", monkeypatch)
+    with pytest.raises(subprocess.CalledProcessError):
+        harness.child("import sys; sys.exit(3)")
+
+
 def test_dp_layer_row(monkeypatch):
     row = _load(SCRIPTS / "dp_layer.py", monkeypatch)._row(RestrictionQuad(), 3)
     assert row["counts_sha256"] == hashlib.sha256(b"1,1,2,5").hexdigest()[:16]
@@ -112,10 +142,17 @@ def test_series_layer_row(monkeypatch):
 
 
 def test_brute_layer_row(monkeypatch):
-    brute_layer = _load(SCRIPTS / "brute_layer.py", monkeypatch)
-    row = brute_layer._row("unrestricted", [RestrictionQuad()], 3)
+    # the oracle script's brute and language sub-rows of one set
+    oracle_layer = _load(SCRIPTS / "oracle_layer.py", monkeypatch)
+    full = oracle_layer._row("unrestricted", [RestrictionQuad()], 3)
+    assert (full["set"], full["quads"], full["n_max"]) == ("unrestricted", 1, 3)
+    row = full["brute"]
     want = hashlib.sha256(repr([(str(RestrictionQuad()), (1, 1, 2, 5))]).encode())
     assert row["counts_sha256"] == want.hexdigest()[:16]
+    words = full["language"]
+    assert words["words"] == 1 + 1 + 2 + 5 and words["best_s"] >= 0
+    want = "".join(repr((str(RestrictionQuad()), n, language(n, cap=3))) for n in range(4))
+    assert words["words_sha256"] == hashlib.sha256(want.encode()).hexdigest()[:16]
     work = row["work"]
     assert work["walks"] > 0 and work["accepts_calls"] > 0
     # the midpoint join walks one letter a call and judges each end state
@@ -125,7 +162,7 @@ def test_brute_layer_row(monkeypatch):
 
 
 def test_brute_layer_fresh_row(monkeypatch):
-    row = _load(SCRIPTS / "brute_layer.py", monkeypatch).fresh_row(6)
+    row = _load(SCRIPTS / "oracle_layer.py", monkeypatch).fresh_row(6)
     assert row["n"] == 6 and row["s"] > 0 and row["peak_rss_mb"] > 0
 
 
@@ -147,8 +184,8 @@ def test_verify_layer_row(monkeypatch):
     best, row = verify_layer._row(pool, 8, 5, repeats=1)
     assert list(best) == ["F1", "F2"]
     assert row["joins_calls"] == 2
-    brute_layer = _load(SCRIPTS / "brute_layer.py", monkeypatch)
-    assert row["walks"] == brute_layer.brute_work([i.quad for i in pool], 5)["walks"]
+    oracle_layer = _load(SCRIPTS / "oracle_layer.py", monkeypatch)
+    assert row["walks"] == oracle_layer.brute_work([i.quad for i in pool], 5)["walks"]
     assert row["peak_mb"] > 0
     assert re.fullmatch("[0-9a-f]{16}", row["reports_sha256"])
 
@@ -179,7 +216,7 @@ def test_word_layer_row(monkeypatch):
 
 def test_lower_layer_synthetic(monkeypatch):
     # alternative i is U P^a D Q^b R^c for the i-th triple (a, b, c)
-    grammar = _load(SCRIPTS / "lower_layer.py", monkeypatch).synthetic(60)
+    grammar = _load(SCRIPTS / "series_layer.py", monkeypatch).synthetic(60)
     terms = lower(grammar).equations["P"].terms
     assert len(terms) == 60
     assert {c for _, _, c in terms} == {1}
@@ -198,3 +235,19 @@ def test_cli_bytes_subset(monkeypatch):
     assert {name: row["runs"] for name, row in rows.items()} == {
         name: len(argvs) for name, argvs in named.items()}
     assert all(re.fullmatch("[0-9a-f]{16}", row["sha256"]) for row in rows.values())
+
+
+def test_cli_bytes_digests(monkeypatch):
+    # every command line of cli_bytes.py writes the bytes it wrote when the
+    # digests were recorded, at the width the script sets
+    monkeypatch.setenv("COLUMNS", "80")
+    cli_bytes = _load(SCRIPTS / "cli_bytes.py", monkeypatch)
+    census = _load(SCRIPTS / "harness.py", monkeypatch).census_quads()
+    rows = cli_bytes.digests(cli_bytes.groups(verify_pool(), census, deep_set()))
+    assert sum(row["runs"] for row in rows.values()) == 429
+    got = {name: row["sha256"] for name, row in rows.items()}
+    want = {**CLI_DIGESTS, **ARGPARSE_DIGESTS}
+    assert set(got) == set(want)
+    if sys.version_info[:2] != ARGPARSE_PYTHON:
+        want.update((name, got[name]) for name in ARGPARSE_DIGESTS)
+    assert got == want

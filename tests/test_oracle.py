@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -18,6 +19,17 @@ from dyckgram.oracle import (ResourceLimit, count_brute, count_dp,
                              enumerate_paths, language)
 from dyckgram.paths import accepts, avoid_tables, decode, encode, satisfies, walk
 from dyckgram.series import solve
+
+
+def census_quads():
+    """The 24 seeded quads of the benchmark's census shape, as
+    scripts/harness.py draws them."""
+    spec = importlib.util.spec_from_file_location(
+        "harness", Path(__file__).resolve().parents[1] / "scripts" / "harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return harness.census_quads()
+
 
 # a fixed corpus mixing family quads with arbitrary ones
 CORPUS = [
@@ -80,10 +92,8 @@ def test_methods_agree_deeper_on_a_few_quads():
         assert count_brute(12, quad) == count_dp(12, quad), str(quad)
 
 
-def test_methods_agree_on_census_quads(monkeypatch):
+def test_methods_agree_on_census_quads():
     # the benchmark's census shape: every avoid-set restricted, n up to 12
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    from harness import census_quads
     census = census_quads()
     assert len(census) == 24
     assert all(s.atoms for q in census for s in (q.peaks, q.valleys, q.up_runs, q.down_runs))
@@ -113,9 +123,7 @@ def _check_joins(quad, n_max):
             assert [decode(t, n) for t in tails[i]] == suffixes[state], (str(quad), n)
 
 
-def test_joins_equal_each_semilength_built_alone(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    from harness import census_quads
+def test_joins_equal_each_semilength_built_alone():
     for quad in census_quads():
         _check_joins(quad, 12)
     for family, params in verify_pool():
@@ -139,12 +147,10 @@ def test_joins_keep_no_suffix_list_two_semilengths_back():
     assert suffixes and gc.get_referrers(suffixes) == [held]
 
 
-def test_joins_share_only_the_empty_list(monkeypatch):
+def test_joins_share_only_the_empty_list():
     # within one join every id a level reads has a list of its own, and
     # every other id (id 0, the cut successor, among them) the one shared
     # empty list, which no pass extends
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    from harness import census_quads
     for quad in census_quads() + [RestrictionQuad()]:
         empty = None
         for codes, ids, tails in oracle.joins(12, quad, cap=12):
@@ -162,8 +168,6 @@ def test_language_reads_one_semilength(monkeypatch):
     # per call, and joins(n) reads every state language(n) reads, so the
     # language walks no more; on the census quads it judges fewer end
     # states in all
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
-    from harness import census_quads
     calls = Counter()
 
     def counting(name, fn):
